@@ -121,9 +121,9 @@ RunResult facebook_run(std::uint64_t seed, apps::PostKind kind, int reps) {
   bed.loop().run();
   if (faults != nullptr) faults->flush();
   engine.finalize_all();
-  engine.add_counters(out);
-  if (faults != nullptr) faults->add_counters(out);
-  doctor.collector().add_counters(out);
+  engine.export_metrics(out.registry);
+  if (faults != nullptr) faults->export_metrics(out.registry);
+  doctor.collector().export_metrics(out.registry);
   doctor.flow_stats().export_metrics(out.registry);
   out.virtual_seconds = bed.loop().now().seconds();
   capture_artifacts(&out, doctor);
@@ -180,9 +180,9 @@ RunResult pull_to_update_run(std::uint64_t seed, int reps) {
   bed.loop().run();
   if (faults != nullptr) {
     faults->flush();
-    faults->add_counters(out);
+    faults->export_metrics(out.registry);
   }
-  doctor.collector().add_counters(out);
+  doctor.collector().export_metrics(out.registry);
   doctor.flow_stats().export_metrics(out.registry);
   out.virtual_seconds = bed.loop().now().seconds();
   capture_artifacts(&out, doctor);
@@ -245,9 +245,9 @@ RunResult youtube_run(std::uint64_t seed, int videos) {
   bed.loop().run();
   if (faults != nullptr) {
     faults->flush();
-    faults->add_counters(out);
+    faults->export_metrics(out.registry);
   }
-  doctor.collector().add_counters(out);
+  doctor.collector().export_metrics(out.registry);
   doctor.flow_stats().export_metrics(out.registry);
   out.virtual_seconds = bed.loop().now().seconds();
   capture_artifacts(&out, doctor);
@@ -294,9 +294,9 @@ RunResult browser_run(std::uint64_t seed, int reps) {
   bed.loop().run();
   if (faults != nullptr) faults->flush();
   engine.finalize_all();
-  engine.add_counters(out);
-  if (faults != nullptr) faults->add_counters(out);
-  doctor.collector().add_counters(out);
+  engine.export_metrics(out.registry);
+  if (faults != nullptr) faults->export_metrics(out.registry);
+  doctor.collector().export_metrics(out.registry);
   doctor.flow_stats().export_metrics(out.registry);
   out.virtual_seconds = bed.loop().now().seconds();
   capture_artifacts(&out, doctor);

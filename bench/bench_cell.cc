@@ -45,11 +45,6 @@ cell::CellScenarioSpec sweep_spec(int n, const char* mechanism,
   return spec;
 }
 
-double counter(const core::RunResult& res, const char* key) {
-  const auto it = res.counters.find(key);
-  return it == res.counters.end() ? 0.0 : it->second;
-}
-
 // Gate 1: uncontended 1-member cell == plain per-link gate, byte for byte.
 bool transparency_gate() {
   bool ok = true;
@@ -120,9 +115,10 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      const double drops = counter(res, "cell.gate.dropped_packets");
-      const double backlog = counter(res, "cell.gate.max_queue_bytes");
-      const double device_seconds = counter(res, "fleet.device_seconds");
+      const obs::MetricsRegistry& reg = res.registry;
+      const double drops = reg.counter("cell.gate.dropped_packets");
+      const double backlog = reg.gauges().at("cell.gate.max_queue_bytes");
+      const double device_seconds = reg.counter("fleet.device_seconds");
       total_device_seconds += device_seconds;
       total_wall += wall;
       if (n == 8 && std::strcmp(mechanism, "shaping") == 0) {
@@ -140,9 +136,9 @@ int main(int argc, char** argv) {
             bench_json, std::string("cell/") + mechanism,
             {{"devices", static_cast<double>(n)},
              {"gate_dropped_packets", drops},
-             {"gate_dropped_bytes", counter(res, "cell.gate.dropped_bytes")},
+             {"gate_dropped_bytes", reg.counter("cell.gate.dropped_bytes")},
              {"gate_max_queue_bytes", backlog},
-             {"sched_queue_delay_s", counter(res, "cell.sched.queue_delay_s")},
+             {"sched_queue_delay_s", reg.counter("cell.sched.queue_delay_s")},
              {"device_seconds", device_seconds},
              {"wall_s", wall}});
       }

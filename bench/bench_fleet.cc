@@ -76,12 +76,12 @@ RunResult synthetic_run(std::uint64_t seed) {
              << "\",\"window\":" << i << "}\n";
     out.add_sample("stall_s", rng.uniform(0.05, 1.2));
   }
-  out.add_counter("fleet.events", events);
-  out.add_counter("fleet.findings", nfindings);
+  out.registry.add_counter("fleet.events", events);
+  out.registry.add_counter("fleet.findings", nfindings);
   out.virtual_seconds = 3600 * rng.uniform(0.5, 1.5);
   // Folded across runs by the campaign, giving total device-seconds in
   // both modes without keeping per-run results around.
-  out.add_counter("fleet.device_seconds", out.virtual_seconds);
+  out.registry.add_counter("fleet.device_seconds", out.virtual_seconds);
   out.artifacts.timeline_jsonl = timeline.str();
   out.artifacts.findings_jsonl = findings.str();
   return out;
@@ -135,12 +135,8 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
     return 1;
   }
 
-  double device_seconds = 0;
-  if (auto it = result.counters.find("fleet.device_seconds");
-      it != result.counters.end()) {
-    device_seconds = it->second;
-  }
-  const double device_hours = device_seconds / 3600.0;
+  const double device_hours =
+      result.registry.counter("fleet.device_seconds") / 3600.0;
   const double dh_per_wall_s = wall > 0 ? device_hours / wall : 0;
 
   rusage ru{};

@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
     diag::RlcChainTracker run_tracker(s.packets, run_log);
     for (const auto& pdu : s.pdus) run_log.commit_pdu(pdu);
     run_tracker.sync();
-    run_tracker.add_counters(out);
+    run_tracker.export_metrics(out.registry);
     out.add_sample("rlc.mapped_ratio",
                    run_tracker.mapped_ratio(net::Direction::kUplink));
     out.virtual_seconds =

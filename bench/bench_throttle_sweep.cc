@@ -76,7 +76,7 @@ RunResult run_point(std::uint64_t seed, bool lte, double rate_bps,
                     point_key("loading", lte, rate_bps),
                     sim::to_seconds(
                         AppLayerAnalyzer::calibrate(r.initial_loading)));
-                out.add_counter("videos_completed", 1);
+                out.registry.add_counter("videos_completed", 1);
               }
               next();
             });

@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
             },
             [] {});
         bed.loop().run();
-        out.add_counter("bytes_down",
-                        static_cast<double>(device->trace().bytes(
-                            net::Direction::kDownlink)));
+        out.registry.add_counter(
+            "bytes_down", static_cast<double>(device->trace().bytes(
+                              net::Direction::kDownlink)));
         return out;
       });
 

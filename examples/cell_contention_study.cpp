@@ -57,13 +57,10 @@ Row run_point(int n, const char* mechanism) {
   Row row;
   row.n = n;
   row.mechanism = mechanism;
-  const auto counter = [&res](const char* key) {
-    const auto it = res.counters.find(key);
-    return it == res.counters.end() ? 0.0 : it->second;
-  };
-  row.dropped_packets = counter("cell.gate.dropped_packets");
-  row.dropped_bytes = counter("cell.gate.dropped_bytes");
-  row.gate_backlog_bytes = counter("cell.gate.max_queue_bytes");
+  row.dropped_packets = res.registry.counter("cell.gate.dropped_packets");
+  row.dropped_bytes = res.registry.counter("cell.gate.dropped_bytes");
+  row.gate_backlog_bytes =
+      res.registry.gauges().at("cell.gate.max_queue_bytes");
   const auto it = res.samples.find("latency_s");
   if (it != res.samples.end()) {
     row.samples = it->second.size();

@@ -151,28 +151,12 @@ Options parse(int argc, char** argv) {
 
 void attach_network(device::Device& dev, const Options& opt) {
   const std::string network = opt.get("network", "3g");
-  const double throttle_kbps = static_cast<double>(opt.get_int("throttle", 0));
-  const bool policing = opt.get("mechanism", "shaping") == "policing";
-
   if (network == "wifi") {
     dev.attach_wifi();
     return;
   }
-  radio::CellularConfig cfg;
-  if (network == "lte") {
-    cfg = radio::CellularConfig::lte();
-  } else if (network == "3g-simplified") {
-    cfg = radio::CellularConfig::umts_simplified();
-  } else {
-    cfg = radio::CellularConfig::umts();
-  }
-  if (throttle_kbps > 0) {
-    cfg.throttle =
-        policing ? net::ThrottleKind::kPolicing : net::ThrottleKind::kShaping;
-    cfg.throttle_rate_bps = throttle_kbps * 1000;
-    cfg.throttle_burst_bytes = policing ? 8 * 1024 : 24 * 1024;
-  }
-  dev.attach_cellular(cfg);
+  dev.attach_cellular(radio::CellularConfig::for_scenario(
+      network, opt.get_int("throttle", 0), opt.get("mechanism", "shaping")));
 }
 
 void run_sink(const core::ExportSink& sink, const std::string& path) {
@@ -734,14 +718,13 @@ int run_cell(const Options& opt) {
   std::ostringstream table;
   core::print_merged_summary(table, s);
   std::fputs(table.str().c_str(), stdout);
+  const auto& counters = result.registry.counters();
   for (const char* key :
        {"cell.gate.accepted_bytes", "cell.gate.dropped_bytes",
         "cell.gate.dropped_packets", "cell.sched.queue_delay_s",
         "cell.rrc.delayed_promotions"}) {
-    const auto it = result.counters.find(key);
-    if (it != result.counters.end()) {
-      std::printf("%s = %.6g\n", key, it->second);
-    }
+    const auto it = counters.find(key);
+    if (it != counters.end()) std::printf("%s = %.6g\n", key, it->second);
   }
   const auto write = [](const std::string& path, const std::string& content,
                         const char* what) {

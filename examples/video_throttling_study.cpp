@@ -24,15 +24,8 @@ void watch_once(const char* label, bool lte, bool throttled,
                     .bitrate_bps = 500e3});
 
   auto device = bed.make_device("galaxy-s4");
-  radio::CellularConfig cfg =
-      lte ? radio::CellularConfig::lte() : radio::CellularConfig::umts();
-  if (throttled) {
-    cfg.throttle =
-        lte ? net::ThrottleKind::kPolicing : net::ThrottleKind::kShaping;
-    cfg.throttle_rate_bps = 250e3;
-    cfg.throttle_burst_bytes = lte ? 8 * 1024 : 24 * 1024;
-  }
-  device->attach_cellular(cfg);
+  device->attach_cellular(radio::CellularConfig::for_scenario(
+      lte ? "lte" : "3g", throttled ? 250 : 0, lte ? "policing" : "shaping"));
   apps::VideoApp youtube(*device);
   youtube.launch();
   youtube.connect();

@@ -114,9 +114,9 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
                            std::chrono::steady_clock::now() - run_t0)
                            .count();
       const sim::LogCounts log_after = sim::Logger::thread_counts();
-      ex.result.add_counter(
+      ex.result.registry.add_counter(
           "log.warn", static_cast<double>(log_after.warn - log_before.warn));
-      ex.result.add_counter(
+      ex.result.registry.add_counter(
           "log.error", static_cast<double>(log_after.error - log_before.error));
       // Virtual-time watchdog: a run that "succeeded" but consumed more
       // simulated time than allowed is as suspect as one that threw — fail it
@@ -187,24 +187,9 @@ void merge_runs(std::vector<RunResult>& results,
     total_reschedules += outcomes[i].reschedules;
     out->traces[i] = std::move(r.trace);
     if (build_trace) {
-      // Campaign-spine rows, rebuilt here in index order: worker identity
-      // and completion order never reach the artifact.
-      const std::uint32_t track =
-          out->trace.track("run-" + std::to_string(i));
-      const sim::TimePoint t0;
-      const sim::TimePoint t1{sim::sec_f(r.virtual_seconds)};
-      const auto id = out->trace.span_open(
-          track, out->name, "campaign", t0,
-          "{\"seed\":" + std::to_string(outcomes[i].last_seed) +
-              ",\"attempts\":" + std::to_string(outcomes[i].attempts) + "}");
-      for (std::size_t a = 1; a < outcomes[i].attempts; ++a) {
-        out->trace.instant(track, "retry", "campaign", t0);
-      }
-      for (std::size_t rs = 0; rs < outcomes[i].reschedules; ++rs) {
-        out->trace.instant(track, "rescheduled", "ctrl", t0);
-      }
-      if (!r.ok) out->trace.instant(track, "quarantined", "campaign", t1);
-      out->trace.span_close(id, t1);
+      add_spine_row(out->trace, out->name, i, outcomes[i].last_seed,
+                    outcomes[i].attempts, outcomes[i].reschedules, r.ok,
+                    r.virtual_seconds);
     }
     if (!r.ok) {
       out->quarantined.push_back({i, outcomes[i].attempts,
@@ -222,14 +207,9 @@ void merge_runs(std::vector<RunResult>& results,
         run_means[name].push_back(sum / static_cast<double>(samples.size()));
       }
     }
-    for (const auto& [name, v] : r.counters) out->counters[name] += v;
   }
-  out->registry.add_counter("campaign.run_attempts",
-                            static_cast<double>(total_attempts));
-  out->registry.add_counter("campaign.quarantined",
-                            static_cast<double>(out->quarantined.size()));
-  out->registry.add_counter("campaign.rescheduled",
-                            static_cast<double>(total_reschedules));
+  add_campaign_counters(out->registry, total_attempts,
+                        out->quarantined.size(), total_reschedules);
   for (auto& [name, agg] : out->metrics) {
     agg.pooled = summarize(agg.pooled_samples);
     agg.per_run_means = summarize(run_means[name]);

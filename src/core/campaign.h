@@ -70,15 +70,14 @@ struct RunArtifacts {
 };
 
 // What one run hands back: named sample sets (e.g. latencies in seconds,
-// one value per replayed action) and named scalar counters (e.g. bytes
-// transferred, videos completed).
+// one value per replayed action) and the run's metrics registry.
 struct RunResult {
+  // Raw sample values, kept for the campaign's pooled summaries and CDFs.
   std::map<std::string, std::vector<double>> samples;
-  std::map<std::string, double> counters;
-  // Unified metrics registry for this run. add_sample/add_counter write
-  // through to it, so every legacy `collector.*` / `diag.*` / `fault.*`
-  // counter and sampled metric lands here with no per-callsite change.
-  // Merged across runs in index order into CampaignResult::registry.
+  // The run's metrics: every counter (e.g. bytes transferred, videos
+  // completed, each component's export_metrics), gauge and histogram;
+  // add_sample also observes into it. Merged across runs in index order
+  // into CampaignResult::registry.
   obs::MetricsRegistry registry;
   // The run's span trace (virtual time), moved from the factory's doctor
   // when tracing is on; merged into the campaign trace artifact as one
@@ -103,10 +102,6 @@ struct RunResult {
   void add_sample(const std::string& metric, double v) {
     samples[metric].push_back(v);
     registry.observe(metric, v);
-  }
-  void add_counter(const std::string& name, double v) {
-    counters[name] += v;
-    registry.add_counter(name, v);
   }
 };
 
@@ -141,7 +136,7 @@ struct CampaignResult {
   std::vector<std::size_t> run_reschedules;
 
   // A run whose last allowed attempt still failed. Quarantined runs
-  // contribute no samples/counters but are reported — campaign JSON carries
+  // contribute no samples or metrics but are reported — campaign JSON carries
   // them, so degraded fleets are visible rather than silently thinner.
   struct QuarantinedRun {
     std::size_t run_index = 0;
@@ -152,7 +147,6 @@ struct CampaignResult {
   std::vector<QuarantinedRun> quarantined;
 
   std::map<std::string, MetricAggregate> metrics;
-  std::map<std::string, double> counters;  // summed across runs, index order
 
   // Unified registry: every clean run's RunResult::registry merged in index
   // order, plus campaign-level counters (campaign.run_attempts,
@@ -203,7 +197,7 @@ struct CampaignResult {
 //   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
 //                           the (t, device, seq) merge key
 //   metrics-NNNNNN.jsonl    one per-run line: spec/outcome + samples +
-//                           counters + registry snapshot
+//                           registry snapshot
 //   MANIFEST.json           shard index + durable commit frontier
 // Shards rotate when the payload exceeds shard_bytes (or shard_runs runs),
 // each written atomically (tmp+rename) before the manifest records it, so a

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "core/campaign.h"
 #include "core/report.h"
 #include "device/device.h"
 #include "radio/cellular_link.h"
@@ -546,21 +545,6 @@ Table Collector::counters_table() const {
                    to_string(health(layer))});
   }
   return table;
-}
-
-void Collector::add_counters(RunResult& out, const std::string& prefix) const {
-  for (Layer layer : {kLayerUi, kLayerPacket, kLayerRadio}) {
-    const LayerCounters c = counters(layer);
-    const std::string base = prefix + to_string(layer) + ".";
-    out.add_counter(base + "events", static_cast<double>(c.events));
-    out.add_counter(base + "bytes", static_cast<double>(c.bytes));
-    out.add_counter(base + "dropped", static_cast<double>(c.dropped));
-    out.add_counter(base + "high_water", static_cast<double>(c.high_water));
-    out.add_counter(base + "out_of_order",
-                    static_cast<double>(c.out_of_order));
-    out.add_counter(base + "health",
-                    static_cast<double>(static_cast<int>(health(layer))));
-  }
 }
 
 void Collector::export_metrics(obs::MetricsRegistry& reg,

@@ -55,7 +55,6 @@ class Device;
 namespace qoed::core {
 
 class Table;
-struct RunResult;
 
 // Layer tags, usable as a bitmask in subscriptions.
 enum Layer : std::uint32_t {
@@ -354,11 +353,8 @@ class Collector {
 
   // Report-surface rendering: one row per layer.
   Table counters_table() const;
-  // Campaign surface: adds the spine counters to a run's counter map as
-  // "<prefix><layer>.<events|bytes|dropped|high_water>".
-  void add_counters(RunResult& out,
-                    const std::string& prefix = "collector.") const;
-  // Registry surface for the non-campaign path: same keys, same values.
+  // Metrics surface: the spine counters as "<prefix><layer>.<events|bytes|
+  // dropped|high_water|out_of_order|health>".
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "collector.") const;
 

@@ -150,17 +150,8 @@ void export_campaign_json(std::ostream& os, const CampaignResult& result) {
     put_json_string(os, q.error);
     os << '}';
   }
-  os << "],\"counters\":{";
+  os << "],\"metrics\":{";
   bool first = true;
-  for (const auto& [name, v] : result.counters) {
-    if (!first) os << ',';
-    first = false;
-    put_json_string(os, name);
-    os << ':';
-    put_json_number(os, v);
-  }
-  os << "},\"metrics\":{";
-  first = true;
   for (const auto& [name, agg] : result.metrics) {
     if (!first) os << ',';
     first = false;

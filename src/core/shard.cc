@@ -117,6 +117,34 @@ void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
   }
 }
 
+void add_campaign_counters(obs::MetricsRegistry& reg, std::size_t attempts,
+                           std::size_t quarantined, std::size_t rescheduled) {
+  reg.add_counter("campaign.run_attempts", static_cast<double>(attempts));
+  reg.add_counter("campaign.quarantined", static_cast<double>(quarantined));
+  reg.add_counter("campaign.rescheduled", static_cast<double>(rescheduled));
+}
+
+void add_spine_row(obs::Tracer& trace, const std::string& campaign,
+                   std::size_t run_index, std::uint64_t last_seed,
+                   std::size_t attempts, std::size_t reschedules, bool ok,
+                   double virtual_seconds) {
+  const std::uint32_t track = trace.track("run-" + std::to_string(run_index));
+  const sim::TimePoint t0;
+  const sim::TimePoint t1{sim::sec_f(virtual_seconds)};
+  const auto id = trace.span_open(
+      track, campaign, "campaign", t0,
+      "{\"seed\":" + std::to_string(last_seed) +
+          ",\"attempts\":" + std::to_string(attempts) + "}");
+  for (std::size_t a = 1; a < attempts; ++a) {
+    trace.instant(track, "retry", "campaign", t0);
+  }
+  for (std::size_t rs = 0; rs < reschedules; ++rs) {
+    trace.instant(track, "rescheduled", "ctrl", t0);
+  }
+  if (!ok) trace.instant(track, "quarantined", "campaign", t1);
+  trace.span_close(id, t1);
+}
+
 std::string encode_metrics_line(std::size_t run_index,
                                 const RunExecution& ex) {
   const RunResult& r = ex.result;
@@ -139,15 +167,6 @@ std::string encode_metrics_line(std::size_t run_index,
       put_json_number(os, vals[i]);
     }
     os << ']';
-  }
-  os << "},\"counters\":{";
-  first = true;
-  for (const auto& [name, v] : r.counters) {
-    if (!first) os << ',';
-    first = false;
-    put_json_string(os, name);
-    os << ':';
-    put_json_number(os, v);
   }
   os << "},\"registry\":";
   r.registry.write_json(os);
@@ -362,18 +381,6 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
           }
         }
       }
-    } else if (key == "counters") {
-      if (!out->ok) {
-        parsed = p.skip_value();
-      } else {
-        parsed = p.enter_object();
-        std::string name;
-        double v = 0;
-        while (parsed && p.next_key(&name)) {
-          parsed = p.read_number(&v);
-          counters_[name] += v;
-        }
-      }
     } else if (key == "registry") {
       parsed = p.raw_value(&out->registry);
       if (parsed && out->ok) {
@@ -385,6 +392,21 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
     if (!parsed) return false;
   }
   return true;
+}
+
+void ShardedCampaignSink::record_outcome(std::size_t run_index,
+                                         const ParsedOutcome& po) {
+  if (meta_.size() <= run_index) meta_.resize(run_index + 1);
+  RunMeta& m = meta_[run_index];
+  m.attempts = static_cast<std::uint32_t>(po.attempts);
+  m.reschedules = static_cast<std::uint32_t>(po.reschedules);
+  m.ok = po.ok;
+  m.last_seed = po.seed;
+  m.virtual_seconds = po.virtual_seconds;
+  m.error = po.ok ? std::string() : po.error;
+  total_attempts_ += po.attempts;
+  total_reschedules_ += po.reschedules;
+  if (!po.ok) ++quarantined_;
 }
 
 void ShardedCampaignSink::commit_locked(std::size_t run_index,
@@ -400,17 +422,7 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
     po.ok = false;
     po.error = "shard: malformed metrics line";
   }
-  if (meta_.size() <= run_index) meta_.resize(run_index + 1);
-  RunMeta& m = meta_[run_index];
-  m.attempts = static_cast<std::uint32_t>(po.attempts);
-  m.reschedules = static_cast<std::uint32_t>(po.reschedules);
-  m.ok = po.ok;
-  m.last_seed = po.seed;
-  m.virtual_seconds = po.virtual_seconds;
-  m.error = po.ok ? std::string() : po.error;
-  total_attempts_ += po.attempts;
-  total_reschedules_ += po.reschedules;
-  if (!po.ok) ++quarantined_;
+  record_outcome(run_index, po);
 
   if (!cfg_.out_dir.empty()) {
     stamp_findings(run_index, findings, &findings_buf_);
@@ -513,17 +525,7 @@ void ShardedCampaignSink::replay_closed_shards() {
         throw std::runtime_error("shard resume: malformed metrics line in " +
                                  shard_path("metrics", info.index));
       }
-      if (meta_.size() <= po.run) meta_.resize(po.run + 1);
-      RunMeta& m = meta_[po.run];
-      m.attempts = static_cast<std::uint32_t>(po.attempts);
-      m.reschedules = static_cast<std::uint32_t>(po.reschedules);
-      m.ok = po.ok;
-      m.last_seed = po.seed;
-      m.virtual_seconds = po.virtual_seconds;
-      m.error = po.ok ? std::string() : po.error;
-      total_attempts_ += po.attempts;
-      total_reschedules_ += po.reschedules;
-      if (!po.ok) ++quarantined_;
+      record_outcome(po.run, po);
     }
   }
 }
@@ -563,12 +565,8 @@ Summary streaming_summary(std::uint64_t n, double mean, double m2, double min,
 std::string ShardedCampaignSink::metrics_snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   obs::MetricsRegistry merged = registry_;
-  merged.add_counter("campaign.run_attempts",
-                     static_cast<double>(total_attempts_));
-  merged.add_counter("campaign.quarantined",
-                     static_cast<double>(quarantined_));
-  merged.add_counter("campaign.rescheduled",
-                     static_cast<double>(total_reschedules_));
+  add_campaign_counters(merged, total_attempts_, quarantined_,
+                        total_reschedules_);
   return merged.snapshot();
 }
 
@@ -587,14 +585,9 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
       out->quarantined.push_back({i, m.attempts, m.last_seed, m.error});
     }
   }
-  out->counters = counters_;
   out->registry = registry_;
-  out->registry.add_counter("campaign.run_attempts",
-                            static_cast<double>(total_attempts_));
-  out->registry.add_counter("campaign.quarantined",
-                            static_cast<double>(quarantined_));
-  out->registry.add_counter("campaign.rescheduled",
-                            static_cast<double>(total_reschedules_));
+  add_campaign_counters(out->registry, total_attempts_, quarantined_,
+                        total_reschedules_);
   for (const auto& [name, acc] : metrics_) {
     MetricAggregate& agg = out->metrics[name];
     agg.pooled =
@@ -608,26 +601,10 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
   }
   out->trace.set_enabled(build_trace);
   if (build_trace) {
-    // Same spine rows the in-memory merge builds, from the streamed
-    // metadata: worker identity and completion order never reach it.
     for (std::size_t i = 0; i < meta_.size(); ++i) {
       const RunMeta& m = meta_[i];
-      const std::uint32_t track =
-          out->trace.track("run-" + std::to_string(i));
-      const sim::TimePoint t0;
-      const sim::TimePoint t1{sim::sec_f(m.virtual_seconds)};
-      const auto id = out->trace.span_open(
-          track, out->name, "campaign", t0,
-          "{\"seed\":" + std::to_string(m.last_seed) +
-              ",\"attempts\":" + std::to_string(m.attempts) + "}");
-      for (std::size_t a = 1; a < m.attempts; ++a) {
-        out->trace.instant(track, "retry", "campaign", t0);
-      }
-      for (std::size_t rs = 0; rs < m.reschedules; ++rs) {
-        out->trace.instant(track, "rescheduled", "ctrl", t0);
-      }
-      if (!m.ok) out->trace.instant(track, "quarantined", "campaign", t1);
-      out->trace.span_close(id, t1);
+      add_spine_row(out->trace, out->name, i, m.last_seed, m.attempts,
+                    m.reschedules, m.ok, m.virtual_seconds);
     }
   }
 }
@@ -703,12 +680,8 @@ void ShardMetricsMergeSink::write(std::ostream& os) const {
       }
     }
   }
-  registry.add_counter("campaign.run_attempts",
-                       static_cast<double>(total_attempts));
-  registry.add_counter("campaign.quarantined",
-                       static_cast<double>(quarantined));
-  registry.add_counter("campaign.rescheduled",
-                       static_cast<double>(total_reschedules));
+  add_campaign_counters(registry, total_attempts, quarantined,
+                        total_reschedules);
   registry.write_json(os);
   os << '\n';
 }

@@ -76,10 +76,29 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
 void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
                     std::string* out);
 
-// One metrics-shard line: the run's identity, outcome, samples, counters
-// and registry snapshot. This line is the unit of both the aggregate fold
-// and crash recovery — resume replays closed metrics shards through the
-// same fold that live commits use.
+// Campaign-level outcome counters: campaign.run_attempts (attempts over
+// all runs), campaign.quarantined and campaign.rescheduled (policy rounds).
+// Every merged registry gets them the same way — the in-memory merge, the
+// sharded sink and the shard metrics merge — so metrics.json is the same
+// bytes on every path.
+void add_campaign_counters(obs::MetricsRegistry& reg, std::size_t attempts,
+                           std::size_t quarantined, std::size_t rescheduled);
+
+// Appends one run's campaign-spine row to `trace`: a "run-N" track holding
+// the run span (virtual 0 .. virtual_seconds, named after the campaign,
+// args seed + attempts), one "retry" instant per extra attempt, one
+// "rescheduled" instant per policy round and a "quarantined" instant when
+// the run failed. Both merge paths build the spine through it in run-index
+// order, so worker identity and completion order never reach the trace.
+void add_spine_row(obs::Tracer& trace, const std::string& campaign,
+                   std::size_t run_index, std::uint64_t last_seed,
+                   std::size_t attempts, std::size_t reschedules, bool ok,
+                   double virtual_seconds);
+
+// One metrics-shard line: the run's identity, outcome, samples and registry
+// snapshot. This line is the unit of both the aggregate fold and crash
+// recovery — resume replays closed metrics shards through the same fold
+// that live commits use.
 std::string encode_metrics_line(std::size_t run_index, const RunExecution& ex);
 
 // Thread-safe streaming sink for campaign runs. Workers submit completed
@@ -138,7 +157,7 @@ class ShardedCampaignSink {
   std::string metrics_snapshot() const;
 
   // Fills a CampaignResult from the streaming aggregates: run_errors /
-  // run_attempts / quarantined / counters / registry (+ campaign.* totals),
+  // run_attempts / quarantined / registry (+ campaign.* totals),
   // metric summaries (exact n/min/max and index-ordered mean, Welford
   // stddev, histogram-derived percentiles; pooled_samples and cdf stay
   // empty — see DESIGN.md §5g), and the spine trace when build_trace.
@@ -181,6 +200,9 @@ class ShardedCampaignSink {
   };
 
   bool fold_metrics_line(std::string_view line, ParsedOutcome* out);
+  // Per-run metadata and outcome totals of one folded line (live commit
+  // and resume replay alike).
+  void record_outcome(std::size_t run_index, const ParsedOutcome& po);
   void commit_locked(std::size_t run_index, const std::string& metrics_line,
                      std::string&& findings, std::string&& timeline,
                      std::string&& captures);
@@ -209,7 +231,6 @@ class ShardedCampaignSink {
   // Streaming aggregates (O(runs) metadata, O(1) per metric — never
   // O(artifact bytes)).
   obs::MetricsRegistry registry_;
-  std::map<std::string, double> counters_;
   std::map<std::string, MetricAccum> metrics_;
   std::vector<RunMeta> meta_;
   std::size_t total_attempts_ = 0;

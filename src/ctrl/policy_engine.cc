@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/campaign.h"
 #include "core/json_util.h"
 #include "net/dns.h"
 #include "obs/tracer.h"
@@ -222,39 +221,6 @@ sim::TimePoint PolicyEngine::run(sim::EventLoop& loop, sim::TimePoint until) {
     loop.run_until(deadline);
   }
   return deadline;
-}
-
-void PolicyEngine::add_counters(core::RunResult& out,
-                                const std::string& prefix) const {
-  if (cfg_.policy.empty()) return;
-  double captures = 0, aborts = 0, reschedules = 0, extends = 0;
-  for (const Decision& d : decisions_) {
-    switch (d.action) {
-      case ActionKind::kCapture:
-        ++captures;
-        break;
-      case ActionKind::kAbort:
-        ++aborts;
-        break;
-      case ActionKind::kReschedule:
-        ++reschedules;
-        break;
-      case ActionKind::kExtend:
-        ++extends;
-        break;
-    }
-  }
-  out.add_counter(prefix + "rules",
-                  static_cast<double>(cfg_.policy.rules.size()));
-  out.add_counter(prefix + "decisions",
-                  static_cast<double>(decisions_.size()));
-  out.add_counter(prefix + "captures", captures);
-  out.add_counter(prefix + "capture_packets",
-                  static_cast<double>(capture_packets_));
-  out.add_counter(prefix + "aborts", aborts);
-  out.add_counter(prefix + "reschedules", reschedules);
-  out.add_counter(prefix + "extends", extends);
-  out.add_counter(prefix + "extend_s", extend_s_total_);
 }
 
 void PolicyEngine::export_metrics(obs::MetricsRegistry& reg,

@@ -48,10 +48,6 @@
 #include "sim/event_loop.h"
 #include "sim/time.h"
 
-namespace qoed::core {
-struct RunResult;
-}
-
 namespace qoed::ctrl {
 
 struct PolicyEngineConfig {
@@ -117,8 +113,6 @@ class PolicyEngine final : public core::CollectorSink {
 
   // ctrl.* metric surface (counters only when the policy is non-empty, so
   // policy-free runs keep byte-identical artifacts).
-  void add_counters(core::RunResult& out,
-                    const std::string& prefix = "ctrl.") const;
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "ctrl.") const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/campaign.h"
 #include "core/cross_layer_analyzer.h"
 #include "core/report.h"
 #include "core/rrc_analyzer.h"
@@ -226,37 +225,6 @@ core::Table DiagnosisEngine::findings_table() const {
   return table;
 }
 
-void DiagnosisEngine::add_counters(core::RunResult& out,
-                                   const std::string& prefix) const {
-  out.add_counter(prefix + "findings", static_cast<double>(findings_.size()));
-  double net_crit = 0, promo = 0, energy = 0, tail = 0, degraded = 0;
-  double rlc_retx = 0, rlc_degraded = 0, flow_retx = 0;
-  for (const Finding& f : findings_) {
-    if (f.network_on_critical_path) ++net_crit;
-    if (f.promotion_overlap) ++promo;
-    if (f.confidence < 1.0) ++degraded;
-    if (f.rlc_degraded) ++rlc_degraded;
-    rlc_retx += static_cast<double>(f.rlc_retx_ul + f.rlc_retx_dl);
-    flow_retx += static_cast<double>(f.flow_retx);
-    energy += f.energy_j;
-    tail += f.tail_j;
-  }
-  out.add_counter(prefix + "network_critical", net_crit);
-  out.add_counter(prefix + "promotion_overlap", promo);
-  out.add_counter(prefix + "energy_j", energy);
-  out.add_counter(prefix + "tail_j", tail);
-  out.add_counter(prefix + "degraded_findings", degraded);
-  out.add_counter(prefix + "rlc_retx", rlc_retx);
-  out.add_counter(prefix + "rlc_degraded_findings", rlc_degraded);
-  out.add_counter(prefix + "flow_retx", flow_retx);
-  for (const Finding& f : findings_) {
-    out.registry.observe(prefix + "window_total_s", f.total_s);
-  }
-  // Whole-run mapper counters ride along under their own namespace, giving
-  // campaigns the paper's per-direction mapping/retransmission figures.
-  if (rlc_ != nullptr) rlc_->add_counters(out);
-}
-
 void DiagnosisEngine::export_metrics(obs::MetricsRegistry& reg,
                                      const std::string& prefix) const {
   reg.add_counter(prefix + "findings", static_cast<double>(findings_.size()));
@@ -281,6 +249,8 @@ void DiagnosisEngine::export_metrics(obs::MetricsRegistry& reg,
   reg.add_counter(prefix + "rlc_retx", rlc_retx);
   reg.add_counter(prefix + "rlc_degraded_findings", rlc_degraded);
   reg.add_counter(prefix + "flow_retx", flow_retx);
+  // Whole-run mapper counters ride along under their own namespace, giving
+  // campaigns the paper's per-direction mapping/retransmission figures.
   if (rlc_ != nullptr) rlc_->export_metrics(reg);
 }
 

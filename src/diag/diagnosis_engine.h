@@ -48,7 +48,6 @@ class Device;
 
 namespace qoed::core {
 class Table;
-struct RunResult;
 }  // namespace qoed::core
 
 namespace qoed::diag {
@@ -179,12 +178,10 @@ class DiagnosisEngine : public core::CollectorSink {
 
   // Report surface: one row per finding.
   core::Table findings_table() const;
-  // Campaign surface: finding counts and energy totals as
-  // "<prefix><name>" counters, plus a per-window total-latency histogram
-  // (`<prefix>window_total_s`) in the run's registry.
-  void add_counters(core::RunResult& out,
-                    const std::string& prefix = "diag.") const;
-  // Registry surface for the non-campaign path: same keys and histogram.
+  // Metrics surface: finding counts and energy totals as "<prefix><name>"
+  // counters, a per-window total-latency histogram
+  // (`<prefix>window_total_s`), and the RLC tracker's whole-run "rlc.*"
+  // mapper counters.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "diag.") const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/campaign.h"
-
 namespace qoed::diag {
 
 RlcChainTracker::RlcChainTracker(const std::vector<net::PacketRecord>& trace,
@@ -146,42 +144,21 @@ std::uint64_t RlcChainTracker::refolds() const {
   return ul_.stream.refolds() + dl_.stream.refolds();
 }
 
-namespace {
-
-template <typename Out>
-void emit_counters(const RlcChainTracker& tracker, Out&& add,
-                   const std::string& prefix) {
-  for (net::Direction dir :
-       {net::Direction::kUplink, net::Direction::kDownlink}) {
-    const core::MappingResult& r = tracker.result(dir);
-    const std::string base =
-        prefix + (dir == net::Direction::kUplink ? "ul." : "dl.");
-    add(base + "packets", static_cast<double>(r.packets.size()));
-    add(base + "mapped", static_cast<double>(r.mapped_count));
-    add(base + "mapped_bytes", static_cast<double>(r.mapped_bytes));
-    add(base + "retx", static_cast<double>(r.retx_pdus));
-  }
-  add(prefix + "corrupt_pdu",
-      static_cast<double>(tracker.corrupt_pdus()));
-  add(prefix + "refolds", static_cast<double>(tracker.refolds()));
-}
-
-}  // namespace
-
-void RlcChainTracker::add_counters(core::RunResult& out,
-                                   const std::string& prefix) const {
-  emit_counters(
-      *this,
-      [&](const std::string& key, double v) { out.add_counter(key, v); },
-      prefix);
-}
-
 void RlcChainTracker::export_metrics(obs::MetricsRegistry& reg,
                                      const std::string& prefix) const {
-  emit_counters(
-      *this,
-      [&](const std::string& key, double v) { reg.add_counter(key, v); },
-      prefix);
+  for (net::Direction dir :
+       {net::Direction::kUplink, net::Direction::kDownlink}) {
+    const core::MappingResult& r = result(dir);
+    const std::string base =
+        prefix + (dir == net::Direction::kUplink ? "ul." : "dl.");
+    reg.add_counter(base + "packets", static_cast<double>(r.packets.size()));
+    reg.add_counter(base + "mapped", static_cast<double>(r.mapped_count));
+    reg.add_counter(base + "mapped_bytes",
+                    static_cast<double>(r.mapped_bytes));
+    reg.add_counter(base + "retx", static_cast<double>(r.retx_pdus));
+  }
+  reg.add_counter(prefix + "corrupt_pdu", static_cast<double>(corrupt_pdus()));
+  reg.add_counter(prefix + "refolds", static_cast<double>(refolds()));
 }
 
 void RlcChainTracker::on_event(const core::Collector& collector,

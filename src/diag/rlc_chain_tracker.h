@@ -33,10 +33,6 @@
 #include "radio/qxdm_logger.h"
 #include "sim/time.h"
 
-namespace qoed::core {
-struct RunResult;
-}
-
 namespace qoed::diag {
 
 class RlcChainTracker : public core::CollectorSink {
@@ -87,11 +83,8 @@ class RlcChainTracker : public core::CollectorSink {
   std::size_t corrupt_pdus() const;  // both directions
   std::uint64_t refolds() const;     // fold replays (cost, not correctness)
 
-  // Campaign surface: "<prefix><ul|dl>.<packets|mapped|mapped_bytes|pdus|
-  // retx>" plus "<prefix>corrupt_pdu" and "<prefix>refolds".
-  void add_counters(core::RunResult& out,
-                    const std::string& prefix = "rlc.") const;
-  // Registry surface for the non-campaign path: same keys, same values.
+  // Metrics surface: "<prefix><ul|dl>.<packets|mapped|mapped_bytes|retx>"
+  // plus "<prefix>corrupt_pdu" and "<prefix>refolds".
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "rlc.") const;
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/behavior_log.h"
-#include "core/campaign.h"
 #include "core/collector.h"
 #include "core/qoe_doctor.h"
 #include "core/report.h"
@@ -365,24 +364,6 @@ core::Table FaultInjector::counters_table() const {
                    std::to_string(c.retimed)});
   }
   return table;
-}
-
-void FaultInjector::add_counters(core::RunResult& out,
-                                 const std::string& prefix) const {
-  for (core::Layer layer :
-       {core::kLayerUi, core::kLayerPacket, core::kLayerRadio}) {
-    if (!plan_.layer(layer).any()) continue;
-    const LaneCounters c = counters(layer);
-    const std::string base = prefix + core::to_string(layer) + ".";
-    out.add_counter(base + "offered", static_cast<double>(c.offered));
-    out.add_counter(base + "delivered", static_cast<double>(c.delivered));
-    out.add_counter(base + "dropped", static_cast<double>(c.dropped));
-    out.add_counter(base + "duplicated", static_cast<double>(c.duplicated));
-    out.add_counter(base + "delayed", static_cast<double>(c.delayed));
-    out.add_counter(base + "truncated", static_cast<double>(c.truncated));
-    out.add_counter(base + "blacked_out", static_cast<double>(c.blacked_out));
-    out.add_counter(base + "retimed", static_cast<double>(c.retimed));
-  }
 }
 
 void FaultInjector::export_metrics(obs::MetricsRegistry& reg,

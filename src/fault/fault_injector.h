@@ -33,7 +33,6 @@ namespace qoed::core {
 class AppBehaviorLog;
 class QoeDoctor;
 class Table;
-struct RunResult;
 }  // namespace qoed::core
 
 namespace qoed::net {
@@ -92,11 +91,8 @@ class FaultInjector {
   LaneCounters counters(core::Layer layer) const;
   // One row per layer with any fault configured.
   core::Table counters_table() const;
-  // Campaign surface: "<prefix><layer>.<offered|delivered|...>" for each
+  // Metrics surface: "<prefix><layer>.<offered|delivered|...>" for each
   // layer with any fault configured.
-  void add_counters(core::RunResult& out,
-                    const std::string& prefix = "fault.") const;
-  // Registry surface for the non-campaign path: same keys, same values.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "fault.") const;
 

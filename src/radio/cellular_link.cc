@@ -24,6 +24,22 @@ CellularConfig CellularConfig::lte() {
   return cfg;
 }
 
+CellularConfig CellularConfig::for_scenario(const std::string& network,
+                                           long throttle_kbps,
+                                           const std::string& mechanism) {
+  CellularConfig cfg = network == "lte"             ? lte()
+                       : network == "3g-simplified" ? umts_simplified()
+                                                    : umts();
+  if (throttle_kbps > 0) {
+    const bool policing = mechanism == "policing";
+    cfg.throttle =
+        policing ? net::ThrottleKind::kPolicing : net::ThrottleKind::kShaping;
+    cfg.throttle_rate_bps = static_cast<double>(throttle_kbps) * 1000;
+    cfg.throttle_burst_bytes = policing ? 8 * 1024 : 24 * 1024;
+  }
+  return cfg;
+}
+
 CellularLink::CellularLink(sim::EventLoop& loop, sim::Rng rng,
                            CellularConfig cfg)
     : cfg_(std::move(cfg)) {

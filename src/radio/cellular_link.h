@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "net/network.h"
 #include "net/token_bucket.h"
@@ -55,6 +56,16 @@ struct CellularConfig {
   static CellularConfig umts();
   static CellularConfig umts_simplified();  // §7.7 machine, no FACH
   static CellularConfig lte();
+
+  // The link a scenario names: the preset for `network` ("lte",
+  // "3g-simplified", anything else "3g"), throttled on the downlink at
+  // `throttle_kbps` (<= 0: not throttled). "policing" drops with a shallow
+  // 8 KiB bucket; any other mechanism shapes with a 24 KiB one. Scenario
+  // runs, the CLI and shared-cell runs all build their links here, which
+  // keeps a one-member cell's gate identical to a plain link's.
+  static CellularConfig for_scenario(const std::string& network,
+                                     long throttle_kbps,
+                                     const std::string& mechanism);
 };
 
 class CellularLink final : public net::AccessLink {

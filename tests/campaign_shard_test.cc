@@ -48,7 +48,7 @@ RunResult synthetic_run(std::uint64_t seed) {
   findings << "}\n";
   out.add_sample("latency_s", rng.uniform(0.1, 2.0));
   out.add_sample("latency_s", rng.uniform(0.1, 2.0));
-  out.add_counter("events", 6);
+  out.registry.add_counter("events", 6);
   out.virtual_seconds = 1 + rng.uniform();
   out.artifacts.timeline_jsonl = timeline.str();
   out.artifacts.findings_jsonl = findings.str();
@@ -119,7 +119,7 @@ TEST(CampaignShard, MatchesInMemoryByteForByte) {
   // The streaming summaries agree with the in-memory fold on the exact
   // moments (pooled percentiles intentionally differ: histogram-derived).
   ASSERT_EQ(shard_result.runs, mem_result.runs);
-  ASSERT_EQ(shard_result.counters, mem_result.counters);
+  ASSERT_EQ(shard_result.registry.snapshot(), mem_result.registry.snapshot());
   const MetricAggregate* ms = shard_result.metric("latency_s");
   const MetricAggregate* mm = mem_result.metric("latency_s");
   ASSERT_NE(ms, nullptr);
@@ -232,7 +232,7 @@ TEST(CampaignShard, SinkLevelResumeAfterKill) {
 
     CampaignResult folded;
     sink.fold_into(&folded, /*build_trace=*/false);
-    EXPECT_EQ(folded.counters.at("events"), 6.0 * runs);
+    EXPECT_EQ(folded.registry.counters().at("events"), 6.0 * runs);
   }
 
   const Artifacts resumed = merged_artifacts(dir);
@@ -259,7 +259,7 @@ TEST(CampaignShard, CampaignLevelResumeSkipsCommittedRuns) {
       });
   EXPECT_EQ(calls.load(), 0);
   EXPECT_EQ(result.runs, 8u);
-  EXPECT_EQ(result.counters.at("events"), 6.0 * 8);
+  EXPECT_EQ(result.registry.counters().at("events"), 6.0 * 8);
 
   const Artifacts second = merged_artifacts(dir);
   EXPECT_EQ(first.findings, second.findings);
@@ -348,7 +348,7 @@ TEST(CampaignShard, QuarantinedRunsReportedAndExcludedFromMetrics) {
   EXPECT_EQ(result.quarantined[0].error, "device offline");
   EXPECT_EQ(result.failed_runs(), 1u);
   // Quarantined runs contribute nothing to pooled metrics or counters.
-  EXPECT_EQ(result.counters.at("events"), 6.0 * 3);
+  EXPECT_EQ(result.registry.counters().at("events"), 6.0 * 3);
   const MetricAggregate* agg = result.metric("latency_s");
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->pooled.n, 2u * 3);

@@ -42,10 +42,11 @@ RunResult page_load_run(std::uint64_t seed) {
   bed.loop().run();
   if (faults != nullptr) {
     faults->flush();
-    faults->add_counters(out);
+    faults->export_metrics(out.registry);
   }
-  out.add_counter("bytes_down", static_cast<double>(device->trace().bytes(
-                                    net::Direction::kDownlink)));
+  out.registry.add_counter(
+      "bytes_down",
+      static_cast<double>(device->trace().bytes(net::Direction::kDownlink)));
   out.virtual_seconds = bed.loop().now().seconds();
   return out;
 }
@@ -124,7 +125,7 @@ TEST(CampaignTest, MergesInRunIndexOrderWithKnownValues) {
         const double i = static_cast<double>(spec.run_index);
         out.add_sample("m", i);
         out.add_sample("m", i + 1);
-        out.add_counter("c", 1);
+        out.registry.add_counter("c", 1);
         return out;
       });
 
@@ -142,7 +143,7 @@ TEST(CampaignTest, MergesInRunIndexOrderWithKnownValues) {
   EXPECT_DOUBLE_EQ(m->per_run_means.min, 0.5);
   EXPECT_DOUBLE_EQ(m->per_run_means.max, 3.5);
   EXPECT_EQ(m->cdf.size(), 4u);
-  EXPECT_DOUBLE_EQ(result.counters.at("c"), 4.0);
+  EXPECT_DOUBLE_EQ(result.registry.counters().at("c"), 4.0);
 }
 
 TEST(CampaignTest, CapturesPerRunExceptions) {

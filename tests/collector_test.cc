@@ -196,14 +196,14 @@ TEST_F(CollectorSpineTest, CountersMatchFrontEndStores) {
   EXPECT_EQ(ui.high_water, ui.events);
   EXPECT_EQ(pkt.high_water, pkt.events);
 
-  // The campaign surface carries the same numbers.
-  RunResult rr;
-  c.add_counters(rr);
-  EXPECT_EQ(rr.counters.at("collector.packet.events"),
+  // The metrics surface carries the same numbers.
+  obs::MetricsRegistry reg;
+  c.export_metrics(reg);
+  EXPECT_EQ(reg.counters().at("collector.packet.events"),
             static_cast<double>(pkt.events));
-  EXPECT_EQ(rr.counters.at("collector.radio.dropped"),
+  EXPECT_EQ(reg.counters().at("collector.radio.dropped"),
             static_cast<double>(rad.dropped));
-  EXPECT_EQ(rr.counters.at("collector.ui.events"),
+  EXPECT_EQ(reg.counters().at("collector.ui.events"),
             static_cast<double>(ui.events));
 }
 
@@ -479,11 +479,11 @@ TEST_F(CollectorHealthTest, StaleEnvelopeIndexYieldsNullPayload) {
 TEST_F(CollectorHealthTest, CountersSurfaceHealthAndOutOfOrder) {
   add_packet(1.0);
   add_packet(0.5);
-  RunResult rr;
-  collector_.add_counters(rr);
-  EXPECT_EQ(rr.counters.at("collector.packet.out_of_order"), 1.0);
-  EXPECT_EQ(rr.counters.at("collector.packet.health"), 1.0);  // kDegraded
-  EXPECT_EQ(rr.counters.at("collector.ui.health"), 0.0);      // kHealthy
+  obs::MetricsRegistry reg;
+  collector_.export_metrics(reg);
+  EXPECT_EQ(reg.counters().at("collector.packet.out_of_order"), 1.0);
+  EXPECT_EQ(reg.counters().at("collector.packet.health"), 1.0);  // kDegraded
+  EXPECT_EQ(reg.counters().at("collector.ui.health"), 0.0);      // kHealthy
   collector_.counters_table().print();  // renders the health column
 }
 

@@ -170,11 +170,12 @@ TEST(PolicyEngine, FindingRuleFiresCapture) {
   ASSERT_TRUE(r.ok) << r.error;
   // One capture per matching finding; the ctrl.* counter surface mirrors
   // the decision log.
-  EXPECT_GE(r.counters.at("ctrl.captures"), 1.0);
-  EXPECT_EQ(r.counters.at("ctrl.decisions"), r.counters.at("ctrl.captures"));
-  EXPECT_EQ(r.counters.at("ctrl.rules"), 1.0);
-  EXPECT_EQ(r.counters.at("ctrl.aborts"), 0.0);
-  EXPECT_GT(r.counters.at("ctrl.capture_packets"), 0.0);
+  const auto& counters = r.registry.counters();
+  EXPECT_GE(counters.at("ctrl.captures"), 1.0);
+  EXPECT_EQ(counters.at("ctrl.decisions"), counters.at("ctrl.captures"));
+  EXPECT_EQ(counters.at("ctrl.rules"), 1.0);
+  EXPECT_EQ(counters.at("ctrl.aborts"), 0.0);
+  EXPECT_GT(counters.at("ctrl.capture_packets"), 0.0);
   ASSERT_FALSE(r.artifacts.captures_jsonl.empty());
   // First slice header carries capture index, rule index and slice bounds.
   EXPECT_EQ(r.artifacts.captures_jsonl.rfind("{\"capture\":0,\"rule\":0,", 0),
@@ -220,7 +221,7 @@ TEST(PolicyEngine, CaptureSlicePacketsStayInsideBounds) {
   }
   EXPECT_EQ(packets, header_packets);
   EXPECT_EQ(static_cast<double>(packets),
-            r.counters.at("ctrl.capture_packets"));
+            r.registry.counters().at("ctrl.capture_packets"));
 }
 
 TEST(PolicyEngine, ExtendPushesVirtualDeadline) {
@@ -234,9 +235,9 @@ TEST(PolicyEngine, ExtendPushesVirtualDeadline) {
   spec.policy = "on window.latency_s>=0: extend 30";
   const core::RunResult extended = svc::run_scenario(spec);
   ASSERT_TRUE(extended.ok);
-  EXPECT_GE(extended.counters.at("ctrl.extends"), 1.0);
-  EXPECT_EQ(extended.counters.at("ctrl.extend_s"),
-            30.0 * extended.counters.at("ctrl.extends"));
+  const auto& counters = extended.registry.counters();
+  EXPECT_GE(counters.at("ctrl.extends"), 1.0);
+  EXPECT_EQ(counters.at("ctrl.extend_s"), 30.0 * counters.at("ctrl.extends"));
   // The run's virtual clock reached the extended deadline: strictly past
   // the plain run and at least one full extension long.
   EXPECT_GT(extended.virtual_seconds, plain.virtual_seconds);
@@ -257,7 +258,7 @@ TEST(PolicyEngine, AbortStopsTheRunEarly) {
   spec.policy = "on finding.total_s>=0: abort";
   const core::RunResult aborted = svc::run_scenario(spec);
   ASSERT_TRUE(aborted.ok);
-  EXPECT_GE(aborted.counters.at("ctrl.aborts"), 1.0);
+  EXPECT_GE(aborted.registry.counters().at("ctrl.aborts"), 1.0);
   EXPECT_LT(aborted.virtual_seconds, plain.virtual_seconds);
   EXPECT_FALSE(aborted.reschedule_requested);
 }
@@ -267,8 +268,8 @@ TEST(PolicyEngine, LayerLostSustainRequestsReschedule) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.reschedule_requested);
   EXPECT_EQ(r.reschedule_reason, "layer.radio==lost for 3s");
-  EXPECT_EQ(r.counters.at("ctrl.reschedules"), 1.0);
-  EXPECT_EQ(r.counters.at("ctrl.aborts"), 1.0);
+  EXPECT_EQ(r.registry.counters().at("ctrl.reschedules"), 1.0);
+  EXPECT_EQ(r.registry.counters().at("ctrl.aborts"), 1.0);
   // The blackout opens at 5s and kLost needs lost_after of silence, so the
   // sustained-lost abort lands well before the un-aborted run would end.
   EXPECT_GT(r.virtual_seconds, 5.0);
@@ -281,7 +282,7 @@ TEST(PolicyEngine, PolicyFreeRunsCarryNoCtrlSurface) {
   spec.seed = 19;
   const core::RunResult r = svc::run_scenario(spec);
   ASSERT_TRUE(r.ok);
-  for (const auto& [name, value] : r.counters) {
+  for (const auto& [name, value] : r.registry.counters()) {
     EXPECT_NE(name.rfind("ctrl.", 0), 0u) << name << "=" << value;
   }
   EXPECT_TRUE(r.artifacts.captures_jsonl.empty());

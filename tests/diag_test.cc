@@ -428,13 +428,14 @@ TEST_F(LiveDiagTest, CountersAndTableSurfaceFindings) {
   engine_->finalize_all();
   ASSERT_EQ(engine_->findings().size(), 1u);
 
-  core::RunResult rr;
-  engine_->add_counters(rr);
-  EXPECT_EQ(rr.counters.at("diag.findings"), 1.0);
-  EXPECT_EQ(rr.counters.at("diag.energy_j"), engine_->findings()[0].energy_j);
-  EXPECT_EQ(rr.counters.at("diag.tail_j"), engine_->findings()[0].tail_j);
-  EXPECT_TRUE(rr.counters.count("diag.network_critical"));
-  EXPECT_TRUE(rr.counters.count("diag.promotion_overlap"));
+  obs::MetricsRegistry reg;
+  engine_->export_metrics(reg);
+  EXPECT_EQ(reg.counters().at("diag.findings"), 1.0);
+  EXPECT_EQ(reg.counters().at("diag.energy_j"),
+            engine_->findings()[0].energy_j);
+  EXPECT_EQ(reg.counters().at("diag.tail_j"), engine_->findings()[0].tail_j);
+  EXPECT_TRUE(reg.counters().count("diag.network_critical"));
+  EXPECT_TRUE(reg.counters().count("diag.promotion_overlap"));
   engine_->findings_table();  // renders without crashing
 }
 
@@ -506,7 +507,7 @@ TEST(FindingsSinkTest, CampaignJsonWithDiagCountersIdenticalAcrossJobs) {
       out.add_sample("diag.total_s", f.total_s);
       out.add_sample("diag.energy_j", f.energy_j);
     }
-    engine.add_counters(out);
+    engine.export_metrics(out.registry);
     return out;
   };
 
@@ -519,12 +520,13 @@ TEST(FindingsSinkTest, CampaignJsonWithDiagCountersIdenticalAcrossJobs) {
   cfg.jobs = 3;
   const core::CampaignResult parallel = core::Campaign(cfg).run(factory);
 
-  EXPECT_GT(serial.counters.at("diag.findings"), 0.0);
+  const auto& counters = serial.registry.counters();
+  EXPECT_GT(counters.at("diag.findings"), 0.0);
   // The whole-run RLC mapper counters ride along with the diag export and
   // must pool identically across jobs.
-  EXPECT_GT(serial.counters.at("rlc.ul.packets"), 0.0);
-  EXPECT_TRUE(serial.counters.count("rlc.corrupt_pdu"));
-  EXPECT_TRUE(serial.counters.count("rlc.dl.retx"));
+  EXPECT_GT(counters.at("rlc.ul.packets"), 0.0);
+  EXPECT_TRUE(counters.count("rlc.corrupt_pdu"));
+  EXPECT_TRUE(counters.count("rlc.dl.retx"));
   // jobs is part of the export (it describes the execution); mask it so the
   // comparison covers exactly the deterministic payload.
   std::string a = core::campaign_to_json_string(serial);

@@ -499,12 +499,12 @@ TEST(FaultAcceptanceTest, BlackoutCampaignWithRetriesIsJobsInvariant) {
     engine.finalize_all();
     for (const diag::Finding& f : engine.findings()) {
       out.add_sample("confidence", f.confidence);
-      out.add_counter("radio_unavailable",
-                      f.radio_unavailable ? 1.0 : 0.0);
+      out.registry.add_counter("radio_unavailable",
+                               f.radio_unavailable ? 1.0 : 0.0);
     }
-    engine.add_counters(out);
-    injector.add_counters(out);
-    doctor.collector().add_counters(out);
+    engine.export_metrics(out.registry);
+    injector.export_metrics(out.registry);
+    doctor.collector().export_metrics(out.registry);
     out.virtual_seconds = bed.loop().now().seconds();
     return out;
   };
@@ -534,10 +534,11 @@ TEST(FaultAcceptanceTest, BlackoutCampaignWithRetriesIsJobsInvariant) {
   // 0.8 (radio unavailable) x 0.9 (RLC evidence starved by the blackout).
   EXPECT_DOUBLE_EQ(conf->pooled.min, 0.8 * 0.9);
   EXPECT_DOUBLE_EQ(conf->pooled.max, 0.8 * 0.9);
-  EXPECT_DOUBLE_EQ(serial.counters.at("radio_unavailable"), 3.0);
-  EXPECT_DOUBLE_EQ(serial.counters.at("diag.degraded_findings"), 3.0);
-  EXPECT_GT(serial.counters.at("fault.radio.blacked_out"), 0.0);
-  EXPECT_GT(serial.counters.at("fault.packet.dropped"), 0.0);
+  const auto& counters = serial.registry.counters();
+  EXPECT_DOUBLE_EQ(counters.at("radio_unavailable"), 3.0);
+  EXPECT_DOUBLE_EQ(counters.at("diag.degraded_findings"), 3.0);
+  EXPECT_GT(counters.at("fault.radio.blacked_out"), 0.0);
+  EXPECT_GT(counters.at("fault.packet.dropped"), 0.0);
 
   const std::string json = core::campaign_to_json_string(serial);
   EXPECT_NE(json.find("\"quarantined\":[{\"run\":3,\"attempts\":2"),

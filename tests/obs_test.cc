@@ -348,7 +348,7 @@ core::RunResult synthetic_run(std::uint64_t seed, const core::RunSpec& spec) {
     sim::log_error(sim::kTimeZero, "obs_test", "per-even-run error");
   }
   out.add_sample("lat_s", 0.001 * static_cast<double>(seed % 97));
-  out.add_counter("work", 1);
+  out.registry.add_counter("work", 1);
 
   obs::Tracer tr;
   tr.set_enabled(true);
@@ -404,9 +404,7 @@ TEST(CampaignObs, RegistryCarriesLogAndCampaignCounters) {
   EXPECT_DOUBLE_EQ(r.registry.counter("log.error"), 3.0);
   EXPECT_DOUBLE_EQ(r.registry.counter("campaign.run_attempts"), 6.0);
   EXPECT_DOUBLE_EQ(r.registry.counter("campaign.quarantined"), 0.0);
-  // Legacy counters map carries the same routed log tallies.
-  EXPECT_DOUBLE_EQ(r.counters.at("log.warn"), 6.0);
-  // Samples flow into registry histograms alongside the legacy aggregates.
+  // Samples flow into registry histograms alongside the pooled aggregates.
   const auto* h = r.registry.find_histogram("lat_s");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 6u);
