@@ -59,9 +59,10 @@ struct CellScenarioSpec {
   static CellScenarioSpec uniform(const std::string& app, int n,
                                   double stagger_s = 1.0);
 
-  // Parses one spec from a JSON object line (canonical form below; unknown
-  // keys ignored, missing keys keep defaults). False with *error set on
-  // malformed JSON or an invalid enum value / empty device list.
+  // Parses one spec from a JSON object line (canonical form below; missing
+  // keys keep defaults). False with *error set on malformed JSON, an
+  // unknown key (named in the error), an invalid enum value or an empty
+  // device list.
   static bool parse_json(std::string_view json, CellScenarioSpec* out,
                          std::string* error);
 

@@ -54,10 +54,11 @@ struct ScenarioSpec {
   // abort / reschedule (see DESIGN.md §5i).
   std::string policy;
 
-  // Parses one spec from a JSON object line. Unknown keys (e.g. the serve
-  // protocol's "cmd") are ignored; missing keys keep their defaults. False
-  // on malformed JSON or an unknown scenario/network/kind value, with a
-  // reason in *error.
+  // Parses one spec from a JSON object line; missing keys keep their
+  // defaults and the serve protocol's "cmd" and "id" are skipped. False on
+  // malformed JSON, an unknown key (a misspelt "throttle" must not silently
+  // run unthrottled) or an unknown scenario/network/kind value, with a
+  // reason naming it in *error.
   static bool parse_json(std::string_view json, ScenarioSpec* out,
                          std::string* error);
 

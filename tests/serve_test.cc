@@ -273,7 +273,11 @@ TEST(ScenarioSpec, JsonRoundTripAndValidation) {
   EXPECT_FALSE(ScenarioSpec::parse_json("{\"network\":\"dialup\"}", &parsed,
                                         &error));
   EXPECT_FALSE(ScenarioSpec::parse_json("not json", &parsed, &error));
-  // Unknown keys (e.g. the protocol's cmd/id) are ignored.
+  // A misspelt key is rejected by name instead of running with the default.
+  EXPECT_FALSE(ScenarioSpec::parse_json(
+      "{\"scenario\":\"video\",\"throttle_kbps\":200}", &parsed, &error));
+  EXPECT_NE(error.find("\"throttle_kbps\""), std::string::npos) << error;
+  // The serve protocol's envelope keys (cmd/id) are skipped.
   EXPECT_TRUE(ScenarioSpec::parse_json(
       "{\"cmd\":\"submit\",\"id\":4,\"scenario\":\"pageload\"}", &parsed,
       &error))
