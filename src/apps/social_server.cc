@@ -43,8 +43,8 @@ const std::vector<SocialPost>& SocialServer::feed_of(
 void SocialServer::on_api_accept(std::shared_ptr<net::TcpSocket> sock) {
   api_sockets_.push_back(sock);
   auto* raw = sock.get();
-  raw->set_on_message([this, sock](const net::AppMessage& m) {
-    handle_api_message(sock, m);
+  raw->set_on_message([this, raw](const net::AppMessage& m) {
+    handle_api_message(raw->shared_from_this(), m);
   });
   raw->set_on_closed([this, raw] {
     std::erase_if(api_sockets_,
@@ -54,9 +54,9 @@ void SocialServer::on_api_accept(std::shared_ptr<net::TcpSocket> sock) {
 
 void SocialServer::on_push_accept(std::shared_ptr<net::TcpSocket> sock) {
   auto* raw = sock.get();
-  raw->set_on_message([this, sock](const net::AppMessage& m) {
+  raw->set_on_message([this, raw](const net::AppMessage& m) {
     if (m.type == "PUSH_REGISTER") {
-      account(m.header("account")).push_socket = sock;
+      account(m.header("account")).push_socket = raw->shared_from_this();
     }
   });
   raw->set_on_closed([this, raw] {

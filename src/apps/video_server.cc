@@ -46,8 +46,8 @@ std::vector<const VideoMeta*> VideoServer::search(const std::string& query,
 void VideoServer::on_accept(std::shared_ptr<net::TcpSocket> sock) {
   sockets_.push_back(sock);
   auto* raw = sock.get();
-  raw->set_on_message([this, sock](const net::AppMessage& m) {
-    handle_message(sock, m);
+  raw->set_on_message([this, raw](const net::AppMessage& m) {
+    handle_message(raw->shared_from_this(), m);
   });
   raw->set_on_closed([this, raw] {
     cancel_streams_on(raw);

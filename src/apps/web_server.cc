@@ -24,8 +24,8 @@ const PageSpec* WebServer::find_page(const std::string& path) const {
 void WebServer::on_accept(std::shared_ptr<net::TcpSocket> sock) {
   sockets_.push_back(sock);
   auto* raw = sock.get();
-  raw->set_on_message([this, sock](const net::AppMessage& m) {
-    handle(sock, m);
+  raw->set_on_message([this, raw](const net::AppMessage& m) {
+    handle(raw->shared_from_this(), m);
   });
   raw->set_on_closed([this, raw] {
     std::erase_if(sockets_, [raw](const auto& s) { return s.get() == raw; });

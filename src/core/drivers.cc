@@ -273,14 +273,17 @@ void BrowserDriver::load_pages(std::vector<std::string> urls,
   };
   auto state = std::make_shared<State>(
       State{this, std::move(urls), think_time, std::move(done)});
+  // The closure holds itself weakly (the pending wait or think-time event
+  // owns it), so the chain frees itself after the last page.
   auto step = std::make_shared<std::function<void()>>();
-  *step = [state, step] {
+  *step = [state, weak = std::weak_ptr<std::function<void()>>(step)] {
     if (state->index >= state->urls.size()) {
       if (state->done) state->done(state->records);
       return;
     }
     const std::string url = state->urls[state->index++];
-    state->driver->load_page(url, [state, step](const BehaviorRecord& rec) {
+    state->driver->load_page(url, [state, step = weak.lock()](
+                                      const BehaviorRecord& rec) {
       state->records.push_back(rec);
       state->driver->controller_.device().loop().schedule_after(
           state->think_time, [step] { (*step)(); });

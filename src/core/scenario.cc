@@ -38,14 +38,16 @@ void repeat_async(sim::EventLoop& loop, std::size_t n, sim::Duration gap,
   };
   auto state = std::make_shared<State>(State{loop, n, gap, std::move(step),
                                              std::move(done)});
+  // The closure holds itself weakly: only the pending event or `next`
+  // callback keeps it alive, so the chain frees itself once it ends.
   auto run_one = std::make_shared<std::function<void()>>();
-  *run_one = [state, run_one] {
-    state->step(state->i, [state, run_one] {
+  *run_one = [state, weak = std::weak_ptr<std::function<void()>>(run_one)] {
+    state->step(state->i, [state, self = weak.lock()] {
       if (++state->i >= state->n) {
         if (state->done) state->done();
         return;
       }
-      state->loop.schedule_after(state->gap, [run_one] { (*run_one)(); });
+      state->loop.schedule_after(state->gap, [self] { (*self)(); });
     });
   };
   loop.schedule_after(sim::Duration::zero(), [run_one] { (*run_one)(); });

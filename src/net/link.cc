@@ -37,7 +37,9 @@ void WifiLink::transmit(Packet p, Direction dir) {
   deliver_at = std::max(deliver_at, last);
   last = deliver_at;
 
-  loop_.schedule_at(deliver_at, [this, p = std::move(p), dir]() mutable {
+  loop_.schedule_at(deliver_at, [this, alive = std::weak_ptr<bool>(alive_),
+                                 p = std::move(p), dir]() mutable {
+    if (alive.expired()) return;
     if (dir == Direction::kUplink) {
       to_core(std::move(p));
     } else {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "net/network.h"
 #include "sim/rng.h"
@@ -42,6 +43,10 @@ class WifiLink final : public AccessLink {
   sim::TimePoint uplink_last_delivery_;
   sim::TimePoint downlink_last_delivery_;
   std::uint64_t dropped_ = 0;
+  // Scheduled deliveries hold this weakly: packets still in flight when the
+  // link is destroyed (a handover replaces it) are lost, not delivered
+  // through a dead link.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace qoed::net

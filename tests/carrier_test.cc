@@ -52,8 +52,8 @@ TEST(CarrierTest, OverLimitC1SimActuallyThrottles) {
     std::uint64_t got = 0;
     sim::TimePoint done_at;
     server.tcp().listen(80, [&](std::shared_ptr<net::TcpSocket> s) {
-      s->set_on_message([s](const net::AppMessage&) {
-        s->send({.type = "BULK", .size = 400'000});
+      s->set_on_message([raw = s.get()](const net::AppMessage&) {
+        raw->send({.type = "BULK", .size = 400'000});
       });
       keep.push_back(std::move(s));
     });

@@ -83,8 +83,8 @@ TEST_F(DeviceTest, WifiToCellularHandoverMidTransfer) {
   std::shared_ptr<net::TcpSocket> srv_sock;
   server.tcp().listen(80, [&](std::shared_ptr<net::TcpSocket> s) {
     srv_sock = s;
-    s->set_on_message([s](const net::AppMessage&) {
-      s->send({.type = "BULK", .size = 2'000'000});
+    s->set_on_message([raw = s.get()](const net::AppMessage&) {
+      raw->send({.type = "BULK", .size = 2'000'000});
     });
     keep.push_back(std::move(s));
   });

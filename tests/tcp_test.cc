@@ -55,10 +55,11 @@ class TcpTest : public ::testing::Test {
     server_->tcp().listen(port, [this, sink, reply_size](
                                     std::shared_ptr<TcpSocket> sock) {
       accepted_.push_back(sock);
-      sock->set_on_message([sink, reply_size, sock](const AppMessage& m) {
+      sock->set_on_message([sink, reply_size, raw = sock.get()](
+                               const AppMessage& m) {
         sink->push_back(m);
         if (reply_size > 0) {
-          sock->send({.type = "REPLY", .size = reply_size});
+          raw->send({.type = "REPLY", .size = reply_size});
         }
       });
     });
@@ -194,9 +195,9 @@ TEST_F(TcpTest, GracefulCloseReachesBothSides) {
   bool client_closed = false, server_closed = false;
   server_->tcp().listen(80, [&](std::shared_ptr<TcpSocket> sock) {
     accepted_.push_back(sock);
-    sock->set_on_message([sock, &got](const AppMessage& m) {
+    sock->set_on_message([raw = sock.get(), &got](const AppMessage& m) {
       got.push_back(m);
-      sock->close();  // server closes after receiving
+      raw->close();  // server closes after receiving
     });
     sock->set_on_closed([&] { server_closed = true; });
   });
@@ -268,9 +269,9 @@ TEST_F(TcpTest, HandshakeAndTeardownVisibleInTrace) {
   std::vector<AppMessage> got;
   server_->tcp().listen(80, [&](std::shared_ptr<TcpSocket> sock) {
     accepted_.push_back(sock);
-    sock->set_on_message([sock, &got](const AppMessage& m) {
+    sock->set_on_message([raw = sock.get(), &got](const AppMessage& m) {
       got.push_back(m);
-      sock->close();
+      raw->close();
     });
   });
   auto sock = client_->tcp().connect(server_->ip(), 80);
@@ -321,8 +322,8 @@ TEST_F(TcpTest, DelayedAckHalvesPureAckTraffic) {
     client.set_trace(&trace);
     std::vector<std::shared_ptr<TcpSocket>> keep;
     server.tcp().listen(80, [&](std::shared_ptr<TcpSocket> s) {
-      s->set_on_message([s](const AppMessage&) {
-        s->send({.type = "BULK", .size = 300'000});
+      s->set_on_message([raw = s.get()](const AppMessage&) {
+        raw->send({.type = "BULK", .size = 300'000});
       });
       keep.push_back(std::move(s));
     });
