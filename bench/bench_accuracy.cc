@@ -10,9 +10,11 @@
 // becomes `runs` independent testbeds (own seed, device and app instance)
 // fanned out over the worker pool, with samples pooled across runs.
 //
-// Set QOED_FAULT_PLAN (and optionally QOED_FAULT_SEED) to replay the whole
-// bench under injected collection faults; fault.* counters then appear in
-// the campaign JSON alongside the accuracy metrics.
+// Every run instruments its doctor through svc::Instruments, the stage and
+// epilogue fleet runs use: live diagnosis always, plus capture faults when
+// QOED_FAULT_PLAN (and optionally QOED_FAULT_SEED) is set, to replay the
+// whole bench under injected collection faults; fault.* counters then
+// appear in the campaign JSON alongside the accuracy metrics.
 #include <algorithm>
 #include <cstdio>
 #include <utility>
@@ -22,9 +24,8 @@
 #include "apps/video_server.h"
 #include "apps/web_server.h"
 #include "bench_util.h"
-#include "diag/diagnosis_engine.h"
-#include "diag/findings_sink.h"
 #include "fault/fault_injector.h"
+#include "svc/run_spec.h"
 
 namespace qoed {
 namespace {
@@ -40,14 +41,15 @@ bool g_trace = false;
 // the shard files.
 bool g_artifacts = false;
 
-void capture_artifacts(RunResult* out, QoeDoctor& doctor) {
-  if (!g_artifacts) return;
-  if (doctor.diagnosis() != nullptr) {
-    out->artifacts.findings_jsonl =
-        diag::FindingsJsonlSink(*doctor.diagnosis()).to_string();
-  }
-  out->artifacts.timeline_jsonl =
-      TimelineJsonlSink(doctor.collector()).to_string();
+// Runs the session to its end, then the shared epilogue; artifacts are
+// encoded only for sharded campaigns.
+RunResult complete(svc::Instruments& instruments, QoeDoctor& doctor,
+                   RunResult& out) {
+  instruments.run();
+  instruments.finish(&out);
+  if (g_artifacts) instruments.encode_artifacts(&out.artifacts);
+  out.trace = std::move(doctor.obs().tracer);
+  return std::move(out);
 }
 
 struct AccuracySample {
@@ -94,9 +96,8 @@ RunResult facebook_run(std::uint64_t seed, apps::PostKind kind, int reps) {
   app.login("alice");
   bed.advance(sim::sec(10));
   QoeDoctor doctor(*dev, app);
-  doctor.obs().tracer.set_enabled(g_trace);
-  auto faults = fault::install_from_env(doctor, seed);
-  diag::DiagnosisEngine& engine = doctor.enable_diagnosis();
+  svc::Instruments instruments(doctor, bed.loop(),
+                               fault::injector_from_env(seed), "", g_trace);
   FacebookDriver driver(doctor.controller(), app);
 
   RunResult out;
@@ -118,17 +119,7 @@ RunResult facebook_run(std::uint64_t seed, apps::PostKind kind, int reps) {
         });
       },
       [] {});
-  bed.loop().run();
-  if (faults != nullptr) faults->flush();
-  engine.finalize_all();
-  engine.export_metrics(out.registry);
-  if (faults != nullptr) faults->export_metrics(out.registry);
-  doctor.collector().export_metrics(out.registry);
-  doctor.flow_stats().export_metrics(out.registry);
-  out.virtual_seconds = bed.loop().now().seconds();
-  capture_artifacts(&out, doctor);
-  out.trace = std::move(doctor.obs().tracer);
-  return out;
+  return complete(instruments, doctor, out);
 }
 
 RunResult pull_to_update_run(std::uint64_t seed, int reps) {
@@ -149,8 +140,8 @@ RunResult pull_to_update_run(std::uint64_t seed, int reps) {
   app.login("bob");
   bed.advance(sim::sec(10));
   QoeDoctor doctor(*dev, app);
-  doctor.obs().tracer.set_enabled(g_trace);
-  auto faults = fault::install_from_env(doctor, seed);
+  svc::Instruments instruments(doctor, bed.loop(),
+                               fault::injector_from_env(seed), "", g_trace);
   FacebookDriver driver(doctor.controller(), app);
 
   RunResult out;
@@ -177,17 +168,7 @@ RunResult pull_to_update_run(std::uint64_t seed, int reps) {
         });
       },
       [] {});
-  bed.loop().run();
-  if (faults != nullptr) {
-    faults->flush();
-    faults->export_metrics(out.registry);
-  }
-  doctor.collector().export_metrics(out.registry);
-  doctor.flow_stats().export_metrics(out.registry);
-  out.virtual_seconds = bed.loop().now().seconds();
-  capture_artifacts(&out, doctor);
-  out.trace = std::move(doctor.obs().tracer);
-  return out;
+  return complete(instruments, doctor, out);
 }
 
 // YouTube initial loading + rebuffering accuracy in one pass; emits
@@ -211,8 +192,8 @@ RunResult youtube_run(std::uint64_t seed, int videos) {
   app.connect();
   bed.advance(sim::sec(5));
   QoeDoctor doctor(*dev, app);
-  doctor.obs().tracer.set_enabled(g_trace);
-  auto faults = fault::install_from_env(doctor, seed);
+  svc::Instruments instruments(doctor, bed.loop(),
+                               fault::injector_from_env(seed), "", g_trace);
   YouTubeDriver driver(doctor.controller(), app);
 
   RunResult out;
@@ -242,17 +223,7 @@ RunResult youtube_run(std::uint64_t seed, int videos) {
             });
       },
       [] {});
-  bed.loop().run();
-  if (faults != nullptr) {
-    faults->flush();
-    faults->export_metrics(out.registry);
-  }
-  doctor.collector().export_metrics(out.registry);
-  doctor.flow_stats().export_metrics(out.registry);
-  out.virtual_seconds = bed.loop().now().seconds();
-  capture_artifacts(&out, doctor);
-  out.trace = std::move(doctor.obs().tracer);
-  return out;
+  return complete(instruments, doctor, out);
 }
 
 RunResult browser_run(std::uint64_t seed, int reps) {
@@ -267,9 +238,8 @@ RunResult browser_run(std::uint64_t seed, int reps) {
   apps::BrowserApp app(*dev);
   app.launch();
   QoeDoctor doctor(*dev, app);
-  doctor.obs().tracer.set_enabled(g_trace);
-  auto faults = fault::install_from_env(doctor, seed);
-  diag::DiagnosisEngine& engine = doctor.enable_diagnosis();
+  svc::Instruments instruments(doctor, bed.loop(),
+                               fault::injector_from_env(seed), "", g_trace);
   BrowserDriver driver(doctor.controller(), app);
 
   RunResult out;
@@ -291,17 +261,7 @@ RunResult browser_run(std::uint64_t seed, int reps) {
             });
       },
       [] {});
-  bed.loop().run();
-  if (faults != nullptr) faults->flush();
-  engine.finalize_all();
-  engine.export_metrics(out.registry);
-  if (faults != nullptr) faults->export_metrics(out.registry);
-  doctor.collector().export_metrics(out.registry);
-  doctor.flow_stats().export_metrics(out.registry);
-  out.virtual_seconds = bed.loop().now().seconds();
-  capture_artifacts(&out, doctor);
-  out.trace = std::move(doctor.obs().tracer);
-  return out;
+  return complete(instruments, doctor, out);
 }
 
 struct OverheadAndMapping {

@@ -25,15 +25,14 @@
 //   --qxdm=FILE                           write QxDM-style text log
 //   --timeline=FILE                       write merged cross-layer JSONL
 //   --counters                            print collection-spine counters
-//   --diagnose                            live diagnosis: print findings
+//   --diagnose                            print the live diagnosis
+//                                         findings (diagnosis always runs)
 //   --findings=FILE                       write findings JSONL (implies
 //                                         --diagnose)
 //   --fault-plan=SPEC                     inject capture faults (see
 //                                         fault/fault_plan.h grammar, e.g.
 //                                         "packet:drop=0.02;radio:blackout=5..8")
 //   --fault-seed=N                        fault stream seed  [1]
-//   (QOED_FAULT_PLAN / QOED_FAULT_SEED env vars are the fallback when
-//   --fault-plan is not given)
 //   --trace=FILE                          write Chrome trace-event JSON
 //                                         (load in Perfetto / about:tracing)
 //   --metrics=FILE                        write metrics-registry JSON and
@@ -47,6 +46,9 @@
 //   post:     --kind=status|checkin|photos [status]  --reps=N [10]
 //   video:    --videos=N [3] --throttle=KBPS [0=off]
 //             --mechanism=shaping|policing [shaping]
+//             pageload|post|video flags become a svc::ScenarioSpec run by
+//             the fleet's own pipeline and checked like spec JSON: an
+//             unknown flag or a bad value exits 2.
 //   merge:    per-device timeline JSONL files; --out=FILE [stdout]
 //             --strict: exit nonzero if any line was quarantined or
 //             out of order
@@ -77,6 +79,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -85,11 +88,9 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "apps/social_server.h"
-#include "apps/video_server.h"
-#include "apps/web_server.h"
 #include "cell/cell_run.h"
 #include "core/export_sink.h"
 #include "core/json_util.h"
@@ -102,7 +103,6 @@
 #include "diag/diagnosis_engine.h"
 #include "diag/findings_sink.h"
 #include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "obs/metrics_diff.h"
 #include "obs/trace_report.h"
 #include "pop/population.h"
@@ -149,16 +149,6 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-void attach_network(device::Device& dev, const Options& opt) {
-  const std::string network = opt.get("network", "3g");
-  if (network == "wifi") {
-    dev.attach_wifi();
-    return;
-  }
-  dev.attach_cellular(radio::CellularConfig::for_scenario(
-      network, opt.get_int("throttle", 0), opt.get("mechanism", "shaping")));
-}
-
 void run_sink(const core::ExportSink& sink, const std::string& path) {
   if (sink.write_file(path)) {
     std::printf("wrote %s to %s\n", std::string(sink.id()).c_str(),
@@ -168,90 +158,66 @@ void run_sink(const core::ExportSink& sink, const std::string& path) {
   }
 }
 
-// Switches the per-device tracer on when --trace is given. Must run before
-// fault installation: the lanes copy the collector's obs::Context at
-// install time, and before the scenario so every event is recorded.
-void maybe_enable_tracing(core::QoeDoctor& doctor, const Options& opt) {
-  if (!opt.get("trace", "").empty()) {
-    doctor.obs().tracer.set_enabled(true);
+// Writes `content` to `path` and reports it as "wrote <what> to <path>".
+bool write_text(const std::string& path, const std::string& content,
+                const std::string& what) {
+  std::ofstream os(path, std::ios::binary);
+  os.write(content.data(), static_cast<std::streamsize>(content.size()));
+  if (!os) {
+    std::printf("FAILED to write %s\n", path.c_str());
+    return false;
   }
+  std::printf("wrote %s to %s\n", what.c_str(), path.c_str());
+  return true;
 }
 
-// Installs capture-fault injection from --fault-plan/--fault-seed, falling
-// back to the QOED_FAULT_PLAN/QOED_FAULT_SEED environment; returns null
-// when no faults are configured. Must run before the experiment so every
-// record passes through the tap.
-std::unique_ptr<fault::FaultInjector> maybe_install_faults(
-    core::QoeDoctor& doctor, const Options& opt) {
-  const std::string spec = opt.get("fault-plan", "");
-  if (spec.empty()) {
-    return fault::install_from_env(
-        doctor, static_cast<std::uint64_t>(opt.get_int("seed", 1)));
-  }
-  fault::FaultPlan plan;
-  try {
-    plan = fault::FaultPlan::parse(spec);
-  } catch (const std::exception& e) {
-    std::printf("bad --fault-plan: %s\n", e.what());
-    std::exit(2);
-  }
-  auto injector = std::make_unique<fault::FaultInjector>(
-      plan, static_cast<std::uint64_t>(opt.get_int("fault-seed", 1)));
-  injector->install(doctor);
-  return injector;
-}
+// pageload|post|video flags: those naming a ScenarioSpec field (its spec
+// JSON key is the flag with '_' for '-') and those that only choose what
+// the printer shows.
+constexpr std::string_view kSpecFlags[] = {
+    "network", "seed", "pages", "think", "kind", "reps", "videos",
+    "throttle", "mechanism", "fault-plan", "fault-seed", "policy"};
+constexpr std::string_view kPrintFlags[] = {
+    "pcap", "qxdm", "timeline", "counters", "diagnose",
+    "findings", "trace", "metrics", "captures"};
 
-// Turns on the live diagnosis engine when requested; must run before the
-// experiment so windows are attributed as they complete. Under delay
-// faults the watermark needs slack for the injector's bounded lateness,
-// or late-released packets would finalize windows prematurely.
-void maybe_enable_diagnosis(core::QoeDoctor& doctor, const Options& opt,
-                            const fault::FaultInjector* injector) {
-  // --policy implies diagnosis: finding./window. rules evaluate from the
-  // diagnosis engine's finding hook.
-  if (opt.get_int("diagnose", 0) == 0 && opt.get("findings", "").empty() &&
-      opt.get("policy", "").empty()) {
-    return;
+// Writes the flags as a spec JSON object and parses it, so they pass the
+// same checks a fleet or serve spec does. False with *error set on an
+// unknown flag or argument, or anything ScenarioSpec::parse_json rejects.
+bool spec_from_flags(const Options& opt, svc::ScenarioSpec* spec,
+                     std::string* error) {
+  if (!opt.positional.empty()) {
+    *error = "unexpected argument \"" + opt.positional.front() + "\"";
+    return false;
   }
-  diag::DiagnosisConfig cfg;
-  if (injector != nullptr) {
-    cfg.watermark_slack = injector->plan().max_lateness();
+  const auto listed = [](const auto& flags, const std::string& flag) {
+    return std::find(std::begin(flags), std::end(flags), flag) !=
+           std::end(flags);
+  };
+  std::ostringstream json;
+  json << "{\"scenario\":";
+  core::put_json_string(json, opt.command);
+  for (const auto& [flag, value] : opt.kv) {
+    if (listed(kPrintFlags, flag)) continue;
+    if (!listed(kSpecFlags, flag)) {
+      *error = "unknown flag --" + flag;
+      return false;
+    }
+    std::string key = flag;
+    std::replace(key.begin(), key.end(), '-', '_');
+    json << ",\"" << key << "\":";
+    // A number goes in bare, anything else as a string; the parser then
+    // rejects either one where the key wants the other.
+    char* end = nullptr;
+    std::strtod(value.c_str(), &end);
+    if (!value.empty() && *end == '\0') {
+      json << value;
+    } else {
+      core::put_json_string(json, value);
+    }
   }
-  doctor.enable_diagnosis(cfg);
-}
-
-// Installs the closed-loop control policy from --policy; must run after
-// maybe_enable_diagnosis (the finding hook needs the engine) and before the
-// scenario (attach turns on the packet-trace ring captures slice from).
-// Parse errors exit 2, same contract as --fault-plan.
-std::unique_ptr<ctrl::PolicyEngine> maybe_install_policy(
-    core::QoeDoctor& doctor, core::Testbed& bed, const Options& opt) {
-  const std::string spec = opt.get("policy", "");
-  if (spec.empty()) return nullptr;
-  ctrl::PolicyEngineConfig cfg;
-  try {
-    cfg.policy = ctrl::Policy::parse(spec);
-  } catch (const std::exception& e) {
-    std::printf("bad --policy: %s\n", e.what());
-    std::exit(2);
-  }
-  auto policy = std::make_unique<ctrl::PolicyEngine>(std::move(cfg));
-  policy->set_observability(doctor.collector().observability());
-  policy->watch_flows(&doctor.flow_stats());
-  policy->attach(doctor.collector(), bed.loop());
-  if (doctor.diagnosis() != nullptr) policy->watch(*doctor.diagnosis());
-  return policy;
-}
-
-// Drains the loop, then keeps granting any policy extend actions until the
-// extended deadline passes or an abort sticks.
-void run_to_completion(core::Testbed& bed, const ctrl::PolicyEngine* policy) {
-  bed.loop().run();
-  if (policy == nullptr) return;
-  while (!bed.loop().stop_requested() &&
-         policy->extend_until() > bed.loop().now()) {
-    bed.loop().run_until(policy->extend_until());
-  }
+  json << '}';
+  return svc::ScenarioSpec::parse_json(json.str(), spec, error);
 }
 
 void report_policy(const ctrl::PolicyEngine* policy, const Options& opt) {
@@ -268,26 +234,24 @@ void report_policy(const ctrl::PolicyEngine* policy, const Options& opt) {
   }
   const std::string captures = opt.get("captures", "");
   if (!captures.empty()) {
-    std::ofstream os(captures, std::ios::binary);
-    const std::string& jsonl = policy->captures_jsonl();
-    os.write(jsonl.data(), static_cast<std::streamsize>(jsonl.size()));
-    if (os) {
-      std::printf("wrote %zu capture slices to %s\n", policy->capture_count(),
-                  captures.c_str());
-    } else {
-      std::printf("FAILED to write %s\n", captures.c_str());
-    }
+    write_text(captures, policy->captures_jsonl(),
+               std::to_string(policy->capture_count()) + " capture slices");
   }
 }
 
+// Diagnosis always runs; --diagnose (or --findings / --policy, which imply
+// it) prints its findings table.
 void report_diagnosis(core::QoeDoctor& doctor, const Options& opt) {
-  diag::DiagnosisEngine* engine = doctor.diagnosis();
-  if (engine == nullptr) return;
-  engine->finalize_all();
-  engine->findings_table().print();
+  const std::string findings = opt.get("findings", "");
+  if (opt.get_int("diagnose", 0) == 0 && findings.empty() &&
+      opt.get("policy", "").empty()) {
+    return;
+  }
+  diag::DiagnosisEngine& engine = *doctor.diagnosis();
+  engine.findings_table().print();
   // Whole-run view of the streaming long-jump mapper backing the rlc
   // column: per-direction anchoring quality plus retransmission totals.
-  if (diag::RlcChainTracker* rlc = engine->rlc_tracker()) {
+  if (diag::RlcChainTracker* rlc = engine.rlc_tracker()) {
     rlc->sync();
     const auto line = [&](const char* name, net::Direction d) {
       const core::MappingResult& r = rlc->result(d);
@@ -306,20 +270,19 @@ void report_diagnosis(core::QoeDoctor& doctor, const Options& opt) {
                   rlc->corrupt_pdus());
     }
   }
-  const std::string findings = opt.get("findings", "");
-  if (!findings.empty()) {
-    run_sink(diag::FindingsJsonlSink(*engine), findings);
-  }
+  if (!findings.empty()) run_sink(diag::FindingsJsonlSink(engine), findings);
 }
 
-void export_artifacts(device::Device& dev, core::QoeDoctor& doctor,
-                      const Options& opt, fault::FaultInjector* injector,
-                      const ctrl::PolicyEngine* policy = nullptr) {
-  // Release any held (delayed) records before analysis/export so batch
-  // views see the complete faulted capture.
-  if (injector != nullptr) injector->flush();
+// Everything after the run's epilogue: diagnosis and policy reports, then
+// the requested exports. --metrics writes the run's own registry, the one a
+// fleet run of the same spec merges, plus the log.* counters a campaign
+// adds per run.
+void export_artifacts(svc::ScenarioRun& run, const core::RunResult& result,
+                      const Options& opt) {
+  device::Device& dev = run.device();
+  core::QoeDoctor& doctor = run.doctor();
   report_diagnosis(doctor, opt);
-  report_policy(policy, opt);
+  report_policy(run.policy(), opt);
   const std::string pcap = opt.get("pcap", "");
   if (!pcap.empty()) run_sink(core::PcapSink(dev.trace().records()), pcap);
   const std::string qxdm = opt.get("qxdm", "");
@@ -332,17 +295,11 @@ void export_artifacts(device::Device& dev, core::QoeDoctor& doctor,
   }
   if (opt.get_int("counters", 0) != 0) {
     doctor.collector().counters_table().print();
-    if (injector != nullptr) injector->counters_table().print();
+    if (run.injector() != nullptr) run.injector()->counters_table().print();
   }
   const std::string metrics = opt.get("metrics", "");
   if (!metrics.empty()) {
-    obs::MetricsRegistry& reg = doctor.obs().metrics;
-    doctor.collector().export_metrics(reg);
-    doctor.flows().export_metrics(reg);
-    doctor.flow_stats().export_metrics(reg);
-    if (doctor.diagnosis() != nullptr) doctor.diagnosis()->export_metrics(reg);
-    if (injector != nullptr) injector->export_metrics(reg);
-    if (policy != nullptr) policy->export_metrics(reg);
+    obs::MetricsRegistry reg = result.registry;
     const sim::LogCounts& logs = sim::Logger::thread_counts();
     reg.add_counter("log.warn", logs.warn);
     reg.add_counter("log.error", logs.error);
@@ -356,11 +313,11 @@ void export_artifacts(device::Device& dev, core::QoeDoctor& doctor,
   }
 }
 
-void print_radio_summary(device::Device& dev, core::QoeDoctor& doctor,
-                         sim::TimePoint end) {
+void print_radio_summary(svc::ScenarioRun& run) {
+  device::Device& dev = run.device();
   if (dev.cellular() == nullptr) return;
-  auto analysis = doctor.analyze();
-  const auto res = analysis.rrc().residency(sim::kTimeZero, end);
+  const sim::TimePoint end = dev.loop().now();
+  auto analysis = run.doctor().analyze();
   std::printf("radio: %lu promotions, energy %.1f J, mapping UL %.1f%% / DL "
               "%.1f%%\n",
               static_cast<unsigned long>(dev.cellular()->rrc().promotions()),
@@ -368,99 +325,33 @@ void print_radio_summary(device::Device& dev, core::QoeDoctor& doctor,
               analysis.map_rlc(net::Direction::kUplink).mapped_ratio() * 100,
               analysis.map_rlc(net::Direction::kDownlink).mapped_ratio() *
                   100);
-  (void)res;
 }
 
-int run_pageload(const Options& opt) {
-  core::Testbed bed(static_cast<std::uint64_t>(opt.get_int("seed", 1)));
-  apps::WebServer server(bed.network(), bed.next_server_ip());
-  sim::Rng rng = bed.fork_rng("pages");
-  const long pages = opt.get_int("pages", 5);
-  const auto dataset =
-      apps::make_page_dataset(rng, static_cast<std::size_t>(pages));
-  for (const auto& p : dataset) server.add_page(p);
-
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, opt);
-  apps::BrowserApp app(*dev);
-  app.launch();
-  core::QoeDoctor doctor(*dev, app);
-  maybe_enable_tracing(doctor, opt);
-  auto injector = maybe_install_faults(doctor, opt);
-  maybe_enable_diagnosis(doctor, opt, injector.get());
-  auto policy = maybe_install_policy(doctor, bed, opt);
-  core::BrowserDriver driver(doctor.controller(), app);
-
-  std::vector<std::string> urls;
-  for (const auto& p : dataset) urls.push_back("www.page.sim" + p.path);
-  driver.load_pages(urls, sim::sec(opt.get_int("think", 20)),
-                    [](const std::vector<core::BehaviorRecord>&) {});
-  run_to_completion(bed, policy.get());
-
-  core::Table t("page loads (" + opt.get("network", "3g") + ")",
+void print_page_loads(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
+  core::Table t("page loads (" + spec.network + ")",
                 {"url", "latency (s)", "speed index (s)"});
-  for (const auto& rec : doctor.log().for_action("page_load")) {
-    const auto si =
-        core::compute_speed_index(dev->screen(), core::QoeWindow::of(rec));
+  const core::AppBehaviorLog& log = run.doctor().log();
+  for (const auto& rec : log.for_action("page_load")) {
+    const auto si = core::compute_speed_index(run.device().screen(),
+                                              core::QoeWindow::of(rec));
     t.add_row({rec.metadata.at("url"),
                core::Table::num(sim::to_seconds(
                    core::AppLayerAnalyzer::calibrate(rec))),
                core::Table::num(si.speed_index_s)});
   }
   t.print();
-  const core::Summary s =
-      core::AppLayerAnalyzer::summarize(doctor.log(), "page_load");
+  const core::Summary s = core::AppLayerAnalyzer::summarize(log, "page_load");
   std::printf("\nmean %.2fs, stddev %.2fs over %zu pages\n", s.mean, s.stddev,
               s.n);
-  print_radio_summary(*dev, doctor, bed.loop().now());
-  export_artifacts(*dev, doctor, opt, injector.get(), policy.get());
-  return 0;
 }
 
-int run_post(const Options& opt) {
-  core::Testbed bed(static_cast<std::uint64_t>(opt.get_int("seed", 1)));
-  apps::SocialServer server(bed.network(), bed.next_server_ip());
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, opt);
-  apps::SocialAppConfig cfg;
-  cfg.refresh_interval = sim::Duration::zero();
-  apps::SocialApp app(*dev, cfg);
-  app.launch();
-  core::QoeDoctor doctor(*dev, app);
-  maybe_enable_tracing(doctor, opt);
-  auto injector = maybe_install_faults(doctor, opt);
-  maybe_enable_diagnosis(doctor, opt, injector.get());
-  auto policy = maybe_install_policy(doctor, bed, opt);
-  core::FacebookDriver driver(doctor.controller(), app);
-  app.login("cli-user");
-  bed.advance(sim::sec(10));
-
-  const std::string kind_name = opt.get("kind", "status");
-  const apps::PostKind kind = kind_name == "photos"
-                                  ? apps::PostKind::kPhotos
-                                  : kind_name == "checkin"
-                                        ? apps::PostKind::kCheckin
-                                        : apps::PostKind::kStatus;
-  const long reps = opt.get_int("reps", 10);
-  std::vector<core::BehaviorRecord> records;
-  core::repeat_async(
-      bed.loop(), static_cast<std::size_t>(reps), sim::sec(2),
-      [&](std::size_t, std::function<void()> next) {
-        driver.upload_post(kind, [&, next](const core::BehaviorRecord& rec) {
-          records.push_back(rec);
-          next();
-        });
-      },
-      [] {});
-  run_to_completion(bed, policy.get());
-
-  auto analysis = doctor.analyze();
-  core::Table t("upload_post:" + kind_name + " (" + opt.get("network", "3g") +
-                    ")",
+void print_posts(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
+  auto analysis = run.doctor().analyze();
+  core::Table t("upload_post:" + spec.kind + " (" + spec.network + ")",
                 {"#", "total (s)", "device (s)", "network (s)",
                  "net critical path"});
   int i = 0;
-  for (const auto& rec : records) {
+  for (const auto& rec : run.posts()) {
     const auto split = analysis.split(rec, "facebook");
     t.add_row({std::to_string(++i), core::Table::num(split.total_s),
                core::Table::num(split.device_s),
@@ -468,61 +359,44 @@ int run_post(const Options& opt) {
                split.network_on_critical_path ? "yes" : "no"});
   }
   t.print();
-  print_radio_summary(*dev, doctor, bed.loop().now());
-  export_artifacts(*dev, doctor, opt, injector.get(), policy.get());
-  return 0;
 }
 
-int run_video(const Options& opt) {
-  core::Testbed bed(static_cast<std::uint64_t>(opt.get_int("seed", 1)));
-  apps::VideoServer server(bed.network(), bed.next_server_ip());
-  sim::Rng rng = bed.fork_rng("videos");
-  for (auto& v :
-       apps::make_video_dataset(rng, 500e3, sim::sec(20), sim::sec(60))) {
-    server.add_video(v);
-  }
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, opt);
-  apps::VideoApp app(*dev);
-  app.launch();
-  app.connect();
-  bed.advance(sim::sec(5));
-  core::QoeDoctor doctor(*dev, app);
-  maybe_enable_tracing(doctor, opt);
-  auto injector = maybe_install_faults(doctor, opt);
-  maybe_enable_diagnosis(doctor, opt, injector.get());
-  auto policy = maybe_install_policy(doctor, bed, opt);
-  core::YouTubeDriver driver(doctor.controller(), app);
-
-  const long videos = opt.get_int("videos", 3);
-  core::Table t("video playback (" + opt.get("network", "3g") + ", throttle " +
-                    opt.get("throttle", "0") + " kbps " +
-                    opt.get("mechanism", "shaping") + ")",
+void print_videos(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
+  core::Table t("video playback (" + spec.network + ", throttle " +
+                    std::to_string(spec.throttle_kbps) + " kbps " +
+                    spec.mechanism + ")",
                 {"video", "init load (s)", "stalls", "rebuf ratio"});
-  sim::Rng pick = bed.fork_rng("pick");
-  core::repeat_async(
-      bed.loop(), static_cast<std::size_t>(videos), sim::sec(5),
-      [&](std::size_t, std::function<void()> next) {
-        const char kw = static_cast<char>('a' + pick.uniform_int(0, 25));
-        const std::string id =
-            std::string(1, kw) + std::to_string(pick.uniform_int(0, 9));
-        driver.watch_video(std::string(1, kw) + " video", id,
-                           [&, next, id](const core::VideoWatchResult& r) {
-                             t.add_row(
-                                 {id,
-                                  core::Table::num(sim::to_seconds(
-                                      core::AppLayerAnalyzer::calibrate(
-                                          r.initial_loading))),
-                                  std::to_string(r.stalls.size()),
-                                  core::Table::pct(r.rebuffering_ratio())});
-                             next();
-                           });
-      },
-      [] {});
-  run_to_completion(bed, policy.get());
+  for (const core::VideoWatchResult& r : run.videos()) {
+    t.add_row({r.video_id,
+               core::Table::num(sim::to_seconds(
+                   core::AppLayerAnalyzer::calibrate(r.initial_loading))),
+               std::to_string(r.stalls.size()),
+               core::Table::pct(r.rebuffering_ratio())});
+  }
   t.print();
-  print_radio_summary(*dev, doctor, bed.loop().now());
-  export_artifacts(*dev, doctor, opt, injector.get(), policy.get());
+}
+
+// pageload|post|video: the flags become a ScenarioSpec, run as a
+// svc::ScenarioRun (the fleet's own pipeline), then printed.
+int run_single(const Options& opt) {
+  svc::ScenarioSpec spec;
+  std::string error;
+  if (!spec_from_flags(opt, &spec, &error)) {
+    std::printf("%s: %s\n", opt.command.c_str(), error.c_str());
+    return 2;
+  }
+  svc::ScenarioRun run(spec, !opt.get("trace", "").empty());
+  run.execute();
+  if (spec.scenario == "pageload") {
+    print_page_loads(run, spec);
+  } else if (spec.scenario == "post") {
+    print_posts(run, spec);
+  } else {
+    print_videos(run, spec);
+  }
+  print_radio_summary(run);
+  const core::RunResult result = run.finish();
+  export_artifacts(run, result, opt);
   return 0;
 }
 
@@ -556,6 +430,23 @@ void print_reaction_outcomes(const Options& opt) {
               outcomes.size(), rescheduled, quarantined);
 }
 
+// Per-device rollup of a merged timeline, joined with a stamped findings
+// stream (--findings=FILE, e.g. a fleet's findings.jsonl or a cell run's
+// per-device stamped export) for counts and latency medians.
+int print_summary(const Options& opt, const std::string& merged) {
+  std::string findings;
+  const std::string findings_path = opt.get("findings", "");
+  if (!findings_path.empty() && !read_file(findings_path, &findings)) {
+    std::printf("merge: cannot read %s\n", findings_path.c_str());
+    return 1;
+  }
+  std::ostringstream table;
+  core::print_merged_summary(table, core::summarize_merged(merged, findings));
+  std::fputs(table.str().c_str(), stdout);
+  print_reaction_outcomes(opt);
+  return 0;
+}
+
 // Interleaves per-device timeline JSONL files (written via --timeline) into
 // one stream ordered by (t, device, seq); the device label is the file's
 // basename without extension.
@@ -568,49 +459,27 @@ int run_merge(const Options& opt) {
       std::printf("merge: --merged takes exactly one input file\n");
       return 2;
     }
-    std::ifstream in(opt.positional[0], std::ios::binary);
-    if (!in) {
+    std::string content;
+    if (!read_file(opt.positional[0], &content)) {
       std::printf("cannot read %s\n", opt.positional[0].c_str());
       return 1;
     }
-    std::ostringstream content;
-    content << in.rdbuf();
-    std::string findings;
-    const std::string findings_path = opt.get("findings", "");
-    if (!findings_path.empty()) {
-      std::ifstream fin(findings_path, std::ios::binary);
-      if (!fin) {
-        std::printf("merge: cannot read %s\n", findings_path.c_str());
-        return 1;
-      }
-      std::ostringstream fcontent;
-      fcontent << fin.rdbuf();
-      findings = fcontent.str();
-    }
-    const core::MergedSummary s = core::summarize_merged(content.str(),
-                                                         findings);
-    std::ostringstream table;
-    core::print_merged_summary(table, s);
-    std::fputs(table.str().c_str(), stdout);
-    print_reaction_outcomes(opt);
-    return 0;
+    return print_summary(opt, content);
   }
 
   std::vector<core::DeviceTimeline> inputs;
   for (const std::string& path : opt.positional) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string content;
+    if (!read_file(path, &content)) {
       std::printf("cannot read %s\n", path.c_str());
       return 1;
     }
-    std::ostringstream content;
-    content << in.rdbuf();
     std::string device = path;
     const auto slash = device.find_last_of('/');
     if (slash != std::string::npos) device = device.substr(slash + 1);
     const auto dot = device.rfind('.');
     if (dot != std::string::npos && dot > 0) device = device.substr(0, dot);
-    inputs.push_back({device, content.str()});
+    inputs.push_back({device, std::move(content)});
   }
   if (inputs.empty()) {
     std::printf("merge: no input timelines given\n");
@@ -633,39 +502,15 @@ int run_merge(const Options& opt) {
   const bool summary = opt.get_int("summary", 0) != 0;
   const std::string out = opt.get("out", "");
   if (!out.empty()) {
-    std::ofstream os(out, std::ios::binary);
-    os.write(merged.data(), static_cast<std::streamsize>(merged.size()));
-    if (!os) {
-      std::printf("FAILED to write %s\n", out.c_str());
+    if (!write_text(out, merged,
+                    "merged timeline (" + std::to_string(inputs.size()) +
+                        " devices)")) {
       return 1;
     }
-    std::printf("wrote merged timeline (%zu devices) to %s\n", inputs.size(),
-                out.c_str());
   } else if (!summary) {
     std::fwrite(merged.data(), 1, merged.size(), stdout);
   }
-  if (summary) {
-    // Per-device rollup of the merged stream, joined with a stamped
-    // findings stream (--findings=FILE, e.g. a fleet's findings.jsonl or a
-    // cell run's per-device stamped export) for counts and latency medians.
-    std::string findings;
-    const std::string findings_path = opt.get("findings", "");
-    if (!findings_path.empty()) {
-      std::ifstream fin(findings_path, std::ios::binary);
-      if (!fin) {
-        std::printf("merge: cannot read %s\n", findings_path.c_str());
-        return 1;
-      }
-      std::ostringstream content;
-      content << fin.rdbuf();
-      findings = content.str();
-    }
-    const core::MergedSummary s = core::summarize_merged(merged, findings);
-    std::ostringstream table;
-    core::print_merged_summary(table, s);
-    std::fputs(table.str().c_str(), stdout);
-    print_reaction_outcomes(opt);
-  }
+  if (summary && print_summary(opt, merged) != 0) return 1;
   if (strict_rc != 0) {
     std::printf("merge: --strict: failing on quarantined/out-of-order input\n");
   }
@@ -678,15 +523,13 @@ int run_cell(const Options& opt) {
   cell::CellScenarioSpec spec;
   const std::string spec_file = opt.get("spec-file", "");
   if (!spec_file.empty()) {
-    std::ifstream in(spec_file, std::ios::binary);
-    if (!in) {
+    std::string content;
+    if (!read_file(spec_file, &content)) {
       std::printf("cell: cannot read %s\n", spec_file.c_str());
       return 1;
     }
-    std::ostringstream content;
-    content << in.rdbuf();
     std::string error;
-    if (!cell::CellScenarioSpec::parse_json(content.str(), &spec, &error)) {
+    if (!cell::CellScenarioSpec::parse_json(content, &spec, &error)) {
       std::printf("cell: %s\n", error.c_str());
       return 2;
     }
@@ -728,15 +571,7 @@ int run_cell(const Options& opt) {
   }
   const auto write = [](const std::string& path, const std::string& content,
                         const char* what) {
-    if (path.empty()) return true;
-    std::ofstream os(path, std::ios::binary);
-    os.write(content.data(), static_cast<std::streamsize>(content.size()));
-    if (!os) {
-      std::printf("FAILED to write %s\n", path.c_str());
-      return false;
-    }
-    std::printf("wrote %s to %s\n", what, path.c_str());
-    return true;
+    return path.empty() || write_text(path, content, what);
   };
   if (!write(opt.get("timeline", ""), result.artifacts.timeline_jsonl,
              "per-cell timeline.jsonl") ||
@@ -1258,9 +1093,10 @@ void usage() {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (opt.command == "pageload") return run_pageload(opt);
-  if (opt.command == "post") return run_post(opt);
-  if (opt.command == "video") return run_video(opt);
+  if (opt.command == "pageload" || opt.command == "post" ||
+      opt.command == "video") {
+    return run_single(opt);
+  }
   if (opt.command == "merge" || opt.command == "--merge") return run_merge(opt);
   if (opt.command == "cell") return run_cell(opt);
   if (opt.command == "pop") return run_pop(opt);

@@ -9,7 +9,9 @@
 #
 # Also self-tests the gate's teeth (an injected drift must exit 4) and the
 # closed-loop determinism contract (jobs=1 vs jobs=8 fleet artifacts,
-# captures.jsonl included, must be byte-identical).
+# captures.jsonl included, must be byte-identical), checks that a
+# `qoed_cli post` single run leaves the same artifacts as the fleet run of
+# the same spec, and that bad single-run input exits 2.
 #
 # usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]
 set -euo pipefail
@@ -63,4 +65,40 @@ if [ "$rc" -ne 4 ]; then
   exit 1
 fi
 
-echo "metrics gate OK: jobs-invariant, baseline matched, self-test exits 4"
+# CLI-fleet parity: single runs and fleet runs share one run pipeline, so
+# line 5 of the CI specs run alone as a fleet and the same spec given as
+# `qoed_cli post` flags must leave the same timeline, the same findings
+# (minus the fleet's run stamp) and the same metrics (minus the campaign's
+# outcome counters).
+PARITY="$WORK/parity"
+mkdir -p "$PARITY/fleet"
+sed -n 5p "$SPECS" > "$PARITY/spec.jsonl"
+"$CLI" fleet --specs="$PARITY/spec.jsonl" --out-dir="$PARITY/fleet" \
+  > "$PARITY/fleet.log"
+(cd "$PARITY" && "$CLI" post --kind=photos --reps=2 --seed=205 \
+  --fault-plan=packet:drop=0.02 --fault-seed=7 \
+  --policy='on window.latency_s>4: extend 10s' --timeline=run-0.jsonl \
+  --findings=cli-findings.jsonl --metrics=cli-metrics.json > cli.log)
+"$CLI" merge "$PARITY/run-0.jsonl" > "$PARITY/cli-timeline.jsonl"
+cmp "$PARITY/cli-timeline.jsonl" "$PARITY/fleet/timeline.jsonl"
+sed 's/^{"run":0,/{/' "$PARITY/fleet/findings.jsonl" \
+  > "$PARITY/fleet-findings.jsonl"
+cmp "$PARITY/fleet-findings.jsonl" "$PARITY/cli-findings.jsonl"
+"$CLI" metrics-diff "$PARITY/fleet/metrics.json" "$PARITY/cli-metrics.json" \
+  --tol=campaign.=inf
+
+# Single-run flags pass the spec checks: a bad value or an unknown flag
+# exits 2 instead of running something else.
+for bad in "pageload --network=ltee" "video --throttle_kbps=200"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the subcommand and its flag
+  "$CLI" $bad > "$WORK/bad-input.log" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "metrics gate: qoed_cli $bad: expected exit 2, got $rc"
+    cat "$WORK/bad-input.log"
+    exit 1
+  fi
+done
+
+echo "metrics gate OK: jobs-invariant, baseline matched, self-test exits 4," \
+  "CLI matches fleet, bad input exits 2"

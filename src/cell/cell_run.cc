@@ -13,10 +13,10 @@
 #include "apps/web_server.h"
 #include "core/json_util.h"
 #include "core/qoe_doctor.h"
+#include "core/shard.h"
 #include "core/timeline_merge.h"
-#include "diag/diagnosis_engine.h"
-#include "diag/findings_sink.h"
 #include "fault/fault_injector.h"
+#include "svc/run_spec.h"
 
 namespace qoed::cell {
 
@@ -29,44 +29,6 @@ bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
   return false;
 }
 
-// Stamps every findings line with its device, mirroring the campaign shard
-// path's {"run":N,...} stamp (core/shard.cc).
-void stamp_device_findings(const std::string& device,
-                           std::string_view findings_jsonl, std::string* out) {
-  std::string stamp = "{\"device\":";
-  {
-    std::ostringstream os;
-    core::put_json_string(os, device);
-    stamp += os.str();
-  }
-  stamp += ',';
-  std::string_view rest = findings_jsonl;
-  while (!rest.empty()) {
-    const auto nl = rest.find('\n');
-    const std::string_view line = rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view{}
-                                        : rest.substr(nl + 1);
-    if (line.empty()) continue;
-    if (line.front() == '{') {
-      const std::string_view body = line.substr(1);
-      out->append(stamp, 0, body == "}" ? stamp.size() - 1 : stamp.size());
-      out->append(body);
-    } else {
-      out->append(line);
-    }
-    out->push_back('\n');
-  }
-}
-
-std::size_t count_lines(std::string_view s) {
-  std::size_t n = 0;
-  for (char c : s) {
-    if (c == '\n') ++n;
-  }
-  if (!s.empty() && s.back() != '\n') ++n;
-  return n;
-}
-
 // Everything one simulated handset owns for the duration of the run. Only
 // the unique_ptr matching `spec->app` is set.
 struct DeviceRun {
@@ -77,31 +39,32 @@ struct DeviceRun {
   std::unique_ptr<apps::SocialApp> social;
   std::unique_ptr<apps::VideoApp> video;
   std::unique_ptr<core::QoeDoctor> doctor;
-  std::unique_ptr<fault::FaultInjector> injector;
-  diag::DiagnosisEngine* engine = nullptr;
+  std::unique_ptr<svc::Instruments> instruments;
   std::unique_ptr<core::BrowserDriver> browser_driver;
   std::unique_ptr<core::FacebookDriver> social_driver;
   std::unique_ptr<core::YouTubeDriver> video_driver;
   std::optional<sim::Rng> pick;
 };
 
-void validate(const CellScenarioSpec& spec) {
+// The enum and device-list checks parse_json and run_cell_scenario share.
+bool check(const CellScenarioSpec& spec, std::string* error) {
+  const auto fail = [error](const std::string& msg) {
+    if (error != nullptr) *error = msg;
+    return false;
+  };
   if (!one_of(spec.network, {"3g", "3g-simplified", "lte"})) {
-    throw std::invalid_argument("cell: unknown network \"" + spec.network +
-                                "\"");
+    return fail("cell spec: unknown network \"" + spec.network + "\"");
   }
   if (!one_of(spec.mechanism, {"shaping", "policing"})) {
-    throw std::invalid_argument("cell: unknown mechanism \"" +
-                                spec.mechanism + "\"");
-  }
-  if (spec.devices.empty()) {
-    throw std::invalid_argument("cell: spec has no devices");
+    return fail("cell spec: unknown mechanism \"" + spec.mechanism + "\"");
   }
   for (const auto& d : spec.devices) {
     if (!one_of(d.app, {"browser", "social", "video"})) {
-      throw std::invalid_argument("cell: unknown app \"" + d.app + "\"");
+      return fail("cell spec: unknown app \"" + d.app + "\"");
     }
   }
+  if (spec.devices.empty()) return fail("cell spec: no devices");
+  return true;
 }
 
 }  // namespace
@@ -125,7 +88,8 @@ CellScenarioSpec CellScenarioSpec::uniform(const std::string& app, int n,
 }
 
 core::RunResult run_cell_scenario(const CellScenarioSpec& spec) {
-  validate(spec);
+  std::string error;
+  if (!check(spec, &error)) throw std::invalid_argument(error);
 
   core::Testbed bed(spec.seed);
 
@@ -187,12 +151,8 @@ core::RunResult run_cell_scenario(const CellScenarioSpec& spec) {
     }
     app->launch();
     r.doctor = std::make_unique<core::QoeDoctor>(*r.dev, *app);
-    r.injector = fault::install_from_env(*r.doctor, spec.seed + i);
-    diag::DiagnosisConfig diag_cfg;
-    if (r.injector != nullptr) {
-      diag_cfg.watermark_slack = r.injector->plan().max_lateness();
-    }
-    r.engine = &r.doctor->enable_diagnosis(diag_cfg);
+    r.instruments = std::make_unique<svc::Instruments>(
+        *r.doctor, bed.loop(), fault::injector_from_env(spec.seed + i));
   }
 
   core::RunResult out;
@@ -283,23 +243,22 @@ core::RunResult run_cell_scenario(const CellScenarioSpec& spec) {
 
   bed.loop().run();
 
-  // Epilogue, in device order: finalize each diagnosis, export every layer's
-  // metrics, and assemble the per-cell artifacts.
+  // Epilogue, in device order: each device's instrument epilogue, its
+  // metrics merged into the cell's registry (counters sum, gauges keep the
+  // cell-wide maximum, as across a campaign's runs), and the per-cell
+  // artifacts.
   std::vector<core::DeviceTimeline> timelines;
   std::string findings;
   for (DeviceRun& r : runs) {
-    if (r.injector != nullptr) r.injector->flush();
-    r.engine->finalize_all();
-    r.engine->export_metrics(out.registry);
-    if (r.injector != nullptr) r.injector->export_metrics(out.registry);
-    r.doctor->collector().export_metrics(out.registry);
-    const std::string dev_findings =
-        diag::FindingsJsonlSink(*r.engine).to_string();
+    core::RunResult dev_out;
+    r.instruments->finish(&dev_out);
+    r.instruments->encode_artifacts(&dev_out.artifacts);
+    out.registry.merge_from(dev_out.registry);
     out.registry.add_counter("cell.device." + r.name + ".findings",
-                             static_cast<double>(count_lines(dev_findings)));
-    stamp_device_findings(r.name, dev_findings, &findings);
-    timelines.push_back(
-        {r.name, core::TimelineJsonlSink(r.doctor->collector()).to_string()});
+                             dev_out.registry.counter("diag.findings"));
+    core::stamp_findings("\"device\":\"" + r.name + '"',
+                         dev_out.artifacts.findings_jsonl, &findings);
+    timelines.push_back({r.name, std::move(dev_out.artifacts.timeline_jsonl)});
   }
   out.virtual_seconds = bed.loop().now().seconds();
   out.registry.add_counter(
@@ -382,19 +341,7 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
       return fail("cell spec: malformed value for \"" + key + "\"");
     }
   }
-  if (!one_of(out->network, {"3g", "3g-simplified", "lte"})) {
-    return fail("cell spec: unknown network \"" + out->network + "\"");
-  }
-  if (!one_of(out->mechanism, {"shaping", "policing"})) {
-    return fail("cell spec: unknown mechanism \"" + out->mechanism + "\"");
-  }
-  for (const auto& d : out->devices) {
-    if (!one_of(d.app, {"browser", "social", "video"})) {
-      return fail("cell spec: unknown app \"" + d.app + "\"");
-    }
-  }
-  if (out->devices.empty()) return fail("cell spec: no devices");
-  return true;
+  return check(*out, error);
 }
 
 std::string CellScenarioSpec::to_json() const {

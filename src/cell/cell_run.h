@@ -75,8 +75,9 @@ std::string cell_device_label(int i);
 
 // Executes one cell scenario and returns its RunResult: pooled samples
 // ("latency_s" for page loads and posts, "loading_s" for videos), merged
-// per-cell artifacts, per-device finding counters
-// (cell.device.<label>.findings), cell.* registry metrics, and
+// per-cell artifacts, every member's instrument metrics (diag.*, fault.*,
+// collector.*, flow.*, rlc.*, through svc::Instruments), per-device finding
+// counters (cell.device.<label>.findings), cell.* registry metrics, and
 // fleet.device_seconds = |devices| * virtual_seconds for device-hours
 // throughput accounting. Honors the QOED_FAULT_PLAN environment fallback
 // per device (fault-matrix CI). Throws on an invalid spec.

@@ -36,15 +36,6 @@ void FlowAnalyzer::sync() {
   }
 }
 
-void FlowAnalyzer::export_metrics(obs::MetricsRegistry& reg,
-                                  const std::string& prefix) const {
-  std::uint64_t retx = 0;
-  for (const FlowStats& f : flows_) retx += f.retransmissions;
-  reg.add_counter(prefix + "flows", static_cast<double>(flows_.size()));
-  reg.add_counter(prefix + "packets", static_cast<double>(consumed_));
-  reg.add_counter(prefix + "retransmissions", static_cast<double>(retx));
-}
-
 void FlowAnalyzer::on_event(const Collector& collector, const Event& event) {
   (void)collector;
   (void)event;

@@ -79,9 +79,6 @@ class FlowAnalyzer : public CollectorSink {
   // retransmission, cat "flow") plus wall-clock sync profiling. Disabled
   // cost: one branch per ingested packet.
   void set_observability(const obs::Context& ctx) { obs_ = ctx; }
-  // Registry surface: flow.flows / flow.packets / flow.retransmissions.
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix = "flow.") const;
 
   // Number of trace records folded in so far.
   std::size_t consumed() const { return consumed_; }

@@ -100,12 +100,11 @@ class QoeDoctor {
   obs::FlowStatsTracker& flow_stats() { return flow_stats_; }
   const obs::FlowStatsTracker& flow_stats() const { return flow_stats_; }
 
-  // Per-device observability bundle: the deterministic metrics registry,
-  // the wall-clock profile registry, and the virtual-time tracer every
-  // attached component (collector, flow analyzer, diagnosis engine, fault
-  // lanes) records into. Tracing is off by default; call
-  // obs().tracer.set_enabled(true) before the scenario runs. The device
-  // records on one track named "device:<name>".
+  // Per-device observability bundle: the wall-clock profile registry and
+  // the virtual-time tracer every attached component (collector, flow
+  // analyzer, diagnosis engine, fault lanes) records into. Tracing is off
+  // by default; call obs().tracer.set_enabled(true) before the scenario
+  // runs. The device records on one track named "device:<name>".
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }
 

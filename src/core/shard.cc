@@ -96,9 +96,8 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
   return true;
 }
 
-void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
+void stamp_findings(std::string_view member, std::string_view findings_jsonl,
                     std::string* out) {
-  const std::string stamp = "{\"run\":" + std::to_string(run_index) + ",";
   std::string_view rest = findings_jsonl;
   while (!rest.empty()) {
     const auto nl = rest.find('\n');
@@ -108,7 +107,9 @@ void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
     if (line.empty()) continue;
     if (line.front() == '{') {
       const std::string_view body = line.substr(1);
-      out->append(stamp, 0, body == "}" ? stamp.size() - 1 : stamp.size());
+      out->push_back('{');
+      out->append(member);
+      if (body != "}") out->push_back(',');
       out->append(body);
     } else {
       out->append(line);  // non-object lines pass through unchanged
@@ -425,8 +426,9 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
   record_outcome(run_index, po);
 
   if (!cfg_.out_dir.empty()) {
-    stamp_findings(run_index, findings, &findings_buf_);
-    stamp_findings(run_index, captures, &captures_buf_);
+    const std::string stamp = "\"run\":" + std::to_string(run_index);
+    stamp_findings(stamp, findings, &findings_buf_);
+    stamp_findings(stamp, captures, &captures_buf_);
     metrics_buf_ += metrics_line;
     metrics_buf_ += '\n';
   }
@@ -739,7 +741,8 @@ void CampaignFindingsSink::write(std::ostream& os) const {
   std::string buf;
   for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
     buf.clear();
-    stamp_findings(i, result_->run_artifacts[i].findings_jsonl, &buf);
+    stamp_findings("\"run\":" + std::to_string(i),
+                   result_->run_artifacts[i].findings_jsonl, &buf);
     os << buf;
   }
 }
@@ -748,7 +751,8 @@ void CampaignCapturesSink::write(std::ostream& os) const {
   std::string buf;
   for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
     buf.clear();
-    stamp_findings(i, result_->run_artifacts[i].captures_jsonl, &buf);
+    stamp_findings("\"run\":" + std::to_string(i),
+                   result_->run_artifacts[i].captures_jsonl, &buf);
     os << buf;
   }
 }

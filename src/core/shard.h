@@ -69,11 +69,12 @@ struct ShardManifest {
 bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
                          std::string* error = nullptr);
 
-// Stamps one run's raw findings JSONL with its run index, turning
-// {"i":0,...} into {"run":7,"i":0,...} — the exact transformation both the
-// sharded and the in-memory merged findings artifact apply, so the two are
-// byte-comparable.
-void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
+// Stamps each object line of one run's raw findings (or captures) JSONL
+// with `member` as its first key: member "run":7 turns {"i":0,...} into
+// {"run":7,"i":0,...}. The sharded and the in-memory merged campaign
+// artifacts stamp "run":N and cell runs stamp "device":"dev-NNNN" through
+// this one transformation, so their outputs are byte-comparable.
+void stamp_findings(std::string_view member, std::string_view findings_jsonl,
                     std::string* out);
 
 // Campaign-level outcome counters: campaign.run_attempts (attempts over

@@ -211,18 +211,6 @@ void PolicyEngine::do_capture(std::size_t rule_index, sim::TimePoint t,
   capture_packets_ += packets.size();
 }
 
-sim::TimePoint PolicyEngine::run(sim::EventLoop& loop, sim::TimePoint until) {
-  sim::TimePoint deadline = until;
-  loop.run_until(deadline);
-  // Each extension re-enters the loop at the new deadline; extend_until_ is
-  // a monotone max, so this terminates once no rule pushes it further.
-  while (!loop.stop_requested() && extend_until_ > deadline) {
-    deadline = extend_until_;
-    loop.run_until(deadline);
-  }
-  return deadline;
-}
-
 void PolicyEngine::export_metrics(obs::MetricsRegistry& reg,
                                   const std::string& prefix) const {
   if (cfg_.policy.empty()) return;

@@ -24,8 +24,8 @@
 //    block: one header line, then one line per packet in the put_jsonl
 //    packet idiom.
 //  - extend: push the run deadline to decision_time + S (monotone max
-//    across firings); PolicyEngine::run() keeps the loop going until the
-//    extended deadline.
+//    across firings); svc::Instruments::run() keeps the loop going until
+//    the extended deadline.
 //  - abort: cooperative EventLoop::request_stop() — the run ends at the
 //    aborting event's virtual time.
 //  - reschedule: set a flag the campaign layer reads; the run re-enters the
@@ -95,10 +95,6 @@ class PolicyEngine final : public core::CollectorSink {
   // core::CollectorSink — layer-rule watermark.
   void on_event(const core::Collector& collector,
                 const core::Event& event) override;
-
-  // Drives `loop` to `until`, then keeps granting extensions any extend
-  // action requested, stopping early on abort. Returns the final deadline.
-  sim::TimePoint run(sim::EventLoop& loop, sim::TimePoint until);
 
   // --- decision surface ---
   const std::vector<Decision>& decisions() const { return decisions_; }

@@ -384,8 +384,7 @@ void FaultInjector::export_metrics(obs::MetricsRegistry& reg,
   }
 }
 
-std::unique_ptr<FaultInjector> install_from_env(core::QoeDoctor& doctor,
-                                                std::uint64_t seed_hint) {
+std::unique_ptr<FaultInjector> injector_from_env(std::uint64_t seed_hint) {
   const char* plan_text = std::getenv("QOED_FAULT_PLAN");
   if (plan_text == nullptr || plan_text[0] == '\0') return nullptr;
   std::uint64_t base = 1;
@@ -394,10 +393,7 @@ std::unique_ptr<FaultInjector> install_from_env(core::QoeDoctor& doctor,
   }
   const std::uint64_t seed =
       sim::Rng(base).fork("fault/run/" + std::to_string(seed_hint)).seed();
-  auto injector =
-      std::make_unique<FaultInjector>(FaultPlan::parse(plan_text), seed);
-  injector->install(doctor);
-  return injector;
+  return std::make_unique<FaultInjector>(FaultPlan::parse(plan_text), seed);
 }
 
 }  // namespace qoed::fault

@@ -38,11 +38,10 @@ struct Context {
   }
 };
 
-// One bundle per device/run: the deterministic registry, the wall-clock
-// profile registry, and the tracer. Owned by QoeDoctor (per device) and by
-// Campaign (per run + one for the campaign spine).
+// One bundle per device/run: the wall-clock profile registry and the
+// tracer. Owned by QoeDoctor (per device) and by Campaign (per run + one for
+// the campaign spine). Deterministic metrics go to RunResult::registry.
 struct Observability {
-  MetricsRegistry metrics;  // deterministic; lands in campaign JSON
   MetricsRegistry profile;  // wall-clock; stays out of deterministic artifacts
   Tracer tracer;
   // Wall-clock profiling mode — separate from (and orthogonal to) tracing;

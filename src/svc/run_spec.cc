@@ -8,13 +8,9 @@
 #include "apps/social_server.h"
 #include "apps/video_server.h"
 #include "apps/web_server.h"
-#include "core/export_sink.h"
 #include "core/json_util.h"
-#include "core/qoe_doctor.h"
-#include "ctrl/policy_engine.h"
 #include "diag/diagnosis_engine.h"
 #include "diag/findings_sink.h"
-#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "sim/rng.h"
 
@@ -29,224 +25,207 @@ bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
   return false;
 }
 
-void attach_network(device::Device& dev, const ScenarioSpec& spec) {
-  if (spec.network == "wifi") {
-    dev.attach_wifi();
-    return;
+}  // namespace
+
+Instruments::Instruments(core::QoeDoctor& doctor, sim::EventLoop& loop,
+                         std::unique_ptr<fault::FaultInjector> faults,
+                         const std::string& policy, bool trace)
+    : doctor_(doctor), loop_(loop), injector_(std::move(faults)) {
+  doctor.obs().tracer.set_enabled(trace);
+  diag::DiagnosisConfig cfg;
+  if (injector_ != nullptr) {
+    injector_->install(doctor);
+    // Late-released records must still land inside their window.
+    cfg.watermark_slack = injector_->plan().max_lateness();
   }
-  dev.attach_cellular(radio::CellularConfig::for_scenario(
-      spec.network, spec.throttle_kbps, spec.mechanism));
+  engine_ = &doctor.enable_diagnosis(cfg);
+  if (policy.empty()) return;
+  ctrl::PolicyEngineConfig policy_cfg;
+  policy_cfg.policy = ctrl::Policy::parse(policy);
+  policy_ = std::make_unique<ctrl::PolicyEngine>(std::move(policy_cfg));
+  policy_->set_observability(doctor.collector().observability());
+  policy_->attach(doctor.collector(), loop);
+  policy_->watch(*engine_);
+  policy_->watch_flows(&doctor.flow_stats());
 }
 
-std::unique_ptr<fault::FaultInjector> install_faults(
-    core::QoeDoctor& doctor, const ScenarioSpec& spec) {
-  if (spec.fault_plan.empty()) return nullptr;
-  const fault::FaultPlan plan = fault::FaultPlan::parse(spec.fault_plan);
-  auto injector =
-      std::make_unique<fault::FaultInjector>(plan, spec.fault_seed);
-  injector->install(doctor);
-  return injector;
+void Instruments::run() {
+  loop_.run();
+  if (policy_ == nullptr) return;
+  while (!loop_.stop_requested() && policy_->extend_until() > loop_.now()) {
+    loop_.run_until(policy_->extend_until());
+  }
+}
+
+void Instruments::finish(core::RunResult* out) {
+  if (injector_ != nullptr) injector_->flush();
+  engine_->finalize_all();
+  engine_->export_metrics(out->registry);
+  if (injector_ != nullptr) injector_->export_metrics(out->registry);
+  doctor_.collector().export_metrics(out->registry);
+  doctor_.flow_stats().export_metrics(out->registry);
+  if (policy_ != nullptr) {
+    policy_->export_metrics(out->registry);
+    out->reschedule_requested = policy_->reschedule_requested();
+    out->reschedule_reason = policy_->reschedule_reason();
+  }
+  out->virtual_seconds = loop_.now().seconds();
+}
+
+void Instruments::encode_artifacts(core::RunArtifacts* out) const {
+  out->findings_jsonl = diag::FindingsJsonlSink(*engine_).to_string();
+  out->timeline_jsonl =
+      core::TimelineJsonlSink(doctor_.collector()).to_string();
+  if (policy_ != nullptr) out->captures_jsonl = policy_->captures_jsonl();
+}
+
+ScenarioRun::ScenarioRun(const ScenarioSpec& spec, bool trace)
+    : spec_(spec), trace_(trace), bed_(spec.seed) {
+  if (spec.scenario == "pageload") {
+    build_pageload();
+  } else if (spec.scenario == "post") {
+    build_post();
+  } else if (spec.scenario == "video") {
+    build_video();
+  } else {
+    throw std::runtime_error("unknown scenario: " + spec.scenario);
+  }
+}
+
+device::Device& ScenarioRun::add_device() {
+  std::shared_ptr<device::Device> dev = bed_.make_device("phone");
+  parts_.stack.push_back(dev);
+  dev_ = dev.get();
+  if (spec_.network == "wifi") {
+    dev_->attach_wifi();
+  } else {
+    dev_->attach_cellular(radio::CellularConfig::for_scenario(
+        spec_.network, spec_.throttle_kbps, spec_.mechanism));
+  }
+  return *dev_;
+}
+
+core::QoeDoctor& ScenarioRun::attach(apps::AndroidApp& app) {
+  doctor_ = &own<core::QoeDoctor>(*dev_, app);
+  std::unique_ptr<fault::FaultInjector> faults;
+  if (!spec_.fault_plan.empty()) {
+    faults = std::make_unique<fault::FaultInjector>(
+        fault::FaultPlan::parse(spec_.fault_plan), spec_.fault_seed);
+  }
+  instruments_ = &own<Instruments>(*doctor_, bed_.loop(), std::move(faults),
+                                   spec_.policy, trace_);
+  return *doctor_;
 }
 
 // Diurnal placement (spec.arrival_s): idle the run's virtual clock up to the
 // session start, so merged campaign timelines interleave runs by when their
 // users actually acted.
-void advance_to_arrival(core::Testbed& bed, const ScenarioSpec& spec) {
-  if (spec.arrival_s > 0) bed.advance(sim::sec_f(spec.arrival_s));
+void ScenarioRun::advance_to_arrival() {
+  if (spec_.arrival_s > 0) bed_.advance(sim::sec_f(spec_.arrival_s));
 }
 
-diag::DiagnosisEngine& enable_diagnosis(core::QoeDoctor& doctor,
-                                        const fault::FaultInjector* injector) {
-  diag::DiagnosisConfig cfg;
-  if (injector != nullptr) {
-    cfg.watermark_slack = injector->plan().max_lateness();
-  }
-  return doctor.enable_diagnosis(cfg);
-}
-
-// Installs the scenario's control policy (empty spec.policy = none): the
-// engine watches the spine for layer-health rules, the diagnosis stream for
-// finding rules, and reports into the same tracer track the collector uses.
-std::unique_ptr<ctrl::PolicyEngine> install_policy(
-    core::QoeDoctor& doctor, core::Testbed& bed,
-    diag::DiagnosisEngine& engine, const ScenarioSpec& spec) {
-  if (spec.policy.empty()) return nullptr;
-  ctrl::PolicyEngineConfig cfg;
-  cfg.policy = ctrl::Policy::parse(spec.policy);
-  auto policy = std::make_unique<ctrl::PolicyEngine>(std::move(cfg));
-  policy->set_observability(doctor.collector().observability());
-  policy->attach(doctor.collector(), bed.loop());
-  policy->watch(engine);
-  policy->watch_flows(&doctor.flow_stats());
-  return policy;
-}
-
-// Drives the scenario to completion under the policy: run to quiescence,
-// then keep granting any extended deadline (idle virtual time still fires
-// scheduled radio demotions/timeouts) until no extend outruns the clock.
-// An abort decision stops the loop cooperatively at the firing instant.
-void run_loop(core::Testbed& bed, ctrl::PolicyEngine* policy) {
-  bed.loop().run();
-  if (policy == nullptr) return;
-  while (!bed.loop().stop_requested() &&
-         policy->extend_until() > bed.loop().now()) {
-    bed.loop().run_until(policy->extend_until());
-  }
-}
-
-// Shared run epilogue: flush held fault records, finalize diagnosis (which
-// may fire further policy decisions — captures over the trace ring, the
-// reschedule flag), export every layer's metrics into the run registry, and
-// capture this run's export artifacts.
-void finish(core::Testbed& bed, core::QoeDoctor& doctor,
-            fault::FaultInjector* injector, diag::DiagnosisEngine& engine,
-            ctrl::PolicyEngine* policy, core::RunResult* out) {
-  if (injector != nullptr) injector->flush();
-  engine.finalize_all();
-  engine.export_metrics(out->registry);
-  if (injector != nullptr) injector->export_metrics(out->registry);
-  doctor.collector().export_metrics(out->registry);
-  doctor.flow_stats().export_metrics(out->registry);
-  if (policy != nullptr) {
-    policy->export_metrics(out->registry);
-    out->reschedule_requested = policy->reschedule_requested();
-    out->reschedule_reason = policy->reschedule_reason();
-    out->artifacts.captures_jsonl = policy->captures_jsonl();
-  }
-  out->virtual_seconds = bed.loop().now().seconds();
-  out->artifacts.findings_jsonl = diag::FindingsJsonlSink(engine).to_string();
-  out->artifacts.timeline_jsonl =
-      core::TimelineJsonlSink(doctor.collector()).to_string();
-}
-
-core::RunResult run_pageload(const ScenarioSpec& spec) {
-  core::Testbed bed(spec.seed);
-  apps::WebServer server(bed.network(), bed.next_server_ip());
-  sim::Rng rng = bed.fork_rng("pages");
+void ScenarioRun::build_pageload() {
+  auto& server = own<apps::WebServer>(bed_.network(), bed_.next_server_ip());
+  sim::Rng rng = bed_.fork_rng("pages");
   const auto dataset =
-      apps::make_page_dataset(rng, static_cast<std::size_t>(spec.pages));
+      apps::make_page_dataset(rng, static_cast<std::size_t>(spec_.pages));
   for (const auto& p : dataset) server.add_page(p);
 
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, spec);
-  apps::BrowserApp app(*dev);
+  auto& app = own<apps::BrowserApp>(add_device());
   app.launch();
-  core::QoeDoctor doctor(*dev, app);
-  auto injector = install_faults(doctor, spec);
-  diag::DiagnosisEngine& engine = enable_diagnosis(doctor, injector.get());
-  auto policy = install_policy(doctor, bed, engine, spec);
-  core::BrowserDriver driver(doctor.controller(), app);
-  advance_to_arrival(bed, spec);
+  auto& driver = own<core::BrowserDriver>(attach(app).controller(), app);
+  advance_to_arrival();
 
   std::vector<std::string> urls;
   urls.reserve(dataset.size());
   for (const auto& p : dataset) urls.push_back("www.page.sim" + p.path);
-  driver.load_pages(urls, sim::sec(spec.think_s),
+  driver.load_pages(urls, sim::sec(spec_.think_s),
                     [](const std::vector<core::BehaviorRecord>&) {});
-  run_loop(bed, policy.get());
-
-  core::RunResult out;
-  for (const auto& rec : doctor.log().for_action("page_load")) {
-    out.add_sample("latency_s",
-                   sim::to_seconds(core::AppLayerAnalyzer::calibrate(rec)));
-  }
-  finish(bed, doctor, injector.get(), engine, policy.get(), &out);
-  return out;
 }
 
-core::RunResult run_post(const ScenarioSpec& spec) {
-  core::Testbed bed(spec.seed);
-  apps::SocialServer server(bed.network(), bed.next_server_ip());
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, spec);
+void ScenarioRun::build_post() {
+  own<apps::SocialServer>(bed_.network(), bed_.next_server_ip());
   apps::SocialAppConfig app_cfg;
   app_cfg.refresh_interval = sim::Duration::zero();
-  apps::SocialApp app(*dev, app_cfg);
+  auto& app = own<apps::SocialApp>(add_device(), app_cfg);
   app.launch();
-  core::QoeDoctor doctor(*dev, app);
-  auto injector = install_faults(doctor, spec);
-  diag::DiagnosisEngine& engine = enable_diagnosis(doctor, injector.get());
-  auto policy = install_policy(doctor, bed, engine, spec);
-  core::FacebookDriver driver(doctor.controller(), app);
-  advance_to_arrival(bed, spec);
+  auto& driver = own<core::FacebookDriver>(attach(app).controller(), app);
+  advance_to_arrival();
   app.login("svc-user");
-  bed.advance(sim::sec(10));
+  bed_.advance(sim::sec(10));
 
-  const apps::PostKind kind = spec.kind == "photos"
+  const apps::PostKind kind = spec_.kind == "photos"
                                   ? apps::PostKind::kPhotos
-                                  : spec.kind == "checkin"
+                                  : spec_.kind == "checkin"
                                         ? apps::PostKind::kCheckin
                                         : apps::PostKind::kStatus;
-  core::RunResult out;
   core::repeat_async(
-      bed.loop(), static_cast<std::size_t>(spec.reps), sim::sec(2),
-      [&](std::size_t, std::function<void()> next) {
-        driver.upload_post(kind, [&, next](const core::BehaviorRecord& rec) {
-          if (!rec.timed_out) {
-            out.add_sample(
-                "latency_s",
-                sim::to_seconds(core::AppLayerAnalyzer::calibrate(rec)));
-          }
+      bed_.loop(), static_cast<std::size_t>(spec_.reps), sim::sec(2),
+      [this, &driver, kind](std::size_t, std::function<void()> next) {
+        driver.upload_post(kind, [this, next](const core::BehaviorRecord& rec) {
+          posts_.push_back(rec);
           next();
         });
       },
       [] {});
-  run_loop(bed, policy.get());
-  finish(bed, doctor, injector.get(), engine, policy.get(), &out);
-  return out;
 }
 
-core::RunResult run_video(const ScenarioSpec& spec) {
-  core::Testbed bed(spec.seed);
-  apps::VideoServer server(bed.network(), bed.next_server_ip());
-  sim::Rng vid_rng = bed.fork_rng("videos");
+void ScenarioRun::build_video() {
+  auto& server = own<apps::VideoServer>(bed_.network(), bed_.next_server_ip());
+  sim::Rng vid_rng = bed_.fork_rng("videos");
   for (auto& v :
        apps::make_video_dataset(vid_rng, 500e3, sim::sec(20), sim::sec(60))) {
     server.add_video(v);
   }
-  auto dev = bed.make_device("phone");
-  attach_network(*dev, spec);
-  apps::VideoApp app(*dev);
+  auto& app = own<apps::VideoApp>(add_device());
   app.launch();
   app.connect();
-  bed.advance(sim::sec(5));
-  core::QoeDoctor doctor(*dev, app);
-  auto injector = install_faults(doctor, spec);
-  diag::DiagnosisEngine& engine = enable_diagnosis(doctor, injector.get());
-  auto policy = install_policy(doctor, bed, engine, spec);
-  core::YouTubeDriver driver(doctor.controller(), app);
-  advance_to_arrival(bed, spec);
+  bed_.advance(sim::sec(5));
+  auto& driver = own<core::YouTubeDriver>(attach(app).controller(), app);
+  advance_to_arrival();
 
-  core::RunResult out;
-  sim::Rng pick = bed.fork_rng("pick");
+  auto& pick = own<sim::Rng>(bed_.fork_rng("pick"));
   core::repeat_async(
-      bed.loop(), static_cast<std::size_t>(spec.videos), sim::sec(5),
-      [&](std::size_t, std::function<void()> next) {
+      bed_.loop(), static_cast<std::size_t>(spec_.videos), sim::sec(5),
+      [this, &driver, &pick](std::size_t, std::function<void()> next) {
         const char kw = static_cast<char>('a' + pick.uniform_int(0, 25));
         const std::string id =
             std::string(1, kw) + std::to_string(pick.uniform_int(0, 9));
         driver.watch_video(std::string(1, kw) + " video", id,
-                           [&, next](const core::VideoWatchResult& r) {
-                             if (!r.initial_loading.timed_out) {
-                               out.add_sample(
-                                   "loading_s",
-                                   sim::to_seconds(
-                                       core::AppLayerAnalyzer::calibrate(
-                                           r.initial_loading)));
-                             }
-                             out.registry.add_counter(
-                                 "video.stalls",
-                                 static_cast<double>(r.stalls.size()));
+                           [this, next](const core::VideoWatchResult& r) {
+                             videos_.push_back(r);
                              next();
                            });
       },
       [] {});
-  run_loop(bed, policy.get());
-  finish(bed, doctor, injector.get(), engine, policy.get(), &out);
-  return out;
 }
 
-}  // namespace
+core::RunResult ScenarioRun::finish() {
+  core::RunResult out;
+  const auto latency = [](const core::BehaviorRecord& rec) {
+    return sim::to_seconds(core::AppLayerAnalyzer::calibrate(rec));
+  };
+  // Page loads come from the behavior log as the run left it, before the
+  // epilogue flushes held-back fault records into it.
+  if (spec_.scenario == "pageload") {
+    for (const auto& rec : doctor_->log().for_action("page_load")) {
+      out.add_sample("latency_s", latency(rec));
+    }
+  }
+  for (const core::BehaviorRecord& rec : posts_) {
+    if (!rec.timed_out) out.add_sample("latency_s", latency(rec));
+  }
+  for (const core::VideoWatchResult& r : videos_) {
+    if (!r.initial_loading.timed_out) {
+      out.add_sample("loading_s", latency(r.initial_loading));
+    }
+    out.registry.add_counter("video.stalls",
+                             static_cast<double>(r.stalls.size()));
+  }
+  instruments_->finish(&out);
+  instruments_->encode_artifacts(&out.artifacts);
+  return out;
+}
 
 bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
                               std::string* error) {
@@ -313,14 +292,16 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
   if (!one_of(out->mechanism, {"shaping", "policing"})) {
     return fail("spec: unknown mechanism \"" + out->mechanism + "\"");
   }
-  if (!out->policy.empty()) {
-    // Surface policy grammar errors (with their byte offsets) at spec-parse
-    // time, so a serve client gets the reason instead of a quarantined run.
-    try {
-      (void)ctrl::Policy::parse(out->policy);
-    } catch (const std::invalid_argument& e) {
-      return fail(e.what());
+  // Surface fault-plan and policy grammar errors (with their byte offsets)
+  // at spec-parse time, so a serve client or a qoed_cli user gets the
+  // reason instead of a quarantined run.
+  try {
+    if (!out->fault_plan.empty()) {
+      (void)fault::FaultPlan::parse(out->fault_plan);
     }
+    if (!out->policy.empty()) (void)ctrl::Policy::parse(out->policy);
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
   }
   return true;
 }
@@ -348,10 +329,9 @@ std::string ScenarioSpec::to_json() const {
 }
 
 core::RunResult run_scenario(const ScenarioSpec& spec) {
-  if (spec.scenario == "pageload") return run_pageload(spec);
-  if (spec.scenario == "post") return run_post(spec);
-  if (spec.scenario == "video") return run_video(spec);
-  throw std::runtime_error("unknown scenario: " + spec.scenario);
+  ScenarioRun run(spec);
+  run.execute();
+  return run.finish();
 }
 
 core::RunResult run_scenario(const ScenarioSpec& spec,

@@ -29,7 +29,8 @@ RunResult page_load_run(std::uint64_t seed) {
   QoeDoctor doctor(*device, browser);
   // Honors QOED_FAULT_PLAN so CI can re-run this whole suite under a
   // degraded capture; a no-op (null) when the environment is clean.
-  auto faults = fault::install_from_env(doctor, seed);
+  auto faults = fault::injector_from_env(seed);
+  if (faults != nullptr) faults->install(doctor);
   BrowserDriver driver(doctor.controller(), browser);
 
   RunResult out;

@@ -175,6 +175,8 @@ TEST(SharedCellRun, HeterogeneousMixProducesPerDeviceArtifacts) {
     const std::string key = "cell.device." + cell_device_label(i) + ".findings";
     EXPECT_TRUE(res.registry.counters().count(key)) << key;
   }
+  // Members end through the shared instrument epilogue, flow.* included.
+  EXPECT_GT(res.registry.counter("flow.segments"), 0);
 
   const core::MergedSummary summary = core::summarize_merged(
       res.artifacts.timeline_jsonl, res.artifacts.findings_jsonl);

@@ -157,7 +157,8 @@ class LiveDiagTest : public ::testing::Test {
     // CI reruns this suite under QOED_FAULT_PLAN (delay-free plans only:
     // the live/batch equality below holds by construction for every fault
     // except bounded delay); null in a clean environment.
-    faults_ = fault::install_from_env(*doctor_, 21);
+    faults_ = fault::injector_from_env(21);
+    if (faults_ != nullptr) faults_->install(*doctor_);
     engine_ = &doctor_->enable_diagnosis();
     driver_ =
         std::make_unique<core::FacebookDriver>(doctor_->controller(), *app_);
@@ -449,7 +450,8 @@ std::string run_and_export_findings(std::uint64_t seed) {
   apps::SocialApp app(*dev);
   app.launch();
   core::QoeDoctor doctor(*dev, app);
-  auto faults = fault::install_from_env(doctor, seed);
+  auto faults = fault::injector_from_env(seed);
+  if (faults != nullptr) faults->install(doctor);
   DiagnosisEngine& engine = doctor.enable_diagnosis();
   core::FacebookDriver driver(doctor.controller(), app);
   app.login("bob");
@@ -493,7 +495,8 @@ TEST(FindingsSinkTest, CampaignJsonWithDiagCountersIdenticalAcrossJobs) {
     apps::SocialApp app(*dev);
     app.launch();
     core::QoeDoctor doctor(*dev, app);
-    auto faults = fault::install_from_env(doctor, seed);
+    auto faults = fault::injector_from_env(seed);
+    if (faults != nullptr) faults->install(doctor);
     DiagnosisEngine& engine = doctor.enable_diagnosis();
     core::FacebookDriver driver(doctor.controller(), app);
     app.login("carol");
