@@ -277,6 +277,11 @@ TEST(ScenarioSpec, JsonRoundTripAndValidation) {
   EXPECT_FALSE(ScenarioSpec::parse_json(
       "{\"scenario\":\"video\",\"throttle_kbps\":200}", &parsed, &error));
   EXPECT_NE(error.find("\"throttle_kbps\""), std::string::npos) << error;
+  // A fault plan that does not parse is rejected at parse time, with its
+  // byte offset, instead of quarantining the run.
+  EXPECT_FALSE(ScenarioSpec::parse_json("{\"fault_plan\":\"packet:lose=1\"}",
+                                        &parsed, &error));
+  EXPECT_NE(error.find("at byte"), std::string::npos) << error;
   // The serve protocol's envelope keys (cmd/id) are skipped.
   EXPECT_TRUE(ScenarioSpec::parse_json(
       "{\"cmd\":\"submit\",\"id\":4,\"scenario\":\"pageload\"}", &parsed,
