@@ -62,7 +62,8 @@
 //             timeline.jsonl / metrics.json are byte-identical between the
 //             two modes and at any --jobs. --resume continues a killed
 //             sharded fleet; --merge-only just rebuilds merged artifacts
-//             from an existing shard dir.
+//             from an existing shard dir. Exits 1 when a merged artifact
+//             cannot be written (e.g. a manifest-listed shard is missing).
 //   serve:    long-lived scheduler; line-delimited JSON commands
 //             (submit/status/drain/shutdown) on stdin or --socket=PATH.
 //             See src/svc/serve.h for the protocol.
@@ -149,13 +150,14 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-void run_sink(const core::ExportSink& sink, const std::string& path) {
-  if (sink.write_file(path)) {
-    std::printf("wrote %s to %s\n", std::string(sink.id()).c_str(),
-                path.c_str());
-  } else {
+bool run_sink(const core::ExportSink& sink, const std::string& path) {
+  if (!sink.write_file(path)) {
     std::printf("FAILED to write %s\n", path.c_str());
+    return false;
   }
+  std::printf("wrote %s to %s\n", std::string(sink.id()).c_str(),
+              path.c_str());
+  return true;
 }
 
 // Writes `content` to `path` and reports it as "wrote <what> to <path>".
@@ -628,8 +630,10 @@ int run_pop(const Options& opt) {
 
 // Writes the merged fleet artifacts: from the shard directory (sharded
 // mode) or from the pooled per-run artifacts (--memory). Same stamping and
-// merge code both ways, so the outputs are byte-identical.
-void write_fleet_artifacts(const Options& opt, const std::string& out_dir,
+// merge code both ways, so the outputs are byte-identical. False when any
+// artifact could not be written (a manifest-listed shard that is missing
+// or unreadable fails its merged artifact).
+bool write_fleet_artifacts(const Options& opt, const std::string& out_dir,
                            const core::CampaignResult* memory_result) {
   const auto path = [&](const char* key, const char* def) {
     std::string p = opt.get(key, "");
@@ -638,37 +642,27 @@ void write_fleet_artifacts(const Options& opt, const std::string& out_dir,
     }
     return p;
   };
+  bool ok = true;
+  const auto write = [&ok](const core::ExportSink& sink,
+                           const std::string& p) {
+    if (!p.empty()) ok = run_sink(sink, p) && ok;
+  };
   const std::string findings = path("findings", "findings.jsonl");
   const std::string timeline = path("timeline", "timeline.jsonl");
   const std::string metrics = path("metrics", "metrics.json");
   const std::string captures = path("captures", "captures.jsonl");
   if (memory_result == nullptr) {
-    if (!findings.empty()) {
-      run_sink(core::ShardFindingsMergeSink(out_dir), findings);
-    }
-    if (!timeline.empty()) {
-      run_sink(core::ShardTimelineMergeSink(out_dir), timeline);
-    }
-    if (!metrics.empty()) {
-      run_sink(core::ShardMetricsMergeSink(out_dir), metrics);
-    }
-    if (!captures.empty()) {
-      run_sink(core::ShardCapturesMergeSink(out_dir), captures);
-    }
-    return;
+    write(core::ShardFindingsMergeSink(out_dir), findings);
+    write(core::ShardTimelineMergeSink(out_dir), timeline);
+    write(core::ShardMetricsMergeSink(out_dir), metrics);
+    write(core::ShardCapturesMergeSink(out_dir), captures);
+  } else {
+    write(core::CampaignFindingsSink(*memory_result), findings);
+    write(core::CampaignTimelineSink(*memory_result), timeline);
+    write(core::MetricsJsonSink(memory_result->registry), metrics);
+    write(core::CampaignCapturesSink(*memory_result), captures);
   }
-  if (!findings.empty()) {
-    run_sink(core::CampaignFindingsSink(*memory_result), findings);
-  }
-  if (!timeline.empty()) {
-    run_sink(core::CampaignTimelineSink(*memory_result), timeline);
-  }
-  if (!metrics.empty()) {
-    run_sink(core::MetricsJsonSink(memory_result->registry), metrics);
-  }
-  if (!captures.empty()) {
-    run_sink(core::CampaignCapturesSink(*memory_result), captures);
-  }
+  return ok;
 }
 
 int run_fleet(const Options& opt) {
@@ -681,8 +675,7 @@ int run_fleet(const Options& opt) {
       std::printf("fleet: --merge-only needs --out-dir\n");
       return 2;
     }
-    write_fleet_artifacts(opt, out_dir, nullptr);
-    return 0;
+    return write_fleet_artifacts(opt, out_dir, nullptr) ? 0 : 1;
   }
 
   if (specs_path.empty()) {
@@ -761,13 +754,15 @@ int run_fleet(const Options& opt) {
       result.runs, result.quarantined.size(), rescheduled, result.jobs,
       campaign.last_wall_seconds());
 
-  write_fleet_artifacts(opt, out_dir, memory ? &result : nullptr);
+  const bool wrote =
+      write_fleet_artifacts(opt, out_dir, memory ? &result : nullptr);
   const std::string json = opt.get("json", "");
   if (!json.empty()) {
     std::ofstream os(json, std::ios::binary);
     core::export_campaign_json(os, result);
     if (os) std::printf("wrote campaign.json to %s\n", json.c_str());
   }
+  if (!wrote) return 1;
   return result.quarantined.empty() ? 0 : 3;
 }
 
@@ -996,6 +991,11 @@ int run_top(const Options& opt) {
     committed = manifest.committed();
     std::ostringstream merged;
     core::ShardMetricsMergeSink(shards).write(merged);
+    if (!merged) {
+      std::printf("top: %s: a listed metrics shard cannot be read\n",
+                  shards.c_str());
+      return 1;
+    }
     if (!reg.merge_from_json(merged.str(), &error)) {
       std::printf("top: %s\n", error.c_str());
       return 1;

@@ -9,14 +9,18 @@
 #
 # Also self-tests the gate's teeth (an injected drift must exit 4) and the
 # closed-loop determinism contract (jobs=1 vs jobs=8 fleet artifacts,
-# captures.jsonl included, must be byte-identical), checks that a
-# `qoed_cli post` single run leaves the same artifacts as the fleet run of
-# the same spec, and that bad single-run input exits 2.
+# captures.jsonl included, must be byte-identical), checks that
+# `fleet --merge-only` rebuilds the same merged bytes from the shards and
+# fails when a manifest-listed shard is missing, that a `qoed_cli post`
+# single run leaves the same artifacts as the fleet run of the same spec,
+# and that bad single-run input exits 2.
 #
 # usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]
 set -euo pipefail
 
 CLI=${1:?usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]}
+# Absolute, so the steps that run inside a work directory find it too.
+CLI=$(cd "$(dirname "$CLI")" && pwd)/$(basename "$CLI")
 WORK=${2:-$(mktemp -d)}
 UPDATE=${3:-}
 REPO=$(cd "$(dirname "$0")/.." && pwd)
@@ -45,6 +49,34 @@ for f in MANIFEST.json findings.jsonl timeline.jsonl metrics.json \
          captures.jsonl; do
   cmp "$WORK/fleet-j1/$f" "$WORK/fleet-j8/$f"
 done
+
+# Merge-only rebuild: merging the same shard directory again must leave the
+# bytes the campaign wrote.
+REMERGE="$WORK/remerge"
+mkdir -p "$REMERGE"
+"$CLI" fleet --merge-only --out-dir="$WORK/fleet-j8" \
+  --findings="$REMERGE/findings.jsonl" --timeline="$REMERGE/timeline.jsonl" \
+  --metrics="$REMERGE/metrics.json" --captures="$REMERGE/captures.jsonl" \
+  > "$REMERGE/merge.log"
+for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
+  cmp "$WORK/fleet-j8/$f" "$REMERGE/$f"
+done
+
+# A manifest-listed timeline shard that is missing fails the merge: non-zero
+# exit, and no merged timeline written from the shards that are left.
+MISSING="$WORK/missing-shard"
+rm -rf "$MISSING"
+mkdir -p "$MISSING"
+cp "$WORK/fleet-j8/MANIFEST.json" "$WORK/fleet-j8"/*-[0-9]*.jsonl "$MISSING/"
+rm "$MISSING/timeline-000000.jsonl"
+rc=0
+"$CLI" fleet --merge-only --out-dir="$MISSING" > "$MISSING/merge.log" || rc=$?
+if [ "$rc" -eq 0 ] || [ -e "$MISSING/timeline.jsonl" ]; then
+  echo "metrics gate: merge over a missing timeline shard: expected a failure" \
+    "and no timeline.jsonl, got exit $rc"
+  cat "$MISSING/merge.log"
+  exit 1
+fi
 
 # The gate proper: exact match required (prof.* wall-clock keys are ignored
 # by the built-in +inf tolerance).
@@ -100,5 +132,6 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200"; do
   fi
 done
 
-echo "metrics gate OK: jobs-invariant, baseline matched, self-test exits 4," \
+echo "metrics gate OK: jobs-invariant, merge-only rebuilds the same bytes" \
+  "and fails on a missing shard, baseline matched, self-test exits 4," \
   "CLI matches fleet, bad input exits 2"

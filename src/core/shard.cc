@@ -613,73 +613,114 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
 
 // ---- merged-artifact sinks ----
 
-void ShardFindingsMergeSink::write(std::ostream& os) const {
+namespace {
+
+// Copies one shard file into os; false when it cannot be opened or read.
+bool append_shard(const std::string& path, std::ostream& os) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  // A zero-length rdbuf insert would set failbit on `os`.
+  if (in.peek() == std::char_traits<char>::eof()) return !in.bad();
+  os << in.rdbuf();
+  return static_cast<bool>(os);
+}
+
+void concat_shards(const std::string& out_dir, const char* kind,
+                   std::ostream& os) {
   ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
-  for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir_, "findings", info.index),
-                     std::ios::binary);
-    // Skip empty shards (runs with no findings): inserting a zero-length
-    // rdbuf would set failbit on `os` and abort the whole export.
-    if (in && in.peek() != std::char_traits<char>::eof()) os << in.rdbuf();
+  if (!read_shard_manifest(out_dir, &manifest)) {
+    os.setstate(std::ios::failbit);
+    return;
   }
+  for (const ShardInfo& info : manifest.shards) {
+    if (!append_shard(shard_file(out_dir, kind, info.index), os)) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+void ShardFindingsMergeSink::write(std::ostream& os) const {
+  concat_shards(out_dir_, "findings", os);
 }
 
 void ShardTimelineMergeSink::write(std::ostream& os) const {
   ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
+  if (!read_shard_manifest(out_dir_, &manifest)) {
+    os.setstate(std::ios::failbit);
+    return;
+  }
   std::vector<std::ifstream> files;
   files.reserve(manifest.shards.size());
+  std::vector<std::istream*> streams;
+  streams.reserve(manifest.shards.size());
   for (const ShardInfo& info : manifest.shards) {
     files.emplace_back(shard_file(out_dir_, "timeline", info.index),
                        std::ios::binary);
+    if (!files.back()) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
+    streams.push_back(&files.back());
   }
-  std::vector<std::istream*> streams;
-  streams.reserve(files.size());
-  for (std::ifstream& f : files) streams.push_back(&f);
   merge_sorted_timeline_streams(streams, os);
+  for (const std::ifstream& f : files) {
+    if (f.bad()) os.setstate(std::ios::failbit);
+  }
 }
 
 void ShardMetricsMergeSink::write(std::ostream& os) const {
   obs::MetricsRegistry registry;
   std::size_t total_attempts = 0, total_reschedules = 0, quarantined = 0;
   ShardManifest manifest;
-  if (read_shard_manifest(out_dir_, &manifest)) {
-    for (const ShardInfo& info : manifest.shards) {
-      std::ifstream in(shard_file(out_dir_, "metrics", info.index),
-                       std::ios::binary);
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        JsonLiteParser p(line);
-        if (!p.enter_object()) continue;
-        std::string key;
-        bool ok = true;
-        std::uint64_t attempts = 0, reschedules = 0;
-        std::string_view reg;
-        bool parsed = true;
-        while (parsed && p.next_key(&key)) {
-          if (key == "attempts") {
-            parsed = p.read_uint64(&attempts);
-          } else if (key == "resched") {
-            parsed = p.read_uint64(&reschedules);
-          } else if (key == "ok") {
-            parsed = p.read_bool(&ok);
-          } else if (key == "registry") {
-            parsed = p.raw_value(&reg);
-          } else {
-            parsed = p.skip_value();
-          }
-        }
-        if (!parsed) continue;
-        total_attempts += static_cast<std::size_t>(attempts);
-        total_reschedules += static_cast<std::size_t>(reschedules);
-        if (!ok) {
-          ++quarantined;
-        } else if (!reg.empty()) {
-          registry.merge_from_json(reg);
+  if (!read_shard_manifest(out_dir_, &manifest)) {
+    os.setstate(std::ios::failbit);
+    return;
+  }
+  for (const ShardInfo& info : manifest.shards) {
+    std::ifstream in(shard_file(out_dir_, "metrics", info.index),
+                     std::ios::binary);
+    if (!in) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      JsonLiteParser p(line);
+      if (!p.enter_object()) continue;
+      std::string key;
+      bool ok = true;
+      std::uint64_t attempts = 0, reschedules = 0;
+      std::string_view reg;
+      bool parsed = true;
+      while (parsed && p.next_key(&key)) {
+        if (key == "attempts") {
+          parsed = p.read_uint64(&attempts);
+        } else if (key == "resched") {
+          parsed = p.read_uint64(&reschedules);
+        } else if (key == "ok") {
+          parsed = p.read_bool(&ok);
+        } else if (key == "registry") {
+          parsed = p.raw_value(&reg);
+        } else {
+          parsed = p.skip_value();
         }
       }
+      if (!parsed) continue;
+      total_attempts += static_cast<std::size_t>(attempts);
+      total_reschedules += static_cast<std::size_t>(reschedules);
+      if (!ok) {
+        ++quarantined;
+      } else if (!reg.empty()) {
+        registry.merge_from_json(reg);
+      }
+    }
+    if (in.bad()) {
+      os.setstate(std::ios::failbit);
+      return;
     }
   }
   add_campaign_counters(registry, total_attempts, quarantined,
@@ -689,13 +730,7 @@ void ShardMetricsMergeSink::write(std::ostream& os) const {
 }
 
 void ShardCapturesMergeSink::write(std::ostream& os) const {
-  ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
-  for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir_, "captures", info.index),
-                     std::ios::binary);
-    if (in && in.peek() != std::char_traits<char>::eof()) os << in.rdbuf();
-  }
+  concat_shards(out_dir_, "captures", os);
 }
 
 std::map<std::string, RunOutcomeCounts> read_run_outcomes(

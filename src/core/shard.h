@@ -241,7 +241,10 @@ class ShardedCampaignSink {
 
 // ---- merged-artifact sinks over a shard directory ----
 // Each reads MANIFEST.json at write() time and merges only manifest-listed
-// shards, so stale files from an interrupted run are never consulted.
+// shards, so stale files from an interrupted run are never consulted. An
+// unreadable manifest, or a listed shard that cannot be opened or read,
+// fails the stream, so write_file returns false and publishes nothing
+// rather than an artifact missing those runs; a zero-length shard is legal.
 
 class ShardFindingsMergeSink final : public ExportSink {
  public:

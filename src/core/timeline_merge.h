@@ -9,11 +9,18 @@
 // The ordering key is total for distinct device labels, so the merge is a
 // pure function of the *set* of inputs: feeding the same timelines in any
 // order yields byte-identical output (determinism test in
-// timeline_merge_test).
+// timeline_merge_test). Lines whose full key ties keep their input order.
+//
+// Every merge reads a line's key from its JSON text without copying the
+// line: the value after the first `"t":`, `"seq":` and (stream merge only;
+// merge_timelines keys on the input's label) `"device":` substring. "t"
+// must be a complete JSON number (not "+1", "0x10" or "2.5x") that fits a
+// finite double; "seq" orders as 0 unless it is an unsigned 64-bit
+// integer; "device" is a JSON string, compared decoded.
 //
 // Robustness: real exports get truncated by crashes and corrupted in
 // transit. merge_timelines_checked quarantines malformed lines (not a JSON
-// object, or no finite "t" field) instead of merging garbage, counts them
+// object, or no usable "t" field) instead of merging garbage, counts them
 // per input, and flags out-of-order timestamps within an input (still
 // merged — the sort repairs them — but a symptom worth surfacing). The
 // plain merge_timelines wrapper keeps the original drop-silently contract.
@@ -94,8 +101,10 @@ void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 // total across distinct device labels, merging sorted shards produces the
 // same bytes as one global merge_timelines over all the runs — this is
 // what makes sharded campaign timelines byte-identical to the in-memory
-// path. Lines without a finite "t" or a "device" string are dropped
-// (same contract as merge_timelines). Returns the number of lines written.
+// path. The key's device is the line's first "device" member (a cell
+// campaign's lines carry the run stamp first, then the member's label).
+// Lines without a usable "t" or a "device" string are dropped (same
+// contract as merge_timelines). Returns the number of lines written.
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out);
 

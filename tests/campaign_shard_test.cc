@@ -13,6 +13,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -320,6 +321,59 @@ TEST(CampaignShard, EmptyFindingsStillExport) {
   EXPECT_EQ(fs::file_size(dir + "/findings.jsonl"), 0u);
   EXPECT_FALSE(ShardTimelineMergeSink(dir).to_string().empty());
 }
+
+// A manifest-listed shard that is missing or unreadable fails its merged
+// artifact: the export returns false, leaves no temp file and keeps the
+// previous artifact, instead of writing one that silently leaves those runs
+// out. A zero-length shard (every captures shard here) is legal and merges
+// as nothing.
+class CampaignShardMissing : public ::testing::TestWithParam<const char*> {};
+
+std::unique_ptr<ExportSink> merge_sink(const std::string& family,
+                                       const std::string& dir) {
+  if (family == "findings") {
+    return std::make_unique<ShardFindingsMergeSink>(dir);
+  }
+  if (family == "timeline") {
+    return std::make_unique<ShardTimelineMergeSink>(dir);
+  }
+  if (family == "metrics") {
+    return std::make_unique<ShardMetricsMergeSink>(dir);
+  }
+  return std::make_unique<ShardCapturesMergeSink>(dir);
+}
+
+TEST_P(CampaignShardMissing, FailsTheMergedArtifact) {
+  const std::string family = GetParam();
+  const std::string dir = scratch_dir("missing_" + family);
+  CampaignConfig cfg = sharded_config(dir, 4, 2);
+  cfg.shard.shard_runs = 2;
+  Campaign(cfg).run(synthetic_factory());
+  const std::unique_ptr<ExportSink> sink = merge_sink(family, dir);
+  const std::string dest = dir + "/merged-" + family;
+  ASSERT_TRUE(sink->write_file(dest));
+  const std::string before = sink->to_string();
+
+  const std::string shard = dir + "/" + family + "-000000.jsonl";
+  ASSERT_TRUE(fs::remove(shard));
+  EXPECT_FALSE(sink->write_file(dest));
+  EXPECT_FALSE(fs::exists(dest + ".tmp"));
+  // Present but unreadable (a directory opens, then every read fails).
+  ASSERT_TRUE(fs::create_directory(shard));
+  EXPECT_FALSE(sink->write_file(dest));
+  EXPECT_FALSE(fs::exists(dest + ".tmp"));
+  std::ifstream in(dest, std::ios::binary);
+  std::stringstream kept;
+  kept << in.rdbuf();
+  EXPECT_EQ(kept.str(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, CampaignShardMissing,
+                         ::testing::Values("findings", "timeline", "metrics",
+                                           "captures"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(CampaignShard, EmptyShardedCampaignIsWellFormed) {
   const std::string dir = scratch_dir("empty");
