@@ -6,6 +6,7 @@
 
 #include "apps/web_server.h"
 #include "core/qoe_doctor.h"
+#include "sim/rng.h"
 
 namespace qoed {
 namespace {
@@ -24,6 +25,74 @@ void BM_EventLoopDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventLoopDispatch)->Arg(1000)->Arg(100000);
+
+// The RTO / RRC-demotion pattern: N flows each send a packet every few
+// microseconds, and every packet re-arms its flow's timeout, which never
+// fires while packets keep coming. Items are packets.
+void BM_EventLoopRearm(benchmark::State& state) {
+  const int flows = static_cast<int>(state.range(0));
+  constexpr int kPackets = 100'000;
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    std::vector<sim::TimerHandle> rto(static_cast<std::size_t>(flows));
+    int sent = 0;
+    int timeouts = 0;
+    std::function<void(int)> packet = [&](int i) {
+      sim::TimerHandle& h = rto[static_cast<std::size_t>(i)];
+      const sim::TimePoint deadline = loop.now() + sim::msec(200);
+      if (!h.reschedule(deadline)) {
+        h = loop.schedule_at(deadline, [&timeouts] { ++timeouts; });
+      }
+      if (++sent < kPackets) {
+        loop.schedule_after(sim::usec(1 + i % 7), [&packet, i] { packet(i); });
+      }
+    };
+    for (int i = 0; i < flows; ++i) {
+      loop.schedule_after(sim::usec(i), [&packet, i] { packet(i); });
+    }
+    loop.run();
+    benchmark::DoNotOptimize(timeouts);
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets);
+}
+BENCHMARK(BM_EventLoopRearm)->Arg(16)->Arg(1024);
+
+// A deep queue at steady state: every dispatched event schedules a
+// replacement at a random time, and for two of every three dispatches a
+// random pending event is cancelled and replaced, so about 40 % of all
+// scheduled events are cancelled and the depth stays at the argument.
+// Items are dispatched events.
+void BM_EventLoopDeepQueue(benchmark::State& state) {
+  const std::size_t depth = static_cast<std::size_t>(state.range(0));
+  constexpr int kDispatches = 100'000;
+  sim::Rng rng(static_cast<std::uint64_t>(depth));
+  sim::EventLoop loop;
+  std::vector<sim::TimerHandle> slot(depth);
+  int dispatched = 0;
+  std::function<void(std::size_t)> fire;
+  auto arm = [&](std::size_t i) {
+    slot[i] = loop.schedule_after(sim::usec(rng.uniform_int(1, 1'000'000)),
+                                  [&fire, i] { fire(i); });
+  };
+  fire = [&](std::size_t i) {
+    arm(i);
+    if (rng.uniform_int(0, 2) != 0) {
+      const auto victim = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(depth) - 1));
+      slot[victim].cancel();
+      arm(victim);
+    }
+    if (++dispatched % kDispatches == 0) loop.request_stop();
+  };
+  for (std::size_t i = 0; i < depth; ++i) arm(i);
+  for (auto _ : state) {
+    loop.clear_stop();
+    loop.run();
+    benchmark::DoNotOptimize(dispatched);
+  }
+  state.SetItemsProcessed(state.iterations() * kDispatches);
+}
+BENCHMARK(BM_EventLoopDeepQueue)->Arg(10'000)->Arg(100'000);
 
 void BM_TcpBulkTransfer(benchmark::State& state) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(state.range(0));

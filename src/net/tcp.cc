@@ -170,9 +170,10 @@ void TcpSocket::emit(Packet p) {
 }
 
 void TcpSocket::arm_rto() {
-  rto_timer_.cancel();
+  sim::EventLoop& loop = stack_.host().loop();
+  if (rto_timer_.reschedule(loop.now() + rto_)) return;
   auto self = weak_from_this();
-  rto_timer_ = stack_.host().loop().schedule_after(rto_, [self] {
+  rto_timer_ = loop.schedule_after(rto_, [self] {
     if (auto s = self.lock()) s->on_rto();
   });
 }

@@ -270,7 +270,7 @@ void RlcChannel::on_status(std::uint32_t ack_until,
 
 void RlcChannel::arm_poll_timer() {
   poll_outstanding_ = true;
-  poll_timer_.cancel();
+  if (poll_timer_.reschedule(loop_.now() + cfg_.poll_timeout)) return;
   poll_timer_ = loop_.schedule_after(cfg_.poll_timeout, [this] {
     if (poll_outstanding_) send_standalone_poll();
   });
@@ -278,10 +278,7 @@ void RlcChannel::arm_poll_timer() {
 
 void RlcChannel::send_standalone_poll() {
   if (busy_) {  // channel occupied: try again shortly
-    poll_timer_.cancel();
-    poll_timer_ = loop_.schedule_after(cfg_.poll_timeout, [this] {
-      if (poll_outstanding_) send_standalone_poll();
-    });
+    arm_poll_timer();
     return;
   }
   // Zero-payload control PDU carrying only the polling request. Tracked in

@@ -84,7 +84,6 @@ void RrcMachine::flush_ready() {
 }
 
 void RrcMachine::arm_demotion_timer() {
-  demotion_timer_.cancel();
   sim::Duration delay{};
   switch (state_) {
     case RrcState::kDch:
@@ -103,8 +102,10 @@ void RrcMachine::arm_demotion_timer() {
       delay = cfg_.long_drx_to_idle;
       break;
     default:
-      return;  // low-power states have no demotion timer
+      demotion_timer_.cancel();  // low-power states have no demotion timer
+      return;
   }
+  if (demotion_timer_.reschedule(loop_.now() + delay)) return;
   demotion_timer_ =
       loop_.schedule_after(delay, [this] { on_demotion_timer(); });
 }

@@ -2,13 +2,18 @@
 //
 // Components schedule closures at virtual times; the loop dispatches them in
 // (time, insertion-order) order, so runs are exactly reproducible. Timers can
-// be cancelled through the handle returned at scheduling time.
+// be cancelled or re-armed through the handle returned at scheduling time.
+//
+// A pending event's closure lives in a reusable slot of the loop's slab; the
+// slot also holds a generation, bumped whenever its event fires or is
+// cancelled, and the position of the event's entry in a 4-ary min-heap of
+// {time, sequence, slot} entries. A handle is {loop, slot, generation}, so
+// scheduling allocates nothing beyond the closure itself, and cancelling
+// removes the entry and destroys the closure at once: no tombstones.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "sim/time.h"
@@ -17,8 +22,10 @@ namespace qoed::sim {
 
 class EventLoop;
 
-// Cancellation handle for a scheduled event. Default-constructed handles are
-// inert. Cancelling an already-fired or already-cancelled event is a no-op.
+// Handle to a scheduled event. Default-constructed handles are inert, and a
+// handle goes inert once its event fires (already inside the callback) or is
+// cancelled; cancelling or re-arming an inert handle is a no-op. A handle
+// must not be used after its loop is destroyed.
 class TimerHandle {
  public:
   TimerHandle() = default;
@@ -26,12 +33,22 @@ class TimerHandle {
   void cancel();
   bool active() const;
 
+  // Exactly cancel() followed by schedule_at(at, the same closure), with the
+  // result stored back into this handle: `at` clamps to now, and the event
+  // takes a fresh insertion sequence number, so it runs after every event
+  // already scheduled at `at` and before any scheduled there later. Other
+  // copies of this handle refer to the cancelled event and go inert. Returns
+  // false, scheduling nothing, when the handle is inert.
+  bool reschedule(TimePoint at);
+
  private:
   friend class EventLoop;
-  explicit TimerHandle(std::shared_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
+  TimerHandle(EventLoop* loop, std::uint32_t slot, std::uint64_t gen)
+      : loop_(loop), slot_(slot), gen_(gen) {}
 
-  std::shared_ptr<bool> cancelled_;
+  EventLoop* loop_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint64_t gen_ = 0;
 };
 
 class EventLoop {
@@ -39,6 +56,7 @@ class EventLoop {
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
+  ~EventLoop();
 
   TimePoint now() const { return now_; }
 
@@ -69,30 +87,53 @@ class EventLoop {
   bool stop_requested() const { return stop_requested_; }
   void clear_stop() { stop_requested_ = false; }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  // Events scheduled and neither dispatched nor cancelled yet.
+  std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t dispatched_events() const { return dispatched_; }
 
  private:
-  struct Event {
+  friend class TimerHandle;
+
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  struct Slot {
+    std::function<void()> fn;
+    std::uint64_t gen = 0;
+    // Heap index of the slot's entry while its event is pending; the next
+    // free slot while it is on the free list.
+    std::uint32_t pos = 0;
+  };
+  struct Entry {
     TimePoint at;
     std::uint64_t seq = 0;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
+    std::uint32_t slot = 0;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static bool earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
+  bool live(std::uint32_t slot, std::uint64_t gen) const {
+    return slot < slots_.size() && slots_[slot].gen == gen;
+  }
+  void cancel_slot(std::uint32_t slot);
+  void reschedule_slot(std::uint32_t slot, TimePoint at);
+  void release(std::uint32_t slot);
+  void remove_entry(std::uint32_t pos);
+  void sift_up(std::uint32_t pos, Entry e);
+  void sift_down(std::uint32_t pos, Entry e);
+  void place(std::uint32_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].pos = pos;
+  }
   bool dispatch_next();
 
   TimePoint now_{};
   bool stop_requested_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace qoed::sim
