@@ -302,9 +302,13 @@ OverheadAndMapping overhead_and_mapping(int posts) {
       sim::to_seconds(dev->cpu().total("controller") - ctl_cpu0);
   out.cpu_overhead = ctl_cpu / std::max(app_cpu + ctl_cpu, 1e-9);
 
-  auto analysis = doctor.analyze();
-  out.ul_ratio = analysis.map_rlc(net::Direction::kUplink).mapped_ratio();
-  out.dl_ratio = analysis.map_rlc(net::Direction::kDownlink).mapped_ratio();
+  const auto mapped_ratio = [&](net::Direction dir) {
+    return RlcMapper::map(dev->trace().records(),
+                          dev->cellular()->qxdm().pdu_log(), dir)
+        .mapped_ratio();
+  };
+  out.ul_ratio = mapped_ratio(net::Direction::kUplink);
+  out.dl_ratio = mapped_ratio(net::Direction::kDownlink);
   return out;
 }
 

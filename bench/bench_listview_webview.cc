@@ -79,14 +79,14 @@ DesignRun run(apps::FeedDesign design, bool lte, int updates,
       [] {});
   bed.loop().run();
 
-  auto analysis = doctor.analyze();
   for (const auto& rec : records) {
-    const DeviceNetworkSplit split = analysis.split(rec, "facebook");
+    const DeviceNetworkSplit split =
+        device_network_split(doctor.flows(), rec, "facebook");
     out.latencies_s.push_back(split.total_s);
     out.device_s += split.device_s;
     out.network_s += split.network_s;
     const auto vol =
-        analysis.flows().bytes_in_window(rec.start, rec.end, "facebook");
+        doctor.flows().bytes_in_window(rec.start, rec.end, "facebook");
     up_bytes += static_cast<double>(vol.uplink);
     down_bytes += static_cast<double>(vol.downlink);
     ++out.updates;

@@ -59,9 +59,9 @@ Row run_condition(const Condition& cond, apps::PostKind kind, int reps,
       [] {});
   bed.loop().run();
 
-  auto analysis = doctor.analyze();
   for (const auto& rec : records) {
-    const DeviceNetworkSplit split = analysis.split(rec, "facebook");
+    const DeviceNetworkSplit split =
+        device_network_split(doctor.flows(), rec, "facebook");
     ++runs;
     total_s.push_back(split.total_s);
     if (split.network_on_critical_path) {

@@ -10,6 +10,7 @@
 
 #include "apps/social_server.h"
 #include "bench_util.h"
+#include "diag/rrc_state_tracker.h"
 
 namespace qoed {
 namespace {
@@ -71,9 +72,9 @@ IntervalRun run(sim::Duration refresh_interval, sim::Duration hours,
   const auto vol = flows.bytes_in_window(t0, t1, "facebook");
   out.uplink_kb = static_cast<double>(vol.uplink) / 1024.0;
   out.downlink_kb = static_cast<double>(vol.downlink) / 1024.0;
-  EnergyAnalyzer energy(dev_b->cellular()->qxdm(),
-                        dev_b->cellular()->config().rrc);
-  const EnergyBreakdown eb = energy.analyze(t0, t1);
+  const diag::RrcStateTracker rrc(dev_b->cellular()->qxdm(),
+                                  dev_b->cellular()->config().rrc);
+  const diag::EnergyBreakdown eb = rrc.energy_breakdown(t0, t1);
   out.tail_j = eb.tail_joules;
   out.non_tail_j = eb.non_tail_joules;
   return out;

@@ -63,32 +63,35 @@ Result run(const radio::CellularConfig& cfg, int reps, std::uint64_t seed) {
   bed.loop().run();
 
   Result out;
-  auto analysis = doctor.analyze();
+  const radio::QxdmLogger& qxdm = dev->cellular()->qxdm();
+  const MappingResult up = RlcMapper::map(
+      dev->trace().records(), qxdm.pdu_log(), net::Direction::kUplink);
+  const MappingResult down = RlcMapper::map(
+      dev->trace().records(), qxdm.pdu_log(), net::Direction::kDownlink);
   // Paper reports both directions (99.52% up / 88.83% down): downlink logs
   // lose more PDU records, so its anchoring quality is the weaker figure.
-  const auto fill = [&](DirMapping& dm, net::Direction dir) {
-    const MappingResult mapping = analysis.map_rlc(dir);
+  const auto fill = [](DirMapping& dm, const MappingResult& mapping) {
     dm.packets = mapping.packets.size();
     dm.mapped_ratio = mapping.mapped_ratio();
   };
-  fill(out.up, net::Direction::kUplink);
-  fill(out.down, net::Direction::kDownlink);
+  fill(out.up, up);
+  fill(out.down, down);
   std::uint64_t packets_total = 0, pdus_total = 0;
   for (const auto& rec : records) {
-    auto fine = analysis.fine_breakdown(rec, net::Direction::kUplink);
-    if (!fine) continue;
+    const FineBreakdown fine = network_breakdown(doctor.flows(), rec, up, qxdm,
+                                                 net::Direction::kUplink);
     ++out.runs;
-    out.mean.ip_to_rlc_s += fine->ip_to_rlc_s;
-    out.mean.rlc_tx_s += fine->rlc_tx_s;
-    out.mean.first_hop_ota_s += fine->first_hop_ota_s;
-    out.mean.other_s += fine->other_s;
-    out.mean.network_s += fine->network_s;
+    out.mean.ip_to_rlc_s += fine.ip_to_rlc_s;
+    out.mean.rlc_tx_s += fine.rlc_tx_s;
+    out.mean.first_hop_ota_s += fine.first_hop_ota_s;
+    out.mean.other_s += fine.other_s;
+    out.mean.network_s += fine.network_s;
 
     const QoeWindow w = QoeWindow::of(rec);
     for (const auto& r : dev->trace().records()) {
       if (r.timestamp >= w.start && r.timestamp <= w.end) ++packets_total;
     }
-    for (const auto& p : dev->cellular()->qxdm().pdu_log()) {
+    for (const auto& p : qxdm.pdu_log()) {
       if (p.is_status || p.payload_len == 0) continue;
       if (p.at >= w.start && p.at <= w.end) ++pdus_total;
     }

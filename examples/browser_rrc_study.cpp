@@ -11,6 +11,7 @@
 #include "apps/web_server.h"
 #include "core/qoe_doctor.h"
 #include "core/speed_index.h"
+#include "radio/record_search.h"
 
 namespace {
 
@@ -39,17 +40,20 @@ double load_once(const char* label, const qoed::radio::CellularConfig& cell) {
   std::printf("\n--- %s ---\n", label);
   std::printf("page loading time: %.2f s\n", load);
   std::printf("RRC transitions during the load window:\n");
-  core::RrcAnalyzer rrc(device->cellular()->qxdm(), cell.rrc);
-  for (const auto& t : rrc.transitions_in(record.start, record.end)) {
+  const radio::QxdmLogger& qxdm = device->cellular()->qxdm();
+  const auto [first, last] =
+      radio::record_range(qxdm.rrc_log(), record.start, record.end);
+  for (std::size_t i = first; i < last; ++i) {
+    const radio::RrcTransitionRecord& t = qxdm.rrc_log()[i];
     std::printf("  t=%.3fs  %s -> %s\n", t.at.seconds(),
                 radio::to_string(t.from), radio::to_string(t.to));
   }
-  const auto fine =
-      doctor.analyze().fine_breakdown(record, net::Direction::kDownlink);
-  if (fine) {
-    std::printf("downlink breakdown: rlc_tx %.2fs, ota %.2fs, other %.2fs\n",
-                fine->rlc_tx_s, fine->first_hop_ota_s, fine->other_s);
-  }
+  const core::MappingResult mapping = core::RlcMapper::map(
+      device->trace().records(), qxdm.pdu_log(), net::Direction::kDownlink);
+  const core::FineBreakdown fine = core::network_breakdown(
+      doctor.flows(), record, mapping, qxdm, net::Direction::kDownlink);
+  std::printf("downlink breakdown: rlc_tx %.2fs, ota %.2fs, other %.2fs\n",
+              fine.rlc_tx_s, fine.first_hop_ota_s, fine.other_s);
   const auto si =
       core::compute_speed_index(device->screen(), core::QoeWindow::of(record));
   std::printf("speed index: %.2f s over %d frames (visual progress metric,\n"

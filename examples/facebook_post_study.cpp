@@ -11,6 +11,7 @@
 
 #include "apps/social_server.h"
 #include "core/qoe_doctor.h"
+#include "diag/rrc_state_tracker.h"
 
 namespace {
 
@@ -26,8 +27,8 @@ void study_post(qoed::core::Testbed& bed, qoed::core::QoeDoctor& doctor,
     return;
   }
 
-  auto analysis = doctor.analyze();
-  const core::DeviceNetworkSplit split = analysis.split(record, "facebook");
+  const core::DeviceNetworkSplit split =
+      core::device_network_split(doctor.flows(), record, "facebook");
   std::printf("\n--- upload_post:%s ---\n", apps::to_string(kind));
   std::printf("user-perceived latency: %.2f s\n", split.total_s);
   std::printf("network on critical path: %s\n",
@@ -35,14 +36,17 @@ void study_post(qoed::core::Testbed& bed, qoed::core::QoeDoctor& doctor,
   if (split.network_on_critical_path) {
     std::printf("  device  : %.2f s\n", split.device_s);
     std::printf("  network : %.2f s\n", split.network_s);
-    auto fine = analysis.fine_breakdown(record, net::Direction::kUplink);
-    if (fine) {
-      std::printf("  network latency breakdown (Fig. 9 method):\n");
-      std::printf("    IP-to-RLC delay     : %.2f s\n", fine->ip_to_rlc_s);
-      std::printf("    RLC transmission    : %.2f s\n", fine->rlc_tx_s);
-      std::printf("    first-hop OTA delay : %.2f s\n", fine->first_hop_ota_s);
-      std::printf("    other (core+server) : %.2f s\n", fine->other_s);
-    }
+    const radio::QxdmLogger& qxdm = doctor.device().cellular()->qxdm();
+    const core::MappingResult mapping =
+        core::RlcMapper::map(doctor.device().trace().records(),
+                             qxdm.pdu_log(), net::Direction::kUplink);
+    const core::FineBreakdown fine = core::network_breakdown(
+        doctor.flows(), record, mapping, qxdm, net::Direction::kUplink);
+    std::printf("  network latency breakdown (Fig. 9 method):\n");
+    std::printf("    IP-to-RLC delay     : %.2f s\n", fine.ip_to_rlc_s);
+    std::printf("    RLC transmission    : %.2f s\n", fine.rlc_tx_s);
+    std::printf("    first-hop OTA delay : %.2f s\n", fine.first_hop_ota_s);
+    std::printf("    other (core+server) : %.2f s\n", fine.other_s);
   }
 }
 
@@ -69,10 +73,11 @@ int main() {
   study_post(bed, doctor, driver, apps::PostKind::kPhotos);
 
   // Bonus: what the radio did all along.
-  auto analysis = doctor.analyze();
+  const diag::RrcStateTracker rrc(device->cellular()->qxdm(),
+                                  device->cellular()->config().rrc);
   std::printf("\nRRC activity over the whole session: %lu promotions, "
               "%.1f J network energy\n",
               static_cast<unsigned long>(device->cellular()->rrc().promotions()),
-              analysis.rrc().energy_joules(sim::kTimeZero, bed.loop().now()));
+              rrc.energy_joules(sim::kTimeZero, bed.loop().now()));
   return 0;
 }

@@ -319,14 +319,20 @@ void print_radio_summary(svc::ScenarioRun& run) {
   device::Device& dev = run.device();
   if (dev.cellular() == nullptr) return;
   const sim::TimePoint end = dev.loop().now();
-  auto analysis = run.doctor().analyze();
+  radio::CellularLink& cell = *dev.cellular();
+  const diag::RrcStateTracker rrc(cell.qxdm(), cell.config().rrc);
+  const auto mapped_pct = [&](net::Direction dir) {
+    return core::RlcMapper::map(dev.trace().records(), cell.qxdm().pdu_log(),
+                                dir)
+               .mapped_ratio() *
+           100;
+  };
   std::printf("radio: %lu promotions, energy %.1f J, mapping UL %.1f%% / DL "
               "%.1f%%\n",
-              static_cast<unsigned long>(dev.cellular()->rrc().promotions()),
-              analysis.rrc().energy_joules(sim::kTimeZero, end),
-              analysis.map_rlc(net::Direction::kUplink).mapped_ratio() * 100,
-              analysis.map_rlc(net::Direction::kDownlink).mapped_ratio() *
-                  100);
+              static_cast<unsigned long>(cell.rrc().promotions()),
+              rrc.energy_joules(sim::kTimeZero, end),
+              mapped_pct(net::Direction::kUplink),
+              mapped_pct(net::Direction::kDownlink));
 }
 
 void print_page_loads(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
@@ -348,13 +354,13 @@ void print_page_loads(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
 }
 
 void print_posts(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
-  auto analysis = run.doctor().analyze();
   core::Table t("upload_post:" + spec.kind + " (" + spec.network + ")",
                 {"#", "total (s)", "device (s)", "network (s)",
                  "net critical path"});
   int i = 0;
   for (const auto& rec : run.posts()) {
-    const auto split = analysis.split(rec, "facebook");
+    const auto split =
+        core::device_network_split(run.doctor().flows(), rec, "facebook");
     t.add_row({std::to_string(++i), core::Table::num(split.total_s),
                core::Table::num(split.device_s),
                core::Table::num(split.network_s),

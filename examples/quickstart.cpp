@@ -10,6 +10,7 @@
 
 #include "apps/web_server.h"
 #include "core/qoe_doctor.h"
+#include "diag/rrc_state_tracker.h"
 
 int main() {
   using namespace qoed;
@@ -50,22 +51,25 @@ int main() {
   std::printf("page loading time (user-perceived): %.3f s\n", latency);
 
   // 6. Peek at the layers below.
-  auto analysis = doctor.analyze();
-  const core::DeviceNetworkSplit split = analysis.split(record, "page.sim");
+  const core::DeviceNetworkSplit split =
+      core::device_network_split(doctor.flows(), record, "page.sim");
   std::printf("  device latency : %.3f s\n", split.device_s);
   std::printf("  network latency: %.3f s\n", split.network_s);
 
   std::printf("  TCP flows to the server: %zu\n",
-              analysis.flows().flows_to_host("page.sim").size());
-  const auto mapping = analysis.map_rlc(net::Direction::kDownlink);
+              doctor.flows().flows_to_host("page.sim").size());
+  radio::CellularLink& cell = *device->cellular();
+  const auto mapping = core::RlcMapper::map(
+      device->trace().records(), cell.qxdm().pdu_log(),
+      net::Direction::kDownlink);
   std::printf("  IP->RLC mapping ratio (downlink): %.1f%%\n",
               mapping.mapped_ratio() * 100);
-  const auto residency =
-      analysis.rrc().residency(sim::kTimeZero, bed.loop().now());
+  const diag::RrcStateTracker rrc(cell.qxdm(), cell.config().rrc);
+  const auto residency = rrc.residency(sim::kTimeZero, bed.loop().now());
   std::printf("  RRC: %.1fs DCH, %.1fs FACH, %.1fs PCH; energy %.1f J\n",
               sim::to_seconds(residency.in(radio::RrcState::kDch)),
               sim::to_seconds(residency.in(radio::RrcState::kFach)),
               sim::to_seconds(residency.in(radio::RrcState::kPch)),
-              analysis.rrc().energy_joules(sim::kTimeZero, bed.loop().now()));
+              rrc.energy_joules(sim::kTimeZero, bed.loop().now()));
   return 0;
 }

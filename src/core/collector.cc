@@ -33,55 +33,6 @@ class FunctionSink final : public CollectorSink {
 
 }  // namespace
 
-void EventArena::push_back(const Event& e) {
-  if (size_ == pages_.size() * kPageSize) {
-    pages_.push_back(std::make_unique<Event[]>(kPageSize));
-  }
-  (*this)[size_] = e;
-  ++size_;
-}
-
-void EventArena::insert_sorted(const Event& e) {
-  // upper_bound by `at`, then shift the tail one slot right.
-  std::size_t lo = 0;
-  std::size_t hi = size_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (e.at < (*this)[mid].at) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  push_back(e);
-  for (std::size_t i = size_ - 1; i > lo; --i) (*this)[i] = (*this)[i - 1];
-  (*this)[lo] = e;
-}
-
-void EventArena::merge_sorted(const std::vector<Event>& chunk) {
-  if (chunk.empty()) return;
-  const std::size_t old_size = size_;
-  for (const Event& e : chunk) push_back(e);  // grow; slots rewritten below
-  // Backward merge; on equal timestamps the chunk lands after existing
-  // events, matching std::inplace_merge.
-  std::size_t i = old_size;
-  std::size_t j = chunk.size();
-  std::size_t w = size_;
-  while (j > 0) {
-    if (i > 0 && chunk[j - 1].at < (*this)[i - 1].at) {
-      (*this)[--w] = (*this)[i - 1];
-      --i;
-    } else {
-      (*this)[--w] = chunk[--j];
-    }
-  }
-}
-
-void EventArena::assign(const std::vector<Event>& events) {
-  clear();
-  for (const Event& e : events) push_back(e);
-}
-
 const char* to_string(Layer layer) {
   switch (layer) {
     case kLayerUi:
@@ -160,9 +111,6 @@ void Collector::detach() {
   qxdm_ = nullptr;
   // Envelopes index into stores we no longer track; drop them.
   timeline_.clear();
-  ui_index_.clear();
-  packet_index_.clear();
-  radio_index_.clear();
   ui_counters_ = {};
   packet_counters_ = {};
   radio_counters_ = {};
@@ -218,12 +166,10 @@ void Collector::wire_radio() {
   if (chunk.empty()) return;
   std::stable_sort(chunk.begin(), chunk.end(), by_at);
   for (auto& e : chunk) e.seq = next_seq_++;
-  timeline_.merge_sorted(chunk);
-  for (const Event& e : chunk) {
-    radio_index_.at.push_back(e.at);
-    radio_index_.kind.push_back(e.kind);
-    radio_index_.index.push_back(e.index);
-  }
+  // On equal timestamps the chunk lands after existing events.
+  const auto middle = timeline_.insert(timeline_.end(), chunk.begin(),
+                                       chunk.end());
+  std::inplace_merge(timeline_.begin(), middle, timeline_.end(), by_at);
   // One batched notification for the whole backlog: streaming sinks fold it
   // in a single pass instead of per-event.
   {
@@ -256,13 +202,7 @@ void Collector::backfill() {
   packet_counters_.high_water = packet_counters_.events;
   std::stable_sort(chunk.begin(), chunk.end(), by_at);
   for (auto& e : chunk) e.seq = next_seq_++;
-  timeline_.assign(chunk);
-  for (const Event& e : chunk) {
-    LayerIndex& li = mutable_layer_index(e.layer);
-    li.at.push_back(e.at);
-    li.kind.push_back(e.kind);
-    li.index.push_back(e.index);
-  }
+  timeline_ = std::move(chunk);
 }
 
 void Collector::start() {
@@ -328,10 +268,11 @@ void Collector::append(Layer layer, EventKind kind, std::size_t index,
   if (timeline_.empty() || !(e.at < timeline_.back().at)) {
     timeline_.push_back(e);
   } else {
-    // Rare: a front-end stamped behind the tail; keep the timeline sorted.
-    timeline_.insert_sorted(e);
+    // Rare: a front-end stamped behind the tail; keep the timeline sorted
+    // (after any events with the same timestamp).
+    timeline_.insert(
+        std::upper_bound(timeline_.begin(), timeline_.end(), e, by_at), e);
   }
-  index_event(e);
   if (obs_.tracing()) {
     obs_.tracer->instant(obs_.track, to_string(kind), "collector", at);
   }
@@ -349,11 +290,10 @@ void Collector::append(Layer layer, EventKind kind, std::size_t index,
 }
 
 void Collector::clear_layer(std::uint32_t layer_mask) {
-  timeline_.remove_if(
-      [&](const Event& e) { return (e.layer & layer_mask) != 0; });
+  std::erase_if(timeline_,
+                [&](const Event& e) { return (e.layer & layer_mask) != 0; });
   for (Layer layer : {kLayerUi, kLayerPacket, kLayerRadio}) {
     if ((layer_mask & layer) == 0) continue;
-    mutable_layer_index(layer).clear();
     PushCounters& pc = push_counters(layer);
     pc.events = 0;
     pc.bytes = 0;  // high_water deliberately survives (peak of the phase)
@@ -380,46 +320,6 @@ Collector::PushCounters& Collector::push_counters(Layer layer) {
 
 const Collector::PushCounters& Collector::push_counters(Layer layer) const {
   return const_cast<Collector*>(this)->push_counters(layer);
-}
-
-LayerIndex& Collector::mutable_layer_index(Layer layer) {
-  switch (layer) {
-    case kLayerUi:
-      return ui_index_;
-    case kLayerRadio:
-      return radio_index_;
-    default:
-      return packet_index_;
-  }
-}
-
-const LayerIndex& Collector::layer_index(Layer layer) const {
-  return const_cast<Collector*>(this)->mutable_layer_index(layer);
-}
-
-void Collector::index_event(const Event& e) {
-  LayerIndex& li = mutable_layer_index(e.layer);
-  if (li.at.empty() || !(e.at < li.at.back())) {
-    li.at.push_back(e.at);
-    li.kind.push_back(e.kind);
-    li.index.push_back(e.index);
-    return;
-  }
-  // Back-stamp fallback, mirroring the timeline's sorted insert.
-  const auto pos = std::upper_bound(li.at.begin(), li.at.end(), e.at);
-  const auto i = static_cast<std::size_t>(pos - li.at.begin());
-  li.at.insert(pos, e.at);
-  li.kind.insert(li.kind.begin() + static_cast<std::ptrdiff_t>(i), e.kind);
-  li.index.insert(li.index.begin() + static_cast<std::ptrdiff_t>(i), e.index);
-}
-
-std::pair<std::size_t, std::size_t> Collector::window(
-    Layer layer, sim::TimePoint start, sim::TimePoint end) const {
-  const LayerIndex& li = layer_index(layer);
-  const auto first = std::lower_bound(li.at.begin(), li.at.end(), start);
-  const auto last = std::upper_bound(first, li.at.end(), end);
-  return {static_cast<std::size_t>(first - li.at.begin()),
-          static_cast<std::size_t>(last - li.at.begin())};
 }
 
 EventPayload Collector::payload(const Event& e) const {
@@ -483,12 +383,7 @@ const radio::StatusRecord& Collector::status(const Event& e) const {
 }
 
 LayerCounters Collector::counters(Layer layer) const {
-  const PushCounters& pc = push_counters(layer);
-  LayerCounters out;
-  out.events = pc.events;
-  out.bytes = pc.bytes;
-  out.high_water = pc.high_water;
-  out.out_of_order = pc.out_of_order;
+  LayerCounters out = push_counters(layer);
   switch (layer) {
     case kLayerUi:
       out.dropped = behavior_ != nullptr ? behavior_->records_dropped() : 0;

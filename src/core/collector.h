@@ -35,10 +35,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -107,134 +105,6 @@ struct Event {
   EventKind kind = EventKind::kPacket;
   std::uint32_t index = 0;
   std::uint64_t seq = 0;
-};
-
-// Pooled arena for event envelopes: fixed-size pages, so a hot append is a
-// bump allocation that never relocates existing envelopes and memory grows
-// page-at-a-time instead of by vector doublings (clear() keeps the pages
-// pooled for the next phase). Mutating bulk operations (sorted back-stamp
-// insert, layer removal, backlog merge) exist for the rare attach/clear
-// paths only.
-class EventArena {
- public:
-  static constexpr std::size_t kPageShift = 10;  // 1024 events, 32 KiB pages
-  static constexpr std::size_t kPageSize = std::size_t{1} << kPageShift;
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const Event& operator[](std::size_t i) const {
-    return pages_[i >> kPageShift][i & (kPageSize - 1)];
-  }
-  Event& operator[](std::size_t i) {
-    return pages_[i >> kPageShift][i & (kPageSize - 1)];
-  }
-  const Event& back() const { return (*this)[size_ - 1]; }
-
-  void push_back(const Event& e);
-  void clear() { size_ = 0; }  // pages stay pooled
-
-  // Inserts keeping `at` order (rare: a front-end stamped behind the tail).
-  void insert_sorted(const Event& e);
-  // Merges a chunk that is itself sorted by `at`; existing events win ties.
-  void merge_sorted(const std::vector<Event>& chunk);
-  void assign(const std::vector<Event>& events);
-  // Stable compaction dropping events matching `pred`.
-  template <typename Pred>
-  void remove_if(Pred pred) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < size_; ++r) {
-      if (pred((*this)[r])) continue;
-      if (w != r) (*this)[w] = (*this)[r];
-      ++w;
-    }
-    size_ = w;
-  }
-
-  class const_iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = Event;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Event*;
-    using reference = const Event&;
-
-    const_iterator() = default;
-    const_iterator(const EventArena* arena, std::size_t i)
-        : arena_(arena), i_(i) {}
-    reference operator*() const { return (*arena_)[i_]; }
-    pointer operator->() const { return &(*arena_)[i_]; }
-    reference operator[](difference_type n) const {
-      return (*arena_)[i_ + static_cast<std::size_t>(n)];
-    }
-    const_iterator& operator++() { ++i_; return *this; }
-    const_iterator operator++(int) { auto t = *this; ++i_; return t; }
-    const_iterator& operator--() { --i_; return *this; }
-    const_iterator operator--(int) { auto t = *this; --i_; return t; }
-    const_iterator& operator+=(difference_type n) {
-      i_ = static_cast<std::size_t>(static_cast<difference_type>(i_) + n);
-      return *this;
-    }
-    const_iterator& operator-=(difference_type n) { return *this += -n; }
-    friend const_iterator operator+(const_iterator it, difference_type n) {
-      return it += n;
-    }
-    friend const_iterator operator+(difference_type n, const_iterator it) {
-      return it += n;
-    }
-    friend const_iterator operator-(const_iterator it, difference_type n) {
-      return it -= n;
-    }
-    friend difference_type operator-(const const_iterator& a,
-                                     const const_iterator& b) {
-      return static_cast<difference_type>(a.i_) -
-             static_cast<difference_type>(b.i_);
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.i_ == b.i_;
-    }
-    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return a.i_ != b.i_;
-    }
-    friend bool operator<(const const_iterator& a, const const_iterator& b) {
-      return a.i_ < b.i_;
-    }
-    friend bool operator>(const const_iterator& a, const const_iterator& b) {
-      return a.i_ > b.i_;
-    }
-    friend bool operator<=(const const_iterator& a, const const_iterator& b) {
-      return a.i_ <= b.i_;
-    }
-    friend bool operator>=(const const_iterator& a, const const_iterator& b) {
-      return a.i_ >= b.i_;
-    }
-
-   private:
-    const EventArena* arena_ = nullptr;
-    std::size_t i_ = 0;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, size_}; }
-
- private:
-  std::vector<std::unique_ptr<Event[]>> pages_;
-  std::size_t size_ = 0;
-};
-
-// Structure-of-arrays per-layer index: the fields a window fold actually
-// touches — timestamps for the two binary searches, then kind/index for the
-// sweep — live in separate contiguous arrays, so folds stream cache lines of
-// one layer instead of striding over the interleaved timeline.
-struct LayerIndex {
-  std::vector<sim::TimePoint> at;
-  std::vector<EventKind> kind;
-  std::vector<std::uint32_t> index;
-
-  std::size_t size() const { return at.size(); }
-  void clear() {
-    at.clear();
-    kind.clear();
-    index.clear();
-  }
 };
 
 // Variant payload view; pointers are into the front-end stores and remain
@@ -313,19 +183,7 @@ class Collector {
       std::function<void(const Collector&, const Event&)> fn);
 
   // --- the merged timeline ---
-  const EventArena& timeline() const { return timeline_; }
-  // Per-layer SoA view of the same events, for cache-friendly window folds.
-  const LayerIndex& layer_index(Layer layer) const;
-  // Events of `layer` with `at` in [start, end] inclusive: two binary
-  // searches over the SoA timestamps, returned as [first, last) positions
-  // into layer_index(layer).
-  std::pair<std::size_t, std::size_t> window(Layer layer, sim::TimePoint start,
-                                             sim::TimePoint end) const;
-  std::size_t events_in_window(Layer layer, sim::TimePoint start,
-                               sim::TimePoint end) const {
-    const auto [first, last] = window(layer, start, end);
-    return last - first;
-  }
+  const std::vector<Event>& timeline() const { return timeline_; }
   EventPayload payload(const Event& e) const;
   // Typed accessors; the event's kind must match.
   const BehaviorRecord& behavior(const Event& e) const;
@@ -367,11 +225,8 @@ class Collector {
   const obs::Context& observability() const { return obs_; }
 
  private:
-  struct PushCounters {
-    std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t high_water = 0;
-    std::uint64_t out_of_order = 0;
+  // `dropped` stays zero here: counters() reads it from the front-end.
+  struct PushCounters : LayerCounters {
     sim::TimePoint last_at;  // newest capture time this layer stamped
   };
 
@@ -382,8 +237,6 @@ class Collector {
   void backfill();
   PushCounters& push_counters(Layer layer);
   const PushCounters& push_counters(Layer layer) const;
-  LayerIndex& mutable_layer_index(Layer layer);
-  void index_event(const Event& e);
 
   device::Device* device_ = nullptr;
   AppBehaviorLog* behavior_ = nullptr;
@@ -393,8 +246,7 @@ class Collector {
   obs::Context obs_;
   bool running_ = true;
   std::uint64_t next_seq_ = 0;
-  EventArena timeline_;
-  LayerIndex ui_index_, packet_index_, radio_index_;
+  std::vector<Event> timeline_;
   PushCounters ui_counters_, packet_counters_, radio_counters_;
   HealthConfig health_cfg_;
   // Newest capture time across all layers; the reference clock for the

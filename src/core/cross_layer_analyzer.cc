@@ -1,23 +1,25 @@
 #include "core/cross_layer_analyzer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/app_analyzer.h"
 
 namespace qoed::core {
 
-DeviceNetworkSplit CrossLayerAnalyzer::device_network_split(
-    const BehaviorRecord& record, const std::string& hostname_substr) const {
+DeviceNetworkSplit device_network_split(const FlowAnalyzer& flows,
+                                        const BehaviorRecord& record,
+                                        const std::string& hostname_substr) {
   DeviceNetworkSplit out;
   const QoeWindow w = QoeWindow::for_traffic(record);
   out.total_s = sim::to_seconds(AppLayerAnalyzer::calibrate(record));
 
-  out.flow = flows_.dominant_flow(w.start, w.end, hostname_substr);
+  out.flow = flows.dominant_flow(w.start, w.end, hostname_substr);
   if (out.flow == nullptr) {
     out.device_s = out.total_s;
     return out;
   }
-  const auto span = flows_.flow_span_in_window(*out.flow, w.start, w.end);
+  const auto span = flows.flow_span_in_window(*out.flow, w.start, w.end);
   if (!span) {
     out.device_s = out.total_s;
     return out;
@@ -34,7 +36,7 @@ DeviceNetworkSplit CrossLayerAnalyzer::device_network_split(
   // running upload is not.
   std::uint64_t window_bytes = 0, trailing_bytes = 0;
   const sim::TimePoint trail_end = w.end + sim::sec(3);
-  const auto& trace = flows_.trace();
+  const auto& trace = flows.trace();
   for (std::size_t idx : out.flow->packet_indices) {
     const auto& r = trace[idx];
     if (r.timestamp >= w.start && r.timestamp <= w.end) {
@@ -48,10 +50,31 @@ DeviceNetworkSplit CrossLayerAnalyzer::device_network_split(
   return out;
 }
 
-FineBreakdown CrossLayerAnalyzer::network_breakdown(
-    const BehaviorRecord& record, const MappingResult& mapping,
-    const radio::QxdmLogger& qxdm, const RrcAnalyzer& rrc,
-    net::Direction dir) const {
+std::vector<double> first_hop_ota_rtts(const radio::QxdmLogger& qxdm,
+                                       net::Direction dir) {
+  std::vector<sim::TimePoint> polls;
+  for (const auto& p : qxdm.pdu_log()) {
+    if (p.dir == dir && p.poll) polls.push_back(p.at);
+  }
+  std::sort(polls.begin(), polls.end());
+  std::vector<double> out;
+  for (const auto& s : qxdm.status_log()) {
+    if (s.data_dir != dir) continue;
+    // Nearest preceding poll (§5.3's heuristic under group acknowledgement).
+    auto it = std::upper_bound(polls.begin(), polls.end(), s.at);
+    if (it == polls.begin()) continue;
+    --it;
+    const double rtt = sim::to_seconds(s.at - *it);
+    if (rtt > 0) out.push_back(rtt);
+  }
+  return out;
+}
+
+FineBreakdown network_breakdown(const FlowAnalyzer& flows,
+                                const BehaviorRecord& record,
+                                const MappingResult& mapping,
+                                const radio::QxdmLogger& qxdm,
+                                net::Direction dir) {
   FineBreakdown out;
   const QoeWindow w = QoeWindow::for_traffic(record);
 
@@ -115,9 +138,14 @@ FineBreakdown CrossLayerAnalyzer::network_breakdown(
   }
 
   // t2 — RLC transmission delay: sum of inter-PDU gaps within bursts, where
-  // a burst groups PDUs whose spacing is below the estimated first-hop OTA
-  // RTT (§7.2's burst analysis).
-  const double ota_rtt = std::max(rrc.mean_ota_rtt(dir), 1e-3);
+  // a burst groups PDUs whose spacing is below the mean first-hop OTA RTT
+  // (§7.2's burst analysis).
+  const std::vector<double> rtts = first_hop_ota_rtts(qxdm, dir);
+  const double mean_rtt =
+      rtts.empty() ? 0
+                   : std::accumulate(rtts.begin(), rtts.end(), 0.0) /
+                         static_cast<double>(rtts.size());
+  const double ota_rtt = std::max(mean_rtt, 1e-3);
   for (std::size_t i = 1; i < pdus.size(); ++i) {
     const double gap = sim::to_seconds(pdus[i]->at - pdus[i - 1]->at);
     if (gap <= ota_rtt) out.rlc_tx_s += gap;
@@ -125,7 +153,7 @@ FineBreakdown CrossLayerAnalyzer::network_breakdown(
 
   // t4 — everything outside the one-hop range (core latency, server
   // processing, ...).
-  const DeviceNetworkSplit split = device_network_split(record);
+  const DeviceNetworkSplit split = device_network_split(flows, record);
   out.network_s = split.network_s;
   out.other_s = std::max(0.0, out.network_s - out.ip_to_rlc_s - out.rlc_tx_s -
                                   out.first_hop_ota_s);

@@ -1,4 +1,4 @@
-// Cross-layer analyzer (§5.4).
+// Cross-layer analysis (§5.4).
 //
 // Two mappings, exactly as the paper structures them:
 //  - application <-> transport/network: a BehaviorRecord defines a QoE
@@ -12,13 +12,13 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/behavior_log.h"
 #include "core/flow_analyzer.h"
 #include "core/rlc_mapper.h"
-#include "core/rrc_analyzer.h"
+#include "radio/qxdm_logger.h"
 
 namespace qoed::core {
 
@@ -53,30 +53,29 @@ struct FineBreakdown {
   double network_s = 0;
 };
 
-class CrossLayerAnalyzer {
- public:
-  explicit CrossLayerAnalyzer(const FlowAnalyzer& flows) : flows_(flows) {}
+// §5.4.1: QoE window -> responsible flow -> device/network latency split.
+// The network component spans the earliest to the latest packet of the
+// responsible flow inside the window. `network_on_critical_path` is false
+// when the flow's activity ends after the window (local-echo posts) or no
+// flow ran at all.
+DeviceNetworkSplit device_network_split(
+    const FlowAnalyzer& flows, const BehaviorRecord& record,
+    const std::string& hostname_substr = "");
 
-  // §5.4.1: QoE window -> responsible flow -> device/network latency split.
-  // The network component spans the earliest to the latest packet of the
-  // responsible flow inside the window. `network_on_critical_path` is false
-  // when the flow's activity ends after the window (local-echo posts) or no
-  // flow ran at all.
-  DeviceNetworkSplit device_network_split(
-      const BehaviorRecord& record,
-      const std::string& hostname_substr = "") const;
+// First-hop OTA RTT samples (seconds) for `dir` data (§5.3): each STATUS
+// record paired with the latest poll PDU of that direction at or before
+// it. Poll times are sorted first, so a poll record a capture fault
+// released late still pairs by its timestamp.
+std::vector<double> first_hop_ota_rtts(const radio::QxdmLogger& qxdm,
+                                       net::Direction dir);
 
-  // §5.4.2: fine-grained network latency breakdown of the QoE window from
-  // the RLC mapping and radio logs. `dir` selects the dominant direction of
-  // the transfer (uplink for photo posting).
-  FineBreakdown network_breakdown(const BehaviorRecord& record,
-                                  const MappingResult& mapping,
-                                  const radio::QxdmLogger& qxdm,
-                                  const RrcAnalyzer& rrc,
-                                  net::Direction dir) const;
-
- private:
-  const FlowAnalyzer& flows_;
-};
+// §5.4.2: fine-grained network latency breakdown of the QoE window from
+// the RLC mapping and radio logs. `dir` selects the dominant direction of
+// the transfer (uplink for photo posting).
+FineBreakdown network_breakdown(const FlowAnalyzer& flows,
+                                const BehaviorRecord& record,
+                                const MappingResult& mapping,
+                                const radio::QxdmLogger& qxdm,
+                                net::Direction dir);
 
 }  // namespace qoed::core

@@ -10,7 +10,7 @@
 // folds packets into FlowStats one record at a time, so it can either be
 // built over a finished trace or subscribe to the collection spine's packet
 // events and stay current while the experiment runs (attach()). Repeated
-// analysis passes (QoeDoctor::analyze) therefore reuse one analyzer instead
+// analysis passes (QoeDoctor::flows) therefore reuse one analyzer instead
 // of copying the trace and rebuilding per call.
 //
 // Lifetime rules: the borrowed trace vector must outlive the analyzer and

@@ -2,48 +2,6 @@
 
 namespace qoed::core {
 
-MultiLayerAnalyzer::MultiLayerAnalyzer(device::Device& dev, FlowAnalyzer& flows)
-    : device_(dev), flows_(&flows) {
-  cross_ = std::make_unique<CrossLayerAnalyzer>(*flows_);
-  if (auto* cell = dev.cellular()) {
-    rrc_ = std::make_unique<RrcAnalyzer>(cell->qxdm(), cell->config().rrc);
-    energy_ = std::make_unique<EnergyAnalyzer>(cell->qxdm(),
-                                               cell->config().rrc);
-  }
-}
-
-MultiLayerAnalyzer::MultiLayerAnalyzer(device::Device& dev)
-    : device_(dev),
-      owned_flows_(std::make_unique<FlowAnalyzer>(dev.trace().records())) {
-  flows_ = owned_flows_.get();
-  cross_ = std::make_unique<CrossLayerAnalyzer>(*flows_);
-  if (auto* cell = dev.cellular()) {
-    rrc_ = std::make_unique<RrcAnalyzer>(cell->qxdm(), cell->config().rrc);
-    energy_ = std::make_unique<EnergyAnalyzer>(cell->qxdm(),
-                                               cell->config().rrc);
-  }
-}
-
-MappingResult MultiLayerAnalyzer::map_rlc(net::Direction dir) const {
-  auto* cell = device_.cellular();
-  if (cell == nullptr) return {};
-  return RlcMapper::map(device_.trace().records(), cell->qxdm().pdu_log(),
-                        dir);
-}
-
-DeviceNetworkSplit MultiLayerAnalyzer::split(
-    const BehaviorRecord& record, const std::string& hostname_substr) const {
-  return cross_->device_network_split(record, hostname_substr);
-}
-
-std::optional<FineBreakdown> MultiLayerAnalyzer::fine_breakdown(
-    const BehaviorRecord& record, net::Direction dir) const {
-  auto* cell = device_.cellular();
-  if (cell == nullptr || !rrc_) return std::nullopt;
-  const MappingResult mapping = map_rlc(dir);
-  return cross_->network_breakdown(record, mapping, cell->qxdm(), *rrc_, dir);
-}
-
 QoeDoctor::QoeDoctor(device::Device& dev, apps::AndroidApp& app,
                      UiControllerConfig cfg)
     : device_(dev),

@@ -2,14 +2,15 @@
 //
 // Ties together the two halves of the tool for one device+app pair:
 //   - the online QoE-aware UI controller (replay + data collection), and
-//   - the offline multi-layer QoE analyzer, constructed on demand from the
-//     collected logs (AppBehaviorLog, packet trace, QxDM radio log).
+//   - the multi-layer QoE analysis over the collected logs (AppBehaviorLog,
+//     packet trace, QxDM radio log): the streaming flows(), the cross-layer
+//     functions over them, RlcMapper::map, and diag::RrcStateTracker for
+//     the radio layer.
 //
-// Umbrella header: including this pulls in the whole public API.
+// Umbrella header: including this pulls in the core public API.
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/app_analyzer.h"
 #include "core/behavior_log.h"
@@ -21,7 +22,6 @@
 #include "core/flow_analyzer.h"
 #include "core/report.h"
 #include "core/rlc_mapper.h"
-#include "core/rrc_analyzer.h"
 #include "core/scenario.h"
 #include "core/stats.h"
 #include "core/ui_controller.h"
@@ -34,45 +34,6 @@ struct DiagnosisConfig;
 }  // namespace qoed::diag
 
 namespace qoed::core {
-
-// Analysis bundle over whatever the device collected. Borrows a streaming
-// FlowAnalyzer (zero copy — QoeDoctor::analyze passes its own, which stays
-// current via the collection spine) or, in the self-contained form, builds
-// one over the device trace without copying it. The optional radio-layer
-// analyzers are valid only while the device's cellular link is alive.
-class MultiLayerAnalyzer {
- public:
-  // Borrowing form: `flows` must outlive the analyzer and must analyze the
-  // device's own trace.
-  MultiLayerAnalyzer(device::Device& dev, FlowAnalyzer& flows);
-  // Self-contained form: builds a FlowAnalyzer over the device trace.
-  explicit MultiLayerAnalyzer(device::Device& dev);
-
-  FlowAnalyzer& flows() { return *flows_; }
-  CrossLayerAnalyzer& cross_layer() { return *cross_; }
-  bool has_radio() const { return rrc_ != nullptr; }
-  RrcAnalyzer& rrc() { return *rrc_; }          // requires has_radio()
-  EnergyAnalyzer& energy() { return *energy_; }  // requires has_radio()
-
-  // Runs the long-jump IP->RLC mapping for one direction (radio only).
-  MappingResult map_rlc(net::Direction dir) const;
-
-  // One-call Fig. 7-style split for a behavior record.
-  DeviceNetworkSplit split(const BehaviorRecord& record,
-                           const std::string& hostname_substr = "") const;
-
-  // One-call Fig. 8-style fine breakdown (radio only).
-  std::optional<FineBreakdown> fine_breakdown(const BehaviorRecord& record,
-                                              net::Direction dir) const;
-
- private:
-  device::Device& device_;
-  FlowAnalyzer* flows_ = nullptr;         // borrowed, or owned_flows_.get()
-  std::unique_ptr<FlowAnalyzer> owned_flows_;
-  std::unique_ptr<CrossLayerAnalyzer> cross_;
-  std::unique_ptr<RrcAnalyzer> rrc_;
-  std::unique_ptr<EnergyAnalyzer> energy_;
-};
 
 class QoeDoctor {
  public:
@@ -107,10 +68,6 @@ class QoeDoctor {
   // runs. The device records on one track named "device:<name>".
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }
-
-  // Analysis of everything collected so far; borrows the streaming
-  // FlowAnalyzer, so no trace copy and no per-call rebuild.
-  MultiLayerAnalyzer analyze() { return MultiLayerAnalyzer(device_, flows_); }
 
   // Clears all collected data (behavior log, trace, radio log) so separate
   // experiment phases don't contaminate each other. Drop counters reset

@@ -4,7 +4,6 @@
 
 #include "core/cross_layer_analyzer.h"
 #include "core/report.h"
-#include "core/rrc_analyzer.h"
 #include "device/device.h"
 #include "radio/cellular_link.h"
 
@@ -70,9 +69,8 @@ void DiagnosisEngine::finalize(const PendingWindow& w0,
   f.window_end = w.end;
   f.timed_out = r.timed_out;
 
-  const core::CrossLayerAnalyzer cross(*flows_);
   const core::DeviceNetworkSplit split =
-      cross.device_network_split(r, cfg_.hostname_substr);
+      core::device_network_split(*flows_, r, cfg_.hostname_substr);
   f.total_s = split.total_s;
   f.device_s = split.device_s;
   f.network_s = split.network_s;
@@ -93,8 +91,7 @@ void DiagnosisEngine::finalize(const PendingWindow& w0,
     f.promotion_overlap = tracker_->promotion_in(w.start, w.end);
     f.transitions = tracker_->transitions_in_count(w.start, w.end);
     f.energy_j = tracker_->energy_joules(w.start, w.end);
-    const core::EnergyAnalyzer energy(cell->qxdm(), cell->config().rrc);
-    const core::EnergyBreakdown eb = energy.analyze(w.start, w.end);
+    const EnergyBreakdown eb = tracker_->energy_breakdown(w.start, w.end);
     f.tail_j = eb.tail_joules;
     f.tail_share = eb.total_joules > 0 ? eb.tail_joules / eb.total_joules : 0;
     // Traffic crossed the radio but no radio record covers the window: the

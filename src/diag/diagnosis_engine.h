@@ -1,13 +1,13 @@
 // Live cross-layer root-cause attribution (§5.4, online).
 //
 // The batch path answers "why was this interaction slow?" after the run:
-// CrossLayerAnalyzer splits the QoE window into device vs network time,
-// RrcAnalyzer checks for an overlapping promotion, EnergyAnalyzer prices
-// the window's tail energy. The DiagnosisEngine produces the same answers
-// *while the experiment runs*: it subscribes to all three spine layers,
-// opens a pending window for every behavior record, and finalizes it into
-// a Finding as soon as the event stream guarantees the answer can no
-// longer change.
+// core::device_network_split splits the QoE window into device vs network
+// time, and an RrcStateTracker over the finished radio log checks for an
+// overlapping promotion and prices the window's tail energy. The
+// DiagnosisEngine produces the same answers *while the experiment runs*:
+// it subscribes to all three spine layers, opens a pending window for
+// every behavior record, and finalizes it into a Finding as soon as the
+// event stream guarantees the answer can no longer change.
 //
 // Watermark rule: the device/network split probes traffic up to
 // window_end + trailing (the paper's local-echo heuristic), so a window is
@@ -18,13 +18,13 @@
 //
 // Equivalence contract (enforced by diag_test): every Finding field is
 // bit-identical to the batch analyzers run post-hoc over the same logs —
-// the split comes from the same CrossLayerAnalyzer over the same streaming
-// FlowAnalyzer, residency/energy from the RrcStateTracker (itself
-// bit-exact against RrcAnalyzer), and the tail split from EnergyAnalyzer
-// over the same window. One caveat: a DNS response captured only *after* a
-// window finalizes can backfill a flow's hostname in the batch view; with
-// the default (empty) hostname filter this affects only the Finding's
-// hostname label, never the attribution.
+// the split comes from the same device_network_split over the same
+// streaming FlowAnalyzer, and residency, energy and the tail split from the
+// RrcStateTracker (itself bit-exact against radio::compute_residency). One
+// caveat: a DNS response captured only *after* a window finalizes can
+// backfill a flow's hostname in the batch view; with the default (empty)
+// hostname filter this affects only the Finding's hostname label, never
+// the attribution.
 #pragma once
 
 #include <cstddef>
@@ -54,10 +54,10 @@ namespace qoed::diag {
 
 struct DiagnosisConfig {
   // Restricts responsible-flow attribution to hosts matching this
-  // substring (empty = any flow), as in CrossLayerAnalyzer.
+  // substring (empty = any flow), as in core::device_network_split.
   std::string hostname_substr;
   // How far past the window the local-echo probe looks; must match
-  // CrossLayerAnalyzer::device_network_split's trailing-traffic window.
+  // core::device_network_split's trailing-traffic window.
   sim::Duration trailing = sim::sec(3);
   // Extra watermark grace beyond `trailing` before a pending window is
   // finalized. Zero for perfect capture; under bounded-lateness capture
@@ -74,8 +74,8 @@ struct DiagnosisConfig {
 // One diagnosed UI-latency window. Latency fields mirror
 // DeviceNetworkSplit; radio fields are zero when the device had no
 // cellular link (has_radio false). energy_j is the residency-based value
-// (RrcAnalyzer::energy_joules); tail_j/tail_share come from
-// EnergyAnalyzer's activity split over the same window.
+// (RrcStateTracker::energy_joules); tail_j/tail_share come from its
+// energy_breakdown over the same window.
 struct Finding {
   std::size_t behavior_index = 0;
   std::string action;

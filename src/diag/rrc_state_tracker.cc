@@ -1,6 +1,7 @@
 #include "diag/rrc_state_tracker.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace qoed::diag {
 
@@ -16,6 +17,22 @@ bool is_promotion(const radio::RrcTransitionRecord& t) {
 bool is_demotion(const radio::RrcTransitionRecord& t) {
   return (!radio::is_low_power(t.from) && radio::is_low_power(t.to)) ||
          (t.from == radio::RrcState::kDch && t.to == radio::RrcState::kFach);
+}
+
+using Times = std::vector<sim::TimePoint>;
+
+// The sorted `times` in [start, end] (inclusive), as an iterator range.
+std::pair<Times::const_iterator, Times::const_iterator> in_window(
+    const Times& times, sim::TimePoint start, sim::TimePoint end) {
+  const auto lo = std::lower_bound(times.begin(), times.end(), start);
+  return {lo, std::upper_bound(lo, times.end(), end)};
+}
+
+// Index of the first of the sorted `times` after t, so the entry before it
+// is the last at or before t (ties resolve to the latest record).
+std::size_t first_after(const Times& times, sim::TimePoint t) {
+  return static_cast<std::size_t>(
+      std::upper_bound(times.begin(), times.end(), t) - times.begin());
 }
 
 }  // namespace
@@ -87,10 +104,7 @@ void RrcStateTracker::reset() {
 }
 
 RrcStateTracker::CumResidency RrcStateTracker::cum_at(sim::TimePoint t) const {
-  // First checkpoint after t; ties resolve to the latest record, matching
-  // radio::first_after over the old array-of-structs checkpoints.
-  const std::size_t i = static_cast<std::size_t>(
-      std::upper_bound(cp_at_.begin(), cp_at_.end(), t) - cp_at_.begin());
+  const std::size_t i = first_after(cp_at_, t);
   if (i == 0) {
     CumResidency cum{};
     cum[slot(cfg_.idle_state())] = (t - sim::kTimeZero).count();
@@ -121,31 +135,76 @@ double RrcStateTracker::energy_joules(sim::TimePoint start,
   return radio::energy_joules(residency(start, end), cfg_);
 }
 
+EnergyBreakdown RrcStateTracker::energy_breakdown(sim::TimePoint start,
+                                                  sim::TimePoint end) const {
+  EnergyBreakdown out;
+  if (end <= start) return out;
+
+  // Merged [lo, hi] intervals around the window's PDU records.
+  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> activity;
+  const auto [first, last] = in_window(pdu_at_, start, end);
+  for (auto it = first; it != last; ++it) {
+    const sim::TimePoint lo = *it - kActivityGuard;
+    const sim::TimePoint hi = *it + kActivityGuard;
+    if (!activity.empty() && lo <= activity.back().second) {
+      activity.back().second = std::max(activity.back().second, hi);
+    } else {
+      activity.emplace_back(lo, hi);
+    }
+  }
+
+  // Piecewise state timeline over [start, end], in log order: the last
+  // transition at or before `start` sets the state there.
+  std::size_t next = first_after(cp_at_, start);
+  radio::RrcState state = next > 0 ? cp_state_[next - 1] : cfg_.idle_state();
+  sim::TimePoint cursor = start;
+  auto emit = [&](sim::TimePoint seg_start, sim::TimePoint seg_end,
+                  radio::RrcState s) {
+    if (seg_end <= seg_start) return;
+    const double power_w = cfg_.params(s).power_mw / 1000.0;
+    const double joules = power_w * sim::to_seconds(seg_end - seg_start);
+    out.total_joules += joules;
+    if (!radio::is_high_power(s)) return;  // low power: never tail
+    // Split the high-power segment into active vs idle (tail) parts.
+    sim::Duration active{};
+    for (const auto& [lo, hi] : activity) {
+      const sim::TimePoint a = std::max(lo, seg_start);
+      const sim::TimePoint b = std::min(hi, seg_end);
+      if (b > a) active += b - a;
+    }
+    const double active_j = power_w * sim::to_seconds(active);
+    out.tail_joules += joules - active_j;
+  };
+  for (; next < cp_at_.size() && cp_at_[next] < end; ++next) {
+    emit(cursor, cp_at_[next], state);
+    cursor = cp_at_[next];
+    state = cp_state_[next];
+  }
+  emit(cursor, end, state);
+  out.non_tail_joules = out.total_joules - out.tail_joules;
+  return out;
+}
+
 bool RrcStateTracker::promotion_in(sim::TimePoint start,
                                    sim::TimePoint end) const {
-  const auto lo =
-      std::lower_bound(promotion_at_.begin(), promotion_at_.end(), start);
-  return lo != promotion_at_.end() && *lo <= end;
+  const auto [lo, hi] = in_window(promotion_at_, start, end);
+  return lo != hi;
 }
 
 std::size_t RrcStateTracker::transitions_in_count(sim::TimePoint start,
                                                   sim::TimePoint end) const {
-  const auto lo = std::lower_bound(cp_at_.begin(), cp_at_.end(), start);
-  const auto hi = std::upper_bound(lo, cp_at_.end(), end);
+  const auto [lo, hi] = in_window(cp_at_, start, end);
   return static_cast<std::size_t>(hi - lo);
 }
 
 std::size_t RrcStateTracker::pdus_in_count(sim::TimePoint start,
                                            sim::TimePoint end) const {
-  if (end < start) return 0;
-  const auto lo = std::lower_bound(pdu_at_.begin(), pdu_at_.end(), start);
-  const auto hi = std::upper_bound(lo, pdu_at_.end(), end);
+  const auto [lo, hi] = in_window(pdu_at_, start, end);
   return static_cast<std::size_t>(hi - lo);
 }
 
 radio::RrcState RrcStateTracker::state_at(sim::TimePoint t) const {
-  const std::size_t i = static_cast<std::size_t>(
-      std::upper_bound(cp_at_.begin(), cp_at_.end(), t) - cp_at_.begin());
+  const std::size_t i = first_after(cp_at_, t);
   return i > 0 ? cp_state_[i - 1] : cfg_.idle_state();
 }
 

@@ -1,21 +1,22 @@
-// Streaming RRC state tracker (live half of §5.3).
+// RRC state tracker: the one RRC residency, energy and tail-energy
+// analyzer (§5.3), live or batch.
 //
-// The batch RrcAnalyzer answers residency/energy/promotion queries by
-// walking the finished QxDM log. This tracker folds the same
-// RrcTransitionRecord/PduRecord stream online — as a CollectorSink on the
-// spine's radio layer — into per-transition checkpoints carrying cumulative
+// The tracker folds the QxDM RrcTransitionRecord/PduRecord stream — online
+// as a CollectorSink on the spine's radio layer, or in one pass over a
+// finished log — into per-transition checkpoints carrying cumulative
 // per-state residency (integer microseconds since time zero), plus
-// promotion/demotion counters and a sorted promotion-time index. Any
-// mid-run window query is then two binary searches and an integer
-// subtraction, the same design as FlowAnalyzer's WindowIndex.
+// promotion/demotion counters, a sorted promotion-time index and the sorted
+// PDU timestamps. Any window query is then a few binary searches, the same
+// design as FlowAnalyzer's WindowIndex. Batch use is construct-then-query:
+// the constructor folds everything the log already holds.
 //
 // Equivalence contract (enforced by diag_test): for every window whose
-// records have been folded in, residency() and energy_joules() are
-// bit-identical to RrcAnalyzer::residency/energy_joules over the same log —
-// residencies are exact integer durations, so the prefix-sum difference
-// C(end) - C(start) reproduces the batch walk's per-state totals, and the
-// energy sum iterates states in the same (enum) order over the same
-// doubles.
+// records have been folded in, residency() is bit-identical to
+// radio::compute_residency over the same log — residencies are exact
+// integer durations, so the prefix-sum difference C(end) - C(start)
+// reproduces the reference walk's per-state totals — and energy_joules()
+// to radio::energy_joules of it, since both sum states in the same (enum)
+// order over the same doubles.
 //
 // Ingestion follows the FlowAnalyzer idiom: the tracker borrows the
 // QxdmLogger's record vectors (which only grow between syncs), keeps
@@ -38,10 +39,22 @@
 
 namespace qoed::diag {
 
+// Tail-energy accounting (§5.3, following the paper's cited definition):
+// energy spent in high-power RRC states while no data-plane PDUs are moving
+// (i.e. the inactivity-timer residency after each burst). Everything else is
+// non-tail.
+struct EnergyBreakdown {
+  double total_joules = 0;
+  double tail_joules = 0;
+  double non_tail_joules = 0;  // total - tail
+};
+
 class RrcStateTracker : public core::CollectorSink {
  public:
   // One slot per RrcState enumerator.
   static constexpr std::size_t kStateCount = 7;
+  // How far around a PDU record the radio counts as active.
+  static constexpr sim::Duration kActivityGuard = sim::msec(200);
 
   // Borrows `log` (must outlive the tracker, or be superseded via a
   // radio-layer clear notification) and folds in everything it holds.
@@ -69,11 +82,16 @@ class RrcStateTracker : public core::CollectorSink {
   // are omitted — in() and energy sums are unaffected).
   radio::StateResidency residency(sim::TimePoint start,
                                   sim::TimePoint end) const;
-  // Energy of the residency under the tracked RrcConfig; bit-identical to
-  // RrcAnalyzer::energy_joules.
+  // Energy of the residency under the tracked RrcConfig.
   double energy_joules(sim::TimePoint start, sim::TimePoint end) const;
+  // Splits the energy over [start, end] into tail and non-tail: the part of
+  // each high-power segment farther than kActivityGuard from every PDU
+  // record is tail. Reads PDU times from the sorted index, so a record a
+  // capture fault released late still counts.
+  EnergyBreakdown energy_breakdown(sim::TimePoint start,
+                                   sim::TimePoint end) const;
   // True when a promotion (low-power origin, or FACH->DCH) lies in
-  // [start, end] — the RrcAnalyzer::promotion_in predicate.
+  // [start, end].
   bool promotion_in(sim::TimePoint start, sim::TimePoint end) const;
   // Number of transitions with timestamp in [start, end].
   std::size_t transitions_in_count(sim::TimePoint start,

@@ -18,8 +18,8 @@
 //
 // Cost contract: when disabled (the default) every recording call is a
 // single branch — cheap enough to leave compiled into the hot paths
-// (bench_analyzer_throughput enforces <= 5% overhead for
-// compiled-in-but-disabled). Callers that build args strings should guard
+// (disabled_tracing_test holds a wired, disabled tracer to the exact heap
+// allocations of no tracer). Callers that build args strings should guard
 // with `t != nullptr && t->enabled()` so the formatting cost is also skipped.
 //
 // Wall-clock time never enters a Tracer. Real-time profiling belongs in the

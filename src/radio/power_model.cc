@@ -46,15 +46,4 @@ double energy_joules(const StateResidency& residency, const RrcConfig& cfg) {
   return joules;
 }
 
-double active_energy_joules(const StateResidency& residency,
-                            const RrcConfig& cfg) {
-  double joules = 0;
-  for (const auto& [state, d] : residency.time_in_state) {
-    if (is_high_power(state)) {
-      joules += cfg.params(state).power_mw / 1000.0 * sim::to_seconds(d);
-    }
-  }
-  return joules;
-}
-
 }  // namespace qoed::radio

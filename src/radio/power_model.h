@@ -34,8 +34,4 @@ StateResidency compute_residency(const std::vector<RrcTransitionRecord>& log,
 // Total energy in joules for the residency under `cfg`'s power levels.
 double energy_joules(const StateResidency& residency, const RrcConfig& cfg);
 
-// Energy spent in transfer-capable (high-power) states only.
-double active_energy_joules(const StateResidency& residency,
-                            const RrcConfig& cfg);
-
 }  // namespace qoed::radio

@@ -1,16 +1,17 @@
 // Binary-search helpers over time-ordered record vectors.
 //
-// Every log a QxdmLogger (or any front-end store) captures is appended in
-// virtual-time order — the simulation is single-threaded in virtual time —
-// so record timestamps are nondecreasing and window queries can locate
-// their [start, end] subrange with two binary searches instead of scanning
-// the whole log. The batch analyzers (RrcAnalyzer, EnergyAnalyzer) and the
-// live diag::RrcStateTracker share these helpers so their window semantics
-// (inclusive on both ends, matching the original linear scans) stay
-// identical by construction.
+// A QxdmLogger appends records in virtual-time order — the simulation is
+// single-threaded in virtual time — so on a clean capture record
+// timestamps are nondecreasing and window queries can locate their
+// [start, end] subrange with two binary searches instead of scanning the
+// whole log. radio::compute_residency and browser_rrc_study's transition
+// listing use these helpers; their window semantics (inclusive on both
+// ends) match diag::RrcStateTracker's.
 //
-// Precondition: `log` is sorted by `.at` (nondecreasing). Captured logs
-// always are; hand-built logs must be constructed in time order.
+// Precondition: `log` is sorted by `.at` (nondecreasing). A capture fault
+// that delays records (fault/fault_injector.h) commits them late with
+// their timestamps intact and breaks it; code that must tolerate such a
+// log sorts the timestamps first, as RrcStateTracker does for PDU records.
 #pragma once
 
 #include <algorithm>

@@ -487,192 +487,116 @@ TEST_F(CollectorHealthTest, CountersSurfaceHealthAndOutOfOrder) {
   collector_.counters_table().print();  // renders the health column
 }
 
-// --- event arena + per-layer SoA index (hot-path memory layout) ---
+// --- timeline ordering under back-stamps, backlog merges and clears ---
 
-Event arena_event(double at_s, std::uint32_t index) {
-  Event e;
-  e.at = health_at(at_s);
-  e.layer = kLayerPacket;
-  e.kind = EventKind::kPacket;
-  e.index = index;
-  e.seq = index;
-  return e;
-}
-
-TEST(EventArenaTest, PushAcrossPageBoundariesKeepsEveryEvent) {
-  EventArena arena;
-  const std::size_t n = EventArena::kPageSize * 3 + 17;
-  for (std::size_t i = 0; i < n; ++i) {
-    arena.push_back(arena_event(0.001 * static_cast<double>(i),
-                                static_cast<std::uint32_t>(i)));
-  }
-  ASSERT_EQ(arena.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(arena[i].index, static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(arena.back().index, static_cast<std::uint32_t>(n - 1));
-}
-
-TEST(EventArenaTest, ClearPoolsPagesAndRefillWorks) {
-  EventArena arena;
-  for (std::uint32_t i = 0; i < 2500; ++i) arena.push_back(arena_event(i, i));
-  arena.clear();
-  EXPECT_TRUE(arena.empty());
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    arena.push_back(arena_event(i, i + 1000));
-  }
-  ASSERT_EQ(arena.size(), 100u);
-  EXPECT_EQ(arena[0].index, 1000u);
-  EXPECT_EQ(arena[99].index, 1099u);
-}
-
-TEST(EventArenaTest, InsertSortedPlacesBackStampAndShiftsTail) {
-  EventArena arena;
-  arena.push_back(arena_event(1.0, 0));
-  arena.push_back(arena_event(2.0, 1));
-  arena.push_back(arena_event(3.0, 2));
-  arena.insert_sorted(arena_event(1.5, 3));
-  // Equal timestamps land after existing events (upper_bound semantics).
-  arena.insert_sorted(arena_event(2.0, 4));
-  ASSERT_EQ(arena.size(), 5u);
-  EXPECT_TRUE(std::is_sorted(arena.begin(), arena.end(),
-                             [](const Event& a, const Event& b) {
-                               return a.at < b.at;
-                             }));
-  EXPECT_EQ(arena[1].index, 3u);
-  EXPECT_EQ(arena[2].index, 1u);
-  EXPECT_EQ(arena[3].index, 4u);
-}
-
-TEST(EventArenaTest, MergeSortedInterleavesChunkAndRemoveIfCompacts) {
-  EventArena arena;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    arena.push_back(arena_event(2 * i, i));  // at 0, 2, 4, ... 14
-  }
-  std::vector<Event> chunk;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    chunk.push_back(arena_event(2 * i + 1, 100 + i));  // at 1, 3, ... 15
-  }
-  arena.merge_sorted(chunk);
-  ASSERT_EQ(arena.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(arena[i].at, health_at(static_cast<double>(i)));
-    EXPECT_EQ(arena[i].index, i % 2 == 0 ? i / 2 : 100 + i / 2);
-  }
-
-  arena.remove_if([](const Event& e) { return e.index >= 100; });
-  ASSERT_EQ(arena.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(arena[i].index, static_cast<std::uint32_t>(i));  // stable order
-  }
-}
-
-TEST(EventArenaTest, RandomAccessIteratorSupportsBinarySearch) {
-  EventArena arena;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    arena.push_back(arena_event(0.01 * static_cast<double>(i), i));
-  }
-  const auto it = std::lower_bound(
-      arena.begin(), arena.end(), health_at(15.0),
-      [](const Event& e, sim::TimePoint t) { return e.at < t; });
-  ASSERT_NE(it, arena.end());
-  EXPECT_EQ(it->index, 1500u);
-  EXPECT_EQ(arena.end() - arena.begin(),
-            static_cast<std::ptrdiff_t>(arena.size()));
-}
-
-TEST_F(CollectorHealthTest, BackStampKeepsTimelineAndLayerIndexAligned) {
+TEST_F(CollectorHealthTest, BackStampLandsAfterEqualTimestamps) {
   add_packet(1.0);
   add_packet(2.0);
-  add_packet(1.5);  // back-stamped: sorted insert in timeline AND SoA index
-  const EventArena& tl = collector_.timeline();
+  add_packet(3.0);
+  add_packet(1.5);  // back-stamped: sorted insert
+  add_packet(2.0);  // back-stamped onto an existing timestamp
+  const std::vector<Event>& tl = collector_.timeline();
+  ASSERT_EQ(tl.size(), 5u);
+  EXPECT_TRUE(std::is_sorted(
+      tl.begin(), tl.end(),
+      [](const Event& a, const Event& b) { return a.at < b.at; }));
+  // Store indices in timeline order: the second 2.0 s packet lands after
+  // the first (upper_bound semantics), and the tail shifted right.
+  std::vector<std::uint32_t> order;
+  for (const Event& e : tl) order.push_back(e.index);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 3, 1, 4, 2}));
+}
+
+TEST_F(CollectorHealthTest, BackStampKeepsTimelineSortedAndAligned) {
+  add_packet(1.0);
+  add_packet(2.0);
+  add_packet(1.5);  // back-stamped: sorted insert into the timeline
+  const std::vector<Event>& tl = collector_.timeline();
   ASSERT_EQ(tl.size(), 3u);
   EXPECT_TRUE(std::is_sorted(
       tl.begin(), tl.end(),
       [](const Event& a, const Event& b) { return a.at < b.at; }));
-
-  const LayerIndex& li = collector_.layer_index(kLayerPacket);
-  ASSERT_EQ(li.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(li.at.begin(), li.at.end()));
-  // The SoA arrays stay parallel: each slot's timestamp matches the payload
-  // the index column points at.
-  for (std::size_t i = 0; i < li.size(); ++i) {
-    EXPECT_EQ(li.at[i], dev_->trace().records()[li.index[i]].timestamp);
-    EXPECT_EQ(li.kind[i], EventKind::kPacket);
+  // Every envelope stays aligned with its store: its timestamp matches the
+  // record its index points at, and its tags name the packet layer.
+  const auto& records = dev_->trace().records();
+  for (const Event& e : tl) {
+    ASSERT_LT(e.index, records.size());
+    EXPECT_EQ(e.at, records[e.index].timestamp);
+    EXPECT_EQ(e.at, collector_.packet(e).timestamp);
+    EXPECT_EQ(e.layer, kLayerPacket);
+    EXPECT_EQ(e.kind, EventKind::kPacket);
   }
+  EXPECT_EQ(collector_.counters(kLayerPacket).events, 3u);
 }
 
-TEST_F(CollectorHealthTest, WindowMatchesManualTimelineScan) {
-  for (int i = 0; i < 40; ++i) add_packet(0.25 * i);
+TEST_F(CollectorHealthTest, AttachMergesRadioBacklogByTime) {
+  // Stores filled while detached: packets at 0, 2, 4, 6 s and RRC records
+  // at 1, 3, 4, 5, 7 s — the 4 s record ties a packet.
+  collector_.detach();
   auto& qxdm = dev_->cellular()->qxdm();
-  qxdm.log_rrc(radio::RrcState::kPch, radio::RrcState::kFach, health_at(2.0));
-  qxdm.log_rrc(radio::RrcState::kFach, radio::RrcState::kDch, health_at(4.0));
-
-  const auto manual = [&](Layer layer, double s, double e) {
-    std::size_t n = 0;
-    for (const Event& ev : collector_.timeline()) {
-      if (ev.layer == layer && ev.at >= health_at(s) && ev.at <= health_at(e)) {
-        ++n;
-      }
-    }
-    return n;
-  };
-  for (const auto& [s, e] : std::vector<std::pair<double, double>>{
-           {0.0, 10.0}, {1.0, 3.0}, {2.5, 2.5}, {9.9, 20.0}, {12.0, 14.0}}) {
-    EXPECT_EQ(collector_.events_in_window(kLayerPacket, health_at(s),
-                                          health_at(e)),
-              manual(kLayerPacket, s, e))
-        << "[" << s << ", " << e << "]";
-    EXPECT_EQ(collector_.events_in_window(kLayerRadio, health_at(s),
-                                          health_at(e)),
-              manual(kLayerRadio, s, e))
-        << "[" << s << ", " << e << "]";
+  for (double at : {0.0, 2.0, 4.0, 6.0}) add_packet(at);
+  for (double at : {1.0, 3.0, 4.0, 5.0, 7.0}) {
+    qxdm.log_rrc(radio::RrcState::kPch, radio::RrcState::kFach, health_at(at));
   }
-
-  // The window is inclusive on both ends: a packet stamped exactly at each
-  // boundary counts.
-  const auto [first, last] =
-      collector_.window(kLayerPacket, health_at(0.25), health_at(0.5));
-  EXPECT_EQ(last - first, 2u);
-  const LayerIndex& li = collector_.layer_index(kLayerPacket);
-  EXPECT_EQ(li.at[first], health_at(0.25));
-  EXPECT_EQ(li.at[last - 1], health_at(0.5));
+  // attach() backfills the packets, then merges the radio backlog into them.
+  collector_.attach(*dev_, log_);
+  const std::vector<Event>& tl = collector_.timeline();
+  ASSERT_EQ(tl.size(), 9u);
+  const std::vector<std::pair<Layer, std::uint32_t>> expected = {
+      {kLayerPacket, 0}, {kLayerRadio, 0}, {kLayerPacket, 1},
+      {kLayerRadio, 1},  {kLayerPacket, 2},  // on a tie, the packet stays first
+      {kLayerRadio, 2},  {kLayerRadio, 3},  {kLayerPacket, 3},
+      {kLayerRadio, 4}};
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    EXPECT_EQ(tl[i].layer, expected[i].first) << "event " << i;
+    EXPECT_EQ(tl[i].index, expected[i].second) << "event " << i;
+  }
+  EXPECT_EQ(collector_.counters(kLayerRadio).events, 5u);
 }
 
 TEST_F(CollectorHealthTest, ClearingOneLayerCompactsTimelineKeepsOthers) {
-  add_packet(1.0);
-  add_packet(2.0);
   auto& qxdm = dev_->cellular()->qxdm();
-  qxdm.log_rrc(radio::RrcState::kPch, radio::RrcState::kFach, health_at(1.5));
-  ASSERT_EQ(collector_.timeline().size(), 3u);
+  for (int i = 0; i < 4; ++i) {
+    add_packet(2 * i);
+    qxdm.log_rrc(radio::RrcState::kPch, radio::RrcState::kFach,
+                 health_at(2 * i + 1));
+  }
+  ASSERT_EQ(collector_.timeline().size(), 8u);
 
   dev_->trace().clear();  // tap fires clear_layer(kLayerPacket)
-  EXPECT_EQ(collector_.timeline().size(), 1u);
-  EXPECT_EQ(collector_.timeline()[0].layer, kLayerRadio);
-  EXPECT_EQ(collector_.layer_index(kLayerPacket).size(), 0u);
-  EXPECT_EQ(collector_.layer_index(kLayerRadio).size(), 1u);
+  const std::vector<Event>& tl = collector_.timeline();
+  ASSERT_EQ(tl.size(), 4u);
+  for (std::size_t i = 0; i < tl.size(); ++i) {  // survivors keep their order
+    EXPECT_EQ(tl[i].layer, kLayerRadio);
+    EXPECT_EQ(tl[i].index, i);
+    EXPECT_EQ(tl[i].at, health_at(2.0 * static_cast<double>(i) + 1));
+  }
   EXPECT_EQ(collector_.counters(kLayerPacket).events, 0u);
-  EXPECT_EQ(collector_.counters(kLayerRadio).events, 1u);
+  EXPECT_EQ(collector_.counters(kLayerRadio).events, 4u);
 
-  // The layer keeps collecting after the clear, into fresh index slots.
-  add_packet(3.0);
-  EXPECT_EQ(collector_.layer_index(kLayerPacket).size(), 1u);
-  EXPECT_EQ(collector_.layer_index(kLayerPacket).index[0], 0u);
+  // The layer keeps collecting after the clear, indexing the fresh store.
+  add_packet(9.0);
+  ASSERT_EQ(tl.size(), 5u);
+  EXPECT_EQ(tl.back().layer, kLayerPacket);
+  EXPECT_EQ(tl.back().index, 0u);
 }
 
-TEST_F(CollectorHealthTest, LayerIndexSizesTrackCounters) {
+TEST_F(CollectorHealthTest, TimelineLayerCountsTrackCounters) {
   for (int i = 0; i < 7; ++i) add_packet(1.0 + i);
   auto& qxdm = dev_->cellular()->qxdm();
   radio::PduRecord pdu;
   pdu.at = health_at(2.0);
   pdu.payload_len = 40;
   qxdm.commit_pdu(pdu);
+  const std::vector<Event>& tl = collector_.timeline();
   for (Layer layer : {kLayerUi, kLayerPacket, kLayerRadio}) {
-    EXPECT_EQ(collector_.layer_index(layer).size(),
-              collector_.counters(layer).events)
+    const auto n = std::count_if(tl.begin(), tl.end(), [&](const Event& e) {
+      return e.layer == layer;
+    });
+    EXPECT_EQ(static_cast<std::uint64_t>(n), collector_.counters(layer).events)
         << to_string(layer);
   }
-  EXPECT_EQ(collector_.timeline().size(), collector_.total_events());
+  EXPECT_EQ(tl.size(), collector_.total_events());
 }
 
 }  // namespace

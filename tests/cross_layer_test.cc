@@ -53,10 +53,9 @@ TEST(CrossLayerTest, NetworkSpanInsideWindowSplitsLatency) {
   trace.push_back(rec(1, sim::msec(1500), Direction::kUplink, 1000, 0));
   trace.push_back(rec(2, sim::msec(4000), Direction::kDownlink, 500, 0));
   FlowAnalyzer flows(trace);
-  CrossLayerAnalyzer cross(flows);
 
   const BehaviorRecord b = behavior(sim::sec(1), sim::sec(5));
-  const DeviceNetworkSplit split = cross.device_network_split(b);
+  const DeviceNetworkSplit split = device_network_split(flows, b);
   ASSERT_NE(split.flow, nullptr);
   EXPECT_NEAR(split.network_s, 2.5, 1e-9);
   EXPECT_NEAR(split.total_s, 4.0 - 0.075, 1e-9);  // calibrated window
@@ -74,9 +73,8 @@ TEST(CrossLayerTest, TrafficContinuingAfterWindowIsOffCriticalPath) {
                         300 + 1400ull * i));
   }
   FlowAnalyzer flows(trace);
-  CrossLayerAnalyzer cross(flows);
   const BehaviorRecord b = behavior(sim::sec(1), sim::sec(2));
-  const DeviceNetworkSplit split = cross.device_network_split(b);
+  const DeviceNetworkSplit split = device_network_split(flows, b);
   ASSERT_NE(split.flow, nullptr);
   EXPECT_FALSE(split.network_on_critical_path);
 }
@@ -85,9 +83,8 @@ TEST(CrossLayerTest, NoTrafficMeansPureDeviceLatency) {
   std::vector<net::PacketRecord> trace;
   trace.push_back(rec(1, sim::sec(30), Direction::kUplink, 100, 0));
   FlowAnalyzer flows(trace);
-  CrossLayerAnalyzer cross(flows);
   const BehaviorRecord b = behavior(sim::sec(1), sim::sec(2));
-  const DeviceNetworkSplit split = cross.device_network_split(b);
+  const DeviceNetworkSplit split = device_network_split(flows, b);
   EXPECT_EQ(split.flow, nullptr);
   EXPECT_EQ(split.network_s, 0.0);
   EXPECT_FALSE(split.network_on_critical_path);
@@ -114,12 +111,12 @@ TEST(CrossLayerTest, HostnameFilterSelectsResponsibleFlow) {
   trace.push_back(other);
 
   FlowAnalyzer flows(trace);
-  CrossLayerAnalyzer cross(flows);
   const BehaviorRecord b = behavior(sim::sec(1), sim::sec(2));
-  const DeviceNetworkSplit unfiltered = cross.device_network_split(b);
+  const DeviceNetworkSplit unfiltered = device_network_split(flows, b);
   ASSERT_NE(unfiltered.flow, nullptr);
   EXPECT_EQ(unfiltered.flow->key.dst_ip, net::IpAddr(99, 9, 9, 9));
-  const DeviceNetworkSplit filtered = cross.device_network_split(b, "facebook");
+  const DeviceNetworkSplit filtered =
+      device_network_split(flows, b, "facebook");
   ASSERT_NE(filtered.flow, nullptr);
   EXPECT_EQ(filtered.flow->key.dst_ip, kServer);
   EXPECT_EQ(filtered.flow->hostname, "api.facebook.sim");
@@ -131,7 +128,6 @@ TEST(CrossLayerTest, FineBreakdownComponentsFromSyntheticRadioLog) {
   std::vector<net::PacketRecord> trace;
   trace.push_back(rec(7, sim::sec(1), Direction::kUplink, 1000, 0));
   FlowAnalyzer flows(trace);
-  CrossLayerAnalyzer cross(flows);
 
   sim::Rng rng(1);
   radio::QxdmLogger qxdm(rng);
@@ -161,10 +157,9 @@ TEST(CrossLayerTest, FineBreakdownComponentsFromSyntheticRadioLog) {
   status.ack_until = 26;
   qxdm.log_status(status);
 
-  RrcAnalyzer rrc(qxdm, radio::RrcConfig::umts_default());
   const BehaviorRecord b = behavior(sim::sec(1), sim::sec(2));
   const FineBreakdown fine =
-      cross.network_breakdown(b, mapping, qxdm, rrc, Direction::kUplink);
+      network_breakdown(flows, b, mapping, qxdm, Direction::kUplink);
 
   // t1: 1.0s -> 1.2s with idle channel = 0.2s.
   EXPECT_NEAR(fine.ip_to_rlc_s, 0.2, 1e-6);
@@ -172,6 +167,34 @@ TEST(CrossLayerTest, FineBreakdownComponentsFromSyntheticRadioLog) {
   EXPECT_NEAR(fine.rlc_tx_s, 0.25, 1e-6);
   // t3: poll at 1.45s -> STATUS 1.55s, no data in between = 0.1s.
   EXPECT_NEAR(fine.first_hop_ota_s, 0.1, 1e-6);
+}
+
+TEST(CrossLayerTest, LatePollRecordPairsByTimestamp) {
+  // Uplink polls at 1.0, 2.0 and 3.0 s; the last two are each answered by
+  // a STATUS 50 ms later. The 2.0 s poll is committed last, with its
+  // timestamp intact, as a delayed capture releases it.
+  radio::QxdmLogger qxdm(sim::Rng(1));
+  const auto poll = [&](std::int64_t ms) {
+    radio::PduRecord p;
+    p.dir = Direction::kUplink;
+    p.poll = true;
+    p.payload_len = 40;
+    p.at = sim::TimePoint{sim::msec(ms)};
+    qxdm.commit_pdu(p);
+  };
+  poll(1000);
+  poll(3000);
+  poll(2000);
+  for (const std::int64_t ms : {2050, 3050}) {
+    radio::StatusRecord status;
+    status.data_dir = Direction::kUplink;
+    status.at = sim::TimePoint{sim::msec(ms)};
+    qxdm.commit_status(status);
+  }
+  // Each STATUS pairs with the poll 50 ms before it.
+  EXPECT_EQ(first_hop_ota_rtts(qxdm, Direction::kUplink),
+            (std::vector<double>{0.05, 0.05}));
+  EXPECT_TRUE(first_hop_ota_rtts(qxdm, Direction::kDownlink).empty());
 }
 
 TEST(CrossLayerTest, QoeWindowFromRecord) {

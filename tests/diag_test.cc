@@ -1,7 +1,8 @@
 // Tests of the live diagnosis engine (src/diag): the streaming
-// RrcStateTracker and the online DiagnosisEngine, each held bit-exact
-// against the batch analyzers over the same logs, plus the findings
-// export determinism guarantees.
+// RrcStateTracker, held bit-exact against radio::compute_residency over the
+// same log, and the online DiagnosisEngine, held bit-exact against the
+// batch analyses run post-hoc, plus the findings export determinism
+// guarantees.
 #include "diag/diagnosis_engine.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "diag/rlc_chain_tracker.h"
 #include "diag/rrc_state_tracker.h"
 #include "fault/fault_injector.h"
+#include "radio/record_search.h"
 
 namespace qoed::diag {
 namespace {
@@ -27,7 +29,37 @@ using radio::RrcState;
 
 sim::TimePoint at_ms(std::int64_t ms) { return sim::kTimeZero + sim::msec(ms); }
 
-// --- RrcStateTracker against the batch analyzers, hand-built log ---
+// Every window query the tracker answers, compared bit-exact with a walk of
+// the same log: radio::compute_residency for residency and energy, and the
+// transitions whose timestamps fall in [start, end] for the rest.
+void expect_tracker_matches_log(const RrcStateTracker& tracker,
+                                const radio::QxdmLogger& log,
+                                sim::TimePoint start, sim::TimePoint end) {
+  const radio::RrcConfig& cfg = tracker.config();
+  const auto live = tracker.residency(start, end);
+  const auto ref =
+      radio::compute_residency(log.rrc_log(), cfg.idle_state(), start, end);
+  for (int s = 0; s < 7; ++s) {
+    const auto state = static_cast<RrcState>(s);
+    EXPECT_EQ(live.in(state), ref.in(state))
+        << "state " << radio::to_string(state) << " in [" << start.seconds()
+        << ", " << end.seconds() << "]";
+  }
+  EXPECT_EQ(live.total(), ref.total());
+  EXPECT_EQ(tracker.energy_joules(start, end), radio::energy_joules(ref, cfg));
+
+  const auto [lo, hi] = radio::record_range(log.rrc_log(), start, end);
+  bool promotion = false;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const radio::RrcTransitionRecord& t = log.rrc_log()[i];
+    promotion = promotion || radio::is_low_power(t.from) ||
+                (t.from == RrcState::kFach && t.to == RrcState::kDch);
+  }
+  EXPECT_EQ(tracker.promotion_in(start, end), promotion);
+  EXPECT_EQ(tracker.transitions_in_count(start, end), hi - lo);
+}
+
+// --- RrcStateTracker against the reference walk, hand-built log ---
 
 class HandBuiltLogTest : public ::testing::Test {
  protected:
@@ -45,26 +77,11 @@ class HandBuiltLogTest : public ::testing::Test {
     log_.log_rrc(RrcState::kFach, RrcState::kPch, at_ms(15000));
   }
 
-  // Every query the tracker answers, compared bit-exact with the batch
-  // analyzer over the same window.
-  void expect_matches_batch(const RrcStateTracker& tracker,
-                            sim::TimePoint start, sim::TimePoint end) {
-    const core::RrcAnalyzer batch(log_, cfg_);
-    const auto live = tracker.residency(start, end);
-    const auto ref = batch.residency(start, end);
-    for (int s = 0; s < 7; ++s) {
-      const auto state = static_cast<RrcState>(s);
-      EXPECT_EQ(live.in(state), ref.in(state))
-          << "state " << radio::to_string(state) << " in ["
-          << start.seconds() << ", " << end.seconds() << "]";
-    }
-    EXPECT_EQ(live.total(), ref.total());
-    EXPECT_EQ(tracker.energy_joules(start, end),
-              batch.energy_joules(start, end));
-    EXPECT_EQ(tracker.promotion_in(start, end),
-              batch.promotion_in(start, end));
-    EXPECT_EQ(tracker.transitions_in_count(start, end),
-              batch.transitions_in(start, end).size());
+  void log_pdu_at(std::int64_t ms) {
+    radio::PduRecord pdu;
+    pdu.payload_len = 40;
+    pdu.at = at_ms(ms);
+    log_.commit_pdu(pdu);
   }
 
   radio::QxdmLogger log_;
@@ -85,33 +102,34 @@ TEST_F(HandBuiltLogTest, WindowQueriesMatchBatchBitExact) {
       {15000, 15000},  // empty window
   };
   for (const auto& [a, b] : windows) {
-    expect_matches_batch(tracker, at_ms(a), at_ms(b));
+    expect_tracker_matches_log(tracker, log_, at_ms(a), at_ms(b));
   }
 }
 
 TEST_F(HandBuiltLogTest, IncrementalSyncEqualsBatchRebuildMidStream) {
   RrcStateTracker tracker(log_, cfg_);  // constructed over the empty log
-  expect_matches_batch(tracker, at_ms(0), at_ms(5000));  // idle everywhere
+  // Idle everywhere.
+  expect_tracker_matches_log(tracker, log_, at_ms(0), at_ms(5000));
 
   // Fold the log in piecewise; after every sync the tracker must agree
   // with a batch analyzer over the records captured so far.
   log_.log_rrc(RrcState::kPch, RrcState::kFach, at_ms(1000));
   log_.log_rrc(RrcState::kFach, RrcState::kDch, at_ms(1500));
   tracker.sync();
-  expect_matches_batch(tracker, at_ms(0), at_ms(3000));
-  expect_matches_batch(tracker, at_ms(1200), at_ms(1800));
+  expect_tracker_matches_log(tracker, log_, at_ms(0), at_ms(3000));
+  expect_tracker_matches_log(tracker, log_, at_ms(1200), at_ms(1800));
 
   log_.log_rrc(RrcState::kDch, RrcState::kFach, at_ms(8000));
   log_.log_rrc(RrcState::kFach, RrcState::kDch, at_ms(8000));
   log_.log_rrc(RrcState::kDch, RrcState::kFach, at_ms(12000));
   log_.log_rrc(RrcState::kFach, RrcState::kPch, at_ms(15000));
   tracker.sync();
-  expect_matches_batch(tracker, at_ms(0), at_ms(20000));
-  expect_matches_batch(tracker, at_ms(7900), at_ms(8100));
+  expect_tracker_matches_log(tracker, log_, at_ms(0), at_ms(20000));
+  expect_tracker_matches_log(tracker, log_, at_ms(7900), at_ms(8100));
 
   // sync() is idempotent.
   tracker.sync();
-  expect_matches_batch(tracker, at_ms(0), at_ms(20000));
+  expect_tracker_matches_log(tracker, log_, at_ms(0), at_ms(20000));
 }
 
 TEST_F(HandBuiltLogTest, StateAndCountersFollowTheLog) {
@@ -135,6 +153,79 @@ TEST_F(HandBuiltLogTest, StateAndCountersFollowTheLog) {
   tracker.sync();
   EXPECT_EQ(tracker.pdus_seen(), 2u);
   EXPECT_EQ(tracker.pdu_bytes(), 80u);
+}
+
+TEST_F(HandBuiltLogTest, IdleDchTailMatchesHandComputation) {
+  // PCH until 1 s, DCH until 6 s, FACH until 10 s, then PCH; one PDU at
+  // 1 s, so only [1.0, 1.2] s of DCH is active. Power levels: PCH 1 mW,
+  // FACH 460 mW, DCH 800 mW.
+  log_.log_rrc(RrcState::kPch, RrcState::kDch, at_ms(1000));
+  log_.log_rrc(RrcState::kDch, RrcState::kFach, at_ms(6000));
+  log_.log_rrc(RrcState::kFach, RrcState::kPch, at_ms(10000));
+  log_pdu_at(1000);
+  const RrcStateTracker tracker(log_, cfg_);
+  const EnergyBreakdown eb = tracker.energy_breakdown(at_ms(0), at_ms(12000));
+  // total = 0.001 W * 3 s + 0.8 W * 5 s + 0.46 W * 4 s = 5.843 J
+  EXPECT_NEAR(eb.total_joules, 5.843, 1e-9);
+  // tail = 0.8 W * (5 - 0.2) s + 0.46 W * 4 s = 3.84 + 1.84 = 5.68 J
+  EXPECT_NEAR(eb.tail_joules, 5.68, 1e-9);
+  EXPECT_NEAR(eb.non_tail_joules, 0.163, 1e-9);
+}
+
+TEST_F(HandBuiltLogTest, LatePduRecordStillCountsAsActivity) {
+  // DCH from 1.0 s; PDUs at 1.0, 1.3 and 1.6 s, whose ±200 ms guards cover
+  // [1.0, 1.6] s without a gap. The 1.3 s record is committed last, with
+  // its timestamp intact, as a delayed capture releases it.
+  log_.log_rrc(RrcState::kPch, RrcState::kDch, at_ms(1000));
+  log_pdu_at(1000);
+  log_pdu_at(1600);
+  log_pdu_at(1300);
+  const RrcStateTracker tracker(log_, cfg_);
+  const EnergyBreakdown eb = tracker.energy_breakdown(at_ms(1000), at_ms(1600));
+  EXPECT_DOUBLE_EQ(eb.total_joules, 0.48);  // 0.8 W * 0.6 s
+  EXPECT_EQ(eb.tail_joules, 0.0);
+  EXPECT_EQ(tracker.pdus_in_count(at_ms(1000), at_ms(1600)), 3u);
+}
+
+// Full-field equality between the streaming tracker's whole-run view and
+// the batch long-jump mapper over the same stores.
+void expect_stream_equals_batch(const core::MappingResult& live,
+                                const core::MappingResult& ref,
+                                const char* where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(live.mapped_count, ref.mapped_count);
+  EXPECT_EQ(live.mapped_bytes, ref.mapped_bytes);
+  EXPECT_EQ(live.retx_pdus, ref.retx_pdus);
+  EXPECT_EQ(live.corrupt_pdus, ref.corrupt_pdus);
+  ASSERT_EQ(live.packets.size(), ref.packets.size());
+  for (std::size_t i = 0; i < ref.packets.size(); ++i) {
+    const core::PacketMapping& a = live.packets[i];
+    const core::PacketMapping& b = ref.packets[i];
+    EXPECT_EQ(a.packet_uid, b.packet_uid) << "packet " << i;
+    EXPECT_EQ(a.packet_ts, b.packet_ts) << "packet " << i;
+    EXPECT_EQ(a.packet_size, b.packet_size) << "packet " << i;
+    EXPECT_EQ(a.mapped, b.mapped) << "packet " << i;
+    EXPECT_EQ(a.pdu_seqs, b.pdu_seqs) << "packet " << i;
+    EXPECT_EQ(a.first_pdu_at, b.first_pdu_at) << "packet " << i;
+    EXPECT_EQ(a.last_pdu_at, b.last_pdu_at) << "packet " << i;
+  }
+}
+
+// The packet counts RlcChainTracker::window reports, recomputed by a scan
+// of a batch mapping result.
+RlcChainTracker::WindowStats scan_window(const core::MappingResult& result,
+                                         sim::TimePoint start,
+                                         sim::TimePoint end) {
+  RlcChainTracker::WindowStats out;
+  for (const core::PacketMapping& pm : result.packets) {
+    if (pm.packet_ts < start || pm.packet_ts > end) continue;
+    ++out.packets;
+    if (pm.mapped) {
+      ++out.mapped;
+      out.mapped_bytes += pm.packet_size;
+    }
+  }
+  return out;
 }
 
 // --- Live engine over a real end-to-end run ---
@@ -184,9 +275,8 @@ class LiveDiagTest : public ::testing::Test {
     EXPECT_EQ(f.action, rec.action);
     EXPECT_EQ(f.timed_out, rec.timed_out);
 
-    auto analysis = doctor_->analyze();
     const core::DeviceNetworkSplit split =
-        analysis.cross_layer().device_network_split(rec, "");
+        core::device_network_split(doctor_->flows(), rec, "");
     EXPECT_EQ(f.total_s, split.total_s);
     EXPECT_EQ(f.device_s, split.device_s);
     EXPECT_EQ(f.network_s, split.network_s);
@@ -199,13 +289,16 @@ class LiveDiagTest : public ::testing::Test {
     EXPECT_EQ(f.window_bytes,
               doctor_->flows().bytes_in_window(w.start, w.end, "").total());
 
-    EXPECT_EQ(f.has_radio, analysis.has_radio());
-    if (analysis.has_radio()) {
-      EXPECT_EQ(f.promotion_overlap, analysis.rrc().promotion_in(w.start, w.end));
-      EXPECT_EQ(f.transitions,
-                analysis.rrc().transitions_in(w.start, w.end).size());
-      EXPECT_EQ(f.energy_j, analysis.rrc().energy_joules(w.start, w.end));
-      const core::EnergyBreakdown eb = analysis.energy().analyze(w.start, w.end);
+    radio::CellularLink* cell = dev_->cellular();
+    EXPECT_EQ(f.has_radio, cell != nullptr);
+    if (cell != nullptr) {
+      // A tracker built over the finished log is the batch analysis.
+      const RrcStateTracker batch(cell->qxdm(), cell->config().rrc);
+      expect_tracker_matches_log(batch, cell->qxdm(), w.start, w.end);
+      EXPECT_EQ(f.promotion_overlap, batch.promotion_in(w.start, w.end));
+      EXPECT_EQ(f.transitions, batch.transitions_in_count(w.start, w.end));
+      EXPECT_EQ(f.energy_j, batch.energy_joules(w.start, w.end));
+      const EnergyBreakdown eb = batch.energy_breakdown(w.start, w.end);
       EXPECT_EQ(f.tail_j, eb.tail_joules);
       EXPECT_EQ(f.tail_share,
                 eb.total_joules > 0 ? eb.tail_joules / eb.total_joules : 0.0);
@@ -233,30 +326,6 @@ class LiveDiagTest : public ::testing::Test {
                   f.rlc_mapped_ratio < engine_->config().rlc_degraded_ratio);
   }
 
-  // Full-field equality between the streaming tracker's whole-run view and
-  // the batch long-jump mapper over the same stores.
-  static void expect_stream_equals_batch(const core::MappingResult& live,
-                                         const core::MappingResult& ref,
-                                         const char* where) {
-    SCOPED_TRACE(where);
-    EXPECT_EQ(live.mapped_count, ref.mapped_count);
-    EXPECT_EQ(live.mapped_bytes, ref.mapped_bytes);
-    EXPECT_EQ(live.retx_pdus, ref.retx_pdus);
-    EXPECT_EQ(live.corrupt_pdus, ref.corrupt_pdus);
-    ASSERT_EQ(live.packets.size(), ref.packets.size());
-    for (std::size_t i = 0; i < ref.packets.size(); ++i) {
-      const core::PacketMapping& a = live.packets[i];
-      const core::PacketMapping& b = ref.packets[i];
-      EXPECT_EQ(a.packet_uid, b.packet_uid) << "packet " << i;
-      EXPECT_EQ(a.packet_ts, b.packet_ts) << "packet " << i;
-      EXPECT_EQ(a.packet_size, b.packet_size) << "packet " << i;
-      EXPECT_EQ(a.mapped, b.mapped) << "packet " << i;
-      EXPECT_EQ(a.pdu_seqs, b.pdu_seqs) << "packet " << i;
-      EXPECT_EQ(a.first_pdu_at, b.first_pdu_at) << "packet " << i;
-      EXPECT_EQ(a.last_pdu_at, b.last_pdu_at) << "packet " << i;
-    }
-  }
-
   core::Testbed bed_;
   apps::SocialServer server_;
   std::unique_ptr<device::Device> dev_;
@@ -277,9 +346,7 @@ TEST_F(LiveDiagTest, TrackerMatchesBatchOverRealRadioLog) {
   tracker->sync();
   ASSERT_GT(tracker->consumed_transitions(), 0u);
 
-  auto analysis = doctor_->analyze();
   const sim::TimePoint now = bed_.loop().now();
-  const core::RrcAnalyzer& batch = analysis.rrc();
   const std::pair<double, double> windows[] = {
       {0, sim::to_seconds(now - sim::kTimeZero)},
       {10, 20},
@@ -287,20 +354,9 @@ TEST_F(LiveDiagTest, TrackerMatchesBatchOverRealRadioLog) {
       {0, 5},
   };
   for (const auto& [a, b] : windows) {
-    const sim::TimePoint start = sim::kTimeZero + sim::sec_f(a);
-    const sim::TimePoint end = sim::kTimeZero + sim::sec_f(b);
-    const auto live = tracker->residency(start, end);
-    const auto ref = batch.residency(start, end);
-    for (int s = 0; s < 7; ++s) {
-      const auto state = static_cast<RrcState>(s);
-      EXPECT_EQ(live.in(state), ref.in(state));
-    }
-    EXPECT_EQ(tracker->energy_joules(start, end),
-              batch.energy_joules(start, end));
-    EXPECT_EQ(tracker->promotion_in(start, end),
-              batch.promotion_in(start, end));
-    EXPECT_EQ(tracker->transitions_in_count(start, end),
-              batch.transitions_in(start, end).size());
+    expect_tracker_matches_log(*tracker, dev_->cellular()->qxdm(),
+                               sim::kTimeZero + sim::sec_f(a),
+                               sim::kTimeZero + sim::sec_f(b));
   }
 }
 
@@ -352,15 +408,7 @@ TEST_F(LiveDiagTest, RlcWindowStatsMatchManualScanOfBatchResult) {
       const sim::TimePoint start = sim::kTimeZero + sim::sec_f(a);
       const sim::TimePoint end = sim::kTimeZero + sim::sec_f(b);
       const RlcChainTracker::WindowStats ws = rlc->window(dir, start, end);
-      RlcChainTracker::WindowStats manual;
-      for (const core::PacketMapping& pm : ref.packets) {
-        if (pm.packet_ts < start || pm.packet_ts > end) continue;
-        ++manual.packets;
-        if (pm.mapped) {
-          ++manual.mapped;
-          manual.mapped_bytes += pm.packet_size;
-        }
-      }
+      const RlcChainTracker::WindowStats manual = scan_window(ref, start, end);
       EXPECT_EQ(ws.packets, manual.packets) << "[" << a << ", " << b << "]";
       EXPECT_EQ(ws.mapped, manual.mapped) << "[" << a << ", " << b << "]";
       EXPECT_EQ(ws.mapped_bytes, manual.mapped_bytes)
@@ -438,6 +486,150 @@ TEST_F(LiveDiagTest, CountersAndTableSurfaceFindings) {
   EXPECT_TRUE(reg.counters().count("diag.network_critical"));
   EXPECT_TRUE(reg.counters().count("diag.promotion_overlap"));
   engine_->findings_table();  // renders without crashing
+}
+
+// --- RlcChainTracker over a long synthetic uplink stream ---
+
+// An uplink trace plus the RLC segmentation the radio layer would log for
+// it: fixed 500-byte PDUs walking the concatenated wire stream, LIs at
+// packet ends, first_two from the deterministic wire bytes. About 0.3% of
+// the PDU records are lost (resync) and 0.4% duplicated as
+// retransmissions; sequence numbers start 96 short of the 12-bit AM wrap
+// (3GPP TS 25.322) and cross it several times.
+struct SyntheticRlcStream {
+  std::vector<net::PacketRecord> packets;
+  std::vector<radio::PduRecord> pdus;
+  // Index of the last packet contributing bytes to pdus[i]; the record is
+  // observable once that packet has been captured.
+  std::vector<std::size_t> pdu_done_pkt;
+};
+
+SyntheticRlcStream make_rlc_stream(std::uint64_t seed,
+                                   std::size_t packet_count) {
+  sim::Rng rng(seed);
+  SyntheticRlcStream s;
+  sim::TimePoint now = sim::kTimeZero;
+  for (std::size_t i = 0; i < packet_count; ++i) {
+    now = now + sim::usec(rng.uniform_int(40, 400));
+    net::PacketRecord r;
+    r.uid = i + 1;
+    r.timestamp = now;
+    r.direction = net::Direction::kUplink;
+    r.src_ip = net::IpAddr(10, 0, 0, 2);
+    r.src_port = 40000;
+    r.dst_ip = net::IpAddr(31, 13, 1, 7);
+    r.dst_port = 443;
+    r.payload_size = static_cast<std::uint32_t>(rng.uniform_int(160, 1360));
+    r.flags.ack = true;
+    s.packets.push_back(r);
+  }
+
+  constexpr std::uint16_t kPduPayload = 500;
+  std::uint32_t seq = core::RlcMapper::kSnModulus - 96;
+  std::size_t p = 0;
+  std::uint32_t o = 0;  // bytes of packet p already segmented
+  sim::TimePoint pdu_now = sim::kTimeZero;
+  while (p < s.packets.size()) {
+    const std::uint32_t size = s.packets[p].total_size();
+    radio::PduRecord rec;
+    rec.dir = net::Direction::kUplink;
+    rec.seq = seq;
+    seq = (seq + 1) % core::RlcMapper::kSnModulus;
+    pdu_now = std::max(pdu_now + sim::usec(5),
+                       s.packets[p].timestamp + sim::usec(20));
+    rec.at = pdu_now;
+    rec.first_two[0] = net::wire_byte(s.packets[p].uid, o);
+    if (o + 1 < size) {
+      rec.first_two[1] = net::wire_byte(s.packets[p].uid, o + 1);
+    } else if (p + 1 < s.packets.size()) {
+      rec.first_two[1] = net::wire_byte(s.packets[p + 1].uid, 0);
+    }
+    std::uint16_t remaining = kPduPayload;
+    std::uint16_t cursor = 0;
+    while (remaining > 0 && p < s.packets.size()) {
+      const std::uint32_t take =
+          std::min<std::uint32_t>(remaining, s.packets[p].total_size() - o);
+      o += take;
+      cursor = static_cast<std::uint16_t>(cursor + take);
+      remaining = static_cast<std::uint16_t>(remaining - take);
+      if (o == s.packets[p].total_size()) {
+        rec.li_ends.push_back(cursor);
+        ++p;
+        o = 0;
+      }
+    }
+    rec.payload_len = cursor;
+    const std::size_t done = o == 0 ? p - 1 : p;
+    if (rng.uniform() < 0.003) continue;  // lost from the log
+    s.pdus.push_back(rec);
+    s.pdu_done_pkt.push_back(done);
+    if (rng.uniform() < 0.004) {
+      rec.retransmission = true;
+      s.pdus.push_back(rec);
+      s.pdu_done_pkt.push_back(done);
+    }
+  }
+  return s;
+}
+
+TEST(RlcChainTrackerTest, WindowsMatchBatchAcrossSnWrapsWithLossAndDups) {
+  const SyntheticRlcStream stream = make_rlc_stream(47, 8000);
+  std::size_t wraps = 0, lost = 0, dups = 0;
+  for (std::size_t i = 1; i < stream.pdus.size(); ++i) {
+    const std::uint32_t prev = stream.pdus[i - 1].seq;
+    const std::uint32_t cur = stream.pdus[i].seq;
+    if (cur < prev) ++wraps;
+    if (stream.pdus[i].retransmission) ++dups;
+    const std::uint32_t step = (cur + core::RlcMapper::kSnModulus - prev) %
+                               core::RlcMapper::kSnModulus;
+    if (step > 1) lost += step - 1;
+  }
+  ASSERT_GE(wraps, 4u);
+  ASSERT_GT(lost, 0u);
+  ASSERT_GT(dups, 0u);
+
+  // Feed the stream in 64 chunks. After each, the tracker's window over
+  // the chunk must equal a scan of one batch map over everything so far.
+  constexpr std::size_t kCheckpoints = 64;
+  const std::size_t chunk =
+      (stream.packets.size() + kCheckpoints - 1) / kCheckpoints;
+  std::vector<net::PacketRecord> trace;
+  radio::QxdmLogger log{sim::Rng(1)};
+  RlcChainTracker tracker(trace, log);
+  std::size_t next_pdu = 0;
+  std::size_t checkpoints = 0;
+  for (std::size_t first = 0; first < stream.packets.size(); first += chunk) {
+    const std::size_t last = std::min(stream.packets.size(), first + chunk);
+    trace.insert(trace.end(), stream.packets.begin() + first,
+                 stream.packets.begin() + last);
+    for (; next_pdu < stream.pdus.size() &&
+           stream.pdu_done_pkt[next_pdu] < last;
+         ++next_pdu) {
+      log.commit_pdu(stream.pdus[next_pdu]);
+    }
+    tracker.sync();
+    const sim::TimePoint start = stream.packets[first].timestamp;
+    const sim::TimePoint end = stream.packets[last - 1].timestamp;
+    const RlcChainTracker::WindowStats live =
+        tracker.window(net::Direction::kUplink, start, end);
+    const RlcChainTracker::WindowStats batch = scan_window(
+        core::RlcMapper::map(trace, log.pdu_log(), net::Direction::kUplink),
+        start, end);
+    EXPECT_EQ(live.packets, batch.packets) << "checkpoint " << checkpoints;
+    EXPECT_EQ(live.mapped, batch.mapped) << "checkpoint " << checkpoints;
+    EXPECT_EQ(live.mapped_bytes, batch.mapped_bytes)
+        << "checkpoint " << checkpoints;
+    ++checkpoints;
+  }
+  EXPECT_EQ(checkpoints, kCheckpoints);
+  EXPECT_GT(tracker.mapped_ratio(net::Direction::kUplink), 0.9);
+
+  // The final state equals one batch map over the complete logs.
+  expect_stream_equals_batch(
+      tracker.result(net::Direction::kUplink),
+      core::RlcMapper::map(stream.packets, stream.pdus,
+                           net::Direction::kUplink),
+      "whole stream");
 }
 
 // --- Findings export determinism ---

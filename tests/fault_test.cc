@@ -382,18 +382,19 @@ TEST(FaultDiagTest, LiveFindingsMatchBatchUnderDelayFaults) {
   const auto& findings = engine.findings();
   ASSERT_EQ(findings.size(), doctor.log().records().size());
   ASSERT_GE(findings.size(), 1u);
-  auto analysis = doctor.analyze();
+  const diag::RrcStateTracker rrc(dev->cellular()->qxdm(),
+                                  dev->cellular()->config().rrc);
   for (const diag::Finding& f : findings) {
     const core::BehaviorRecord& rec = doctor.log().records()[f.behavior_index];
     const core::QoeWindow w = core::QoeWindow::for_traffic(rec);
     const core::DeviceNetworkSplit split =
-        analysis.cross_layer().device_network_split(rec, "");
+        core::device_network_split(doctor.flows(), rec, "");
     EXPECT_EQ(f.total_s, split.total_s);
     EXPECT_EQ(f.device_s, split.device_s);
     EXPECT_EQ(f.network_s, split.network_s);
     EXPECT_EQ(f.window_bytes,
               doctor.flows().bytes_in_window(w.start, w.end, "").total());
-    EXPECT_EQ(f.energy_j, analysis.rrc().energy_joules(w.start, w.end));
+    EXPECT_EQ(f.energy_j, rrc.energy_joules(w.start, w.end));
     // Delayed packets were committed out of order into the store, so the
     // windows they landed in must be flagged (confidence discounted).
     EXPECT_LE(f.confidence, 1.0);

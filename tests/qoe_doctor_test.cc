@@ -26,6 +26,16 @@ class QoeDoctorFacebookTest : public ::testing::Test {
     start_common();
   }
 
+  // Fig. 8-style uplink breakdown of `rec` over `flows` and the radio log.
+  FineBreakdown uplink_breakdown(const FlowAnalyzer& flows,
+                                 const BehaviorRecord& rec) const {
+    const radio::QxdmLogger& qxdm = dev_->cellular()->qxdm();
+    const MappingResult mapping = RlcMapper::map(
+        dev_->trace().records(), qxdm.pdu_log(), net::Direction::kUplink);
+    return network_breakdown(flows, rec, mapping, qxdm,
+                             net::Direction::kUplink);
+  }
+
   Testbed bed_;
   apps::SocialServer server_;
   std::unique_ptr<device::Device> dev_;
@@ -55,8 +65,8 @@ TEST_F(QoeDoctorFacebookTest, StatusUploadNetworkOffCriticalPath) {
   ASSERT_FALSE(rec.timed_out);
   ASSERT_FALSE(rec.action.empty());
 
-  auto analysis = doctor_->analyze();
-  const DeviceNetworkSplit split = analysis.split(rec, "facebook");
+  const DeviceNetworkSplit split =
+      device_network_split(doctor_->flows(), rec, "facebook");
   // Finding 1: the post shows up from the local copy; the upload's ACK
   // completes after the QoE window.
   EXPECT_FALSE(split.network_on_critical_path);
@@ -72,8 +82,8 @@ TEST_F(QoeDoctorFacebookTest, PhotoUploadNetworkDominates3g) {
   bed_.advance(sim::sec(120));
   ASSERT_FALSE(rec.timed_out);
 
-  auto analysis = doctor_->analyze();
-  const DeviceNetworkSplit split = analysis.split(rec, "facebook");
+  const DeviceNetworkSplit split =
+      device_network_split(doctor_->flows(), rec, "facebook");
   EXPECT_TRUE(split.network_on_critical_path);
   // Finding 2: >65% of the end-to-end latency is network for 2 photos.
   EXPECT_GT(split.network_s / split.total_s, 0.5);
@@ -81,15 +91,14 @@ TEST_F(QoeDoctorFacebookTest, PhotoUploadNetworkDominates3g) {
 
   // Fine breakdown: on 3G the RLC transmission delay is the biggest
   // network component (40-byte uplink PDUs).
-  auto fine = analysis.fine_breakdown(rec, net::Direction::kUplink);
-  ASSERT_TRUE(fine.has_value());
-  EXPECT_GT(fine->rlc_tx_s, 0.0);
-  EXPECT_GT(fine->rlc_tx_s, fine->ip_to_rlc_s);
+  const FineBreakdown fine = uplink_breakdown(doctor_->flows(), rec);
+  EXPECT_GT(fine.rlc_tx_s, 0.0);
+  EXPECT_GT(fine.rlc_tx_s, fine.ip_to_rlc_s);
   // The components reconstruct the network latency up to minor overcount
   // from bursts straddling the window edges.
-  const double sum = fine->ip_to_rlc_s + fine->rlc_tx_s +
-                     fine->first_hop_ota_s + fine->other_s;
-  EXPECT_NEAR(sum, fine->network_s, 0.1 * fine->network_s);
+  const double sum =
+      fine.ip_to_rlc_s + fine.rlc_tx_s + fine.first_hop_ota_s + fine.other_s;
+  EXPECT_NEAR(sum, fine.network_s, 0.1 * fine.network_s);
 }
 
 TEST_F(QoeDoctorFacebookTest, PhotoUploadFasterOnLte) {
@@ -99,11 +108,14 @@ TEST_F(QoeDoctorFacebookTest, PhotoUploadFasterOnLte) {
                        [&](const BehaviorRecord& r) { rec = r; });
   bed_.advance(sim::sec(120));
   ASSERT_FALSE(rec.timed_out);
-  auto analysis = doctor_->analyze();
-  const DeviceNetworkSplit split = analysis.split(rec, "facebook");
+  const DeviceNetworkSplit split =
+      device_network_split(doctor_->flows(), rec, "facebook");
   EXPECT_LT(split.total_s, 7.5);  // 3G takes notably longer (see above)
   // LTE moves the same bytes in far fewer, larger PDUs.
-  auto mapping = analysis.map_rlc(net::Direction::kUplink);
+  const MappingResult mapping =
+      RlcMapper::map(dev_->trace().records(),
+                     dev_->cellular()->qxdm().pdu_log(),
+                     net::Direction::kUplink);
   EXPECT_GT(mapping.mapped_ratio(), 0.9);
 }
 
@@ -151,36 +163,34 @@ TEST_F(QoeDoctorFacebookTest, StreamingAnalysisMatchesBatchBitExactly) {
   bed_.advance(sim::sec(120));
   ASSERT_FALSE(rec.timed_out);
 
-  // analyze() borrows the doctor's streaming FlowAnalyzer — same trace
-  // storage, no copy, no per-call rebuild.
-  auto analysis = doctor_->analyze();
-  EXPECT_EQ(&analysis.flows(), &doctor_->flows());
-  EXPECT_EQ(analysis.flows().trace().data(), dev_->trace().records().data());
-  EXPECT_EQ(analysis.flows().consumed(), dev_->trace().records().size());
+  // The doctor's streaming FlowAnalyzer borrows the device trace — same
+  // storage, no copy — and the spine kept it current.
+  const FlowAnalyzer& streaming = doctor_->flows();
+  EXPECT_EQ(streaming.trace().data(), dev_->trace().records().data());
+  EXPECT_EQ(streaming.consumed(), dev_->trace().records().size());
 
   // Baseline: a from-scratch batch build over a *copy* of the trace. The
   // streaming analysis must agree bit-for-bit.
   const std::vector<net::PacketRecord> copy = dev_->trace().records();
-  FlowAnalyzer batch(copy);
-  MultiLayerAnalyzer baseline(*dev_, batch);
+  const FlowAnalyzer batch(copy);
 
-  const DeviceNetworkSplit streamed = analysis.split(rec, "facebook");
-  const DeviceNetworkSplit batched = baseline.split(rec, "facebook");
+  const DeviceNetworkSplit streamed =
+      device_network_split(streaming, rec, "facebook");
+  const DeviceNetworkSplit batched =
+      device_network_split(batch, rec, "facebook");
   EXPECT_EQ(streamed.total_s, batched.total_s);
   EXPECT_EQ(streamed.device_s, batched.device_s);
   EXPECT_EQ(streamed.network_s, batched.network_s);
   EXPECT_EQ(streamed.network_on_critical_path,
             batched.network_on_critical_path);
 
-  const auto fine_s = analysis.fine_breakdown(rec, net::Direction::kUplink);
-  const auto fine_b = baseline.fine_breakdown(rec, net::Direction::kUplink);
-  ASSERT_EQ(fine_s.has_value(), fine_b.has_value());
-  ASSERT_TRUE(fine_s.has_value());
-  EXPECT_EQ(fine_s->network_s, fine_b->network_s);
-  EXPECT_EQ(fine_s->ip_to_rlc_s, fine_b->ip_to_rlc_s);
-  EXPECT_EQ(fine_s->rlc_tx_s, fine_b->rlc_tx_s);
-  EXPECT_EQ(fine_s->first_hop_ota_s, fine_b->first_hop_ota_s);
-  EXPECT_EQ(fine_s->other_s, fine_b->other_s);
+  const FineBreakdown fine_s = uplink_breakdown(streaming, rec);
+  const FineBreakdown fine_b = uplink_breakdown(batch, rec);
+  EXPECT_EQ(fine_s.network_s, fine_b.network_s);
+  EXPECT_EQ(fine_s.ip_to_rlc_s, fine_b.ip_to_rlc_s);
+  EXPECT_EQ(fine_s.rlc_tx_s, fine_b.rlc_tx_s);
+  EXPECT_EQ(fine_s.first_hop_ota_s, fine_b.first_hop_ota_s);
+  EXPECT_EQ(fine_s.other_s, fine_b.other_s);
 }
 
 TEST(QoeDoctorYouTubeTest, WatchVideoEndToEnd) {
