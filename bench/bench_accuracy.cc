@@ -337,6 +337,7 @@ int main(int argc, char** argv) {
   g_trace = opts.tracing();
   g_artifacts = opts.sharded();
   bench::TraceCollector traces;
+  bool wrote = true;
   bench::banner("QoE measurement accuracy and overhead",
                 "Table 3 and Figure 6 (IMC'14 QoE Doctor, §7.1)");
 
@@ -350,7 +351,7 @@ int main(int argc, char** argv) {
       [](std::uint64_t seed, const core::RunSpec&) {
         return facebook_run(seed, apps::PostKind::kStatus, kRepsPerRun);
       });
-  bench::report_campaign(post_campaign, post, opts, &traces);
+  wrote &= bench::report_campaign(post_campaign, post, opts, &traces);
 
   core::Campaign pull_campaign(
       bench::campaign_config(opts, "accuracy/pull", kDefaultRuns, 102));
@@ -358,7 +359,7 @@ int main(int argc, char** argv) {
       [](std::uint64_t seed, const core::RunSpec&) {
         return pull_to_update_run(seed, kRepsPerRun);
       });
-  bench::report_campaign(pull_campaign, pull, opts, &traces);
+  wrote &= bench::report_campaign(pull_campaign, pull, opts, &traces);
 
   core::Campaign yt_campaign(
       bench::campaign_config(opts, "accuracy/youtube", /*default_runs=*/4,
@@ -367,7 +368,7 @@ int main(int argc, char** argv) {
       [](std::uint64_t seed, const core::RunSpec&) {
         return youtube_run(seed, /*videos=*/2);
       });
-  bench::report_campaign(yt_campaign, yt, opts, &traces);
+  wrote &= bench::report_campaign(yt_campaign, yt, opts, &traces);
 
   core::Campaign page_campaign(
       bench::campaign_config(opts, "accuracy/browser", kDefaultRuns, 104));
@@ -375,7 +376,7 @@ int main(int argc, char** argv) {
       [](std::uint64_t seed, const core::RunSpec&) {
         return browser_run(seed, kRepsPerRun);
       });
-  bench::report_campaign(page_campaign, pages, opts, &traces);
+  wrote &= bench::report_campaign(page_campaign, pages, opts, &traces);
 
   double max_error_ms = 0;
   core::Table fig6("Fig. 6 — latency measurement error per action",
@@ -402,5 +403,5 @@ int main(int argc, char** argv) {
               core::Table::pct(om.cpu_overhead, 2), "6.18%"});
   t3.print();
   traces.write(opts.trace_path);
-  return 0;
+  return wrote ? 0 : 1;
 }

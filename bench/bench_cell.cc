@@ -177,8 +177,10 @@ int main(int argc, char** argv) {
           spec.seed = seed;
           return cell::run_cell_scenario(spec);
         });
-    bench::report_campaign(campaign, result, opts);
-    if (result.failed_runs() != 0) return 1;
+    if (!bench::report_campaign(campaign, result, opts) ||
+        result.failed_runs() != 0) {
+      return 1;
+    }
   }
 
   if (!bench_json.empty()) {

@@ -1,33 +1,21 @@
-// Fleet-scale campaign engine: sharded (constant-memory) vs in-memory.
+// Fleet-scale campaign engine: sharded (constant-memory) campaign scaling.
 //
 // Runs one large synthetic campaign — tens of thousands of cheap,
 // deterministic runs, each emitting realistic findings/timeline/metrics
-// artifacts — through both execution modes and reports the fleet figures
-// of merit: simulated device-hours per wall-second and peak RSS. The
-// sharded path must stay O(shard budget) in memory no matter the run
-// count, while the in-memory path grows linearly; the bench makes that
-// difference measurable and gates on the two modes producing
-// byte-identical merged artifacts.
-//
-// Peak RSS (getrusage ru_maxrss) is a process-lifetime high-water mark,
-// so `--mode both` re-executes this binary (via /proc/self/exe) once per
-// mode as a child process and reads each child's rusage from wait4 —
-// running both modes in one process would conflate the two peaks.
+// artifacts — through the sharded commit path and reports the fleet
+// figures of merit: simulated device-hours per wall-second and peak RSS.
+// The sharded path must stay O(shard budget) in memory no matter the run
+// count. This measures campaign plumbing only: no simulator runs.
 //
 //   bench_fleet --runs 10000 --jobs 8 --out-dir /tmp/fleet
-//               --bench-json BENCH_fleet.json
+//               --bench-json BENCH_fleet.json --min-dh-per-wall-s 10
 //
-// emits one JSON line per mode plus a summary line with the equality
-// verdict. Exit status is non-zero if the modes disagree.
+// emits one JSON line. Exit status is non-zero when a run failed, a merged
+// artifact could not be written or the throughput floor was missed.
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,8 +29,7 @@ namespace {
 using namespace core;
 
 struct FleetOptions {
-  std::string mode = "both";  // sharded | memory | both
-  std::string bench_json;     // BENCH_fleet.json path ("" = don't write)
+  std::string bench_json;        // BENCH_fleet.json path ("" = don't write)
   double min_dh_per_wall_s = 0;  // throughput floor (0 = report only)
   bench::BenchOptions common;
 };
@@ -79,56 +66,42 @@ RunResult synthetic_run(std::uint64_t seed) {
   out.registry.add_counter("fleet.events", events);
   out.registry.add_counter("fleet.findings", nfindings);
   out.virtual_seconds = 3600 * rng.uniform(0.5, 1.5);
-  // Folded across runs by the campaign, giving total device-seconds in
-  // both modes without keeping per-run results around.
+  // Folded across runs by the campaign, giving total device-seconds
+  // without keeping per-run results around.
   out.registry.add_counter("fleet.device_seconds", out.virtual_seconds);
   out.artifacts.timeline_jsonl = timeline.str();
   out.artifacts.findings_jsonl = findings.str();
   return out;
 }
 
-std::string mode_dir(const FleetOptions& opt, const std::string& mode) {
-  return opt.common.out_dir + "/" + mode;
-}
-
-double maxrss_mib(const rusage& ru) {
+double maxrss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-// Runs the campaign in ONE mode inside this process and writes the three
-// merged artifacts under <out-dir>/<mode>/. Returns the campaign result's
-// device-seconds total.
-int run_one_mode(const FleetOptions& opt, const std::string& mode) {
-  const std::string dir = mode_dir(opt, mode);
+// Runs the campaign sharded under <out-dir>/sharded/ and writes the three
+// merged artifacts there.
+int run_fleet(const FleetOptions& opt) {
+  const std::string dir = opt.common.out_dir + "/sharded";
   CampaignConfig cfg;
-  cfg.name = "fleet/" + mode;
+  cfg.name = "fleet/sharded";
   cfg.runs = opt.common.runs ? opt.common.runs : 10000;
   cfg.jobs = opt.common.jobs;
   cfg.master_seed = opt.common.seed ? opt.common.seed : 7700;
-  if (mode == "sharded") {
-    cfg.shard.out_dir = dir;
-    cfg.shard.shard_bytes = opt.common.shard_bytes;
-    cfg.shard.shard_runs = opt.common.shard_runs;
-  } else {
-    cfg.keep_artifacts = true;
-  }
+  cfg.shard.out_dir = dir;
+  cfg.shard.shard_bytes = opt.common.shard_bytes;
+  cfg.shard.shard_runs = opt.common.shard_runs;
 
   Campaign campaign(cfg);
   const CampaignResult result = campaign.run(
       [](std::uint64_t seed, const RunSpec&) { return synthetic_run(seed); });
   const double wall = campaign.last_wall_seconds();
 
-  bool wrote = true;
-  if (mode == "sharded") {
-    wrote = ShardFindingsMergeSink(dir).write_file(dir + "/findings.jsonl") &&
-            ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl") &&
-            ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
-  } else {
-    std::filesystem::create_directories(dir);
-    wrote = CampaignFindingsSink(result).write_file(dir + "/findings.jsonl") &&
-            CampaignTimelineSink(result).write_file(dir + "/timeline.jsonl") &&
-            MetricsJsonSink(result.registry).write_file(dir + "/metrics.json");
-  }
+  const bool wrote =
+      ShardFindingsMergeSink(dir).write_file(dir + "/findings.jsonl") &&
+      ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl") &&
+      ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
   if (!wrote) {
     std::fprintf(stderr, "FAILED to write merged artifacts under %s\n",
                  dir.c_str());
@@ -138,17 +111,14 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
   const double device_hours =
       result.registry.counter("fleet.device_seconds") / 3600.0;
   const double dh_per_wall_s = wall > 0 ? device_hours / wall : 0;
-
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
+  const double rss = maxrss_mib();
   std::printf(
-      "fleet/%s: %zu runs over %zu workers in %.2fs | %.1f device-hours "
-      "(%.1f dh/wall-s) | peak RSS %.1f MiB\n",
-      mode.c_str(), result.runs, result.jobs, wall, device_hours,
-      dh_per_wall_s, maxrss_mib(ru));
+      "fleet/sharded: %zu runs over %zu workers in %.2fs | %.1f "
+      "device-hours (%.1f dh/wall-s) | peak RSS %.1f MiB\n",
+      result.runs, result.jobs, wall, device_hours, dh_per_wall_s, rss);
   if (!opt.bench_json.empty()) {
     bench::write_bench_json(
-        opt.bench_json, "fleet/" + mode,
+        opt.bench_json, "fleet/sharded",
         {{"runs", static_cast<double>(result.runs)},
          {"jobs", static_cast<double>(result.jobs)},
          {"wall_s", wall},
@@ -156,85 +126,16 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
          {"device_hours_per_wall_s", dh_per_wall_s},
          {"min_dh_per_wall_s", opt.min_dh_per_wall_s},
          {"failed_runs", static_cast<double>(result.failed_runs())},
-         {"peak_rss_mib", maxrss_mib(ru)}});
+         {"peak_rss_mib", rss}});
   }
   if (opt.min_dh_per_wall_s > 0 && dh_per_wall_s < opt.min_dh_per_wall_s) {
     std::fprintf(stderr,
-                 "THROUGHPUT GATE: fleet/%s %.2f dh/wall-s below floor %.2f\n",
-                 mode.c_str(), dh_per_wall_s, opt.min_dh_per_wall_s);
+                 "THROUGHPUT GATE: fleet/sharded %.2f dh/wall-s below floor "
+                 "%.2f\n",
+                 dh_per_wall_s, opt.min_dh_per_wall_s);
     return 1;
   }
   return result.failed_runs() == 0 ? 0 : 1;
-}
-
-bool read_all(const std::string& path, std::string* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-// Byte-compares one merged artifact across the two mode directories.
-bool artifact_equal(const FleetOptions& opt, const char* name) {
-  std::string a, b;
-  if (!read_all(mode_dir(opt, "sharded") + "/" + name, &a) ||
-      !read_all(mode_dir(opt, "memory") + "/" + name, &b)) {
-    std::fprintf(stderr, "EQUALITY GATE: missing %s in a mode dir\n", name);
-    return false;
-  }
-  if (a != b) {
-    std::fprintf(stderr, "EQUALITY GATE: %s differs between modes\n", name);
-    return false;
-  }
-  return true;
-}
-
-// Re-executes this binary in a single mode and returns its exit status,
-// filling `ru` with the child's lifetime rusage.
-int spawn_mode(const FleetOptions& opt, const std::string& mode,
-               rusage* ru) {
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return 1;
-  }
-  if (pid == 0) {
-    std::vector<std::string> args = {
-        "bench_fleet",
-        "--mode", mode,
-        "--runs", std::to_string(opt.common.runs ? opt.common.runs : 10000),
-        "--jobs", std::to_string(opt.common.jobs),
-        "--seed", std::to_string(opt.common.seed ? opt.common.seed : 7700),
-        "--out-dir", opt.common.out_dir,
-        "--shard-bytes", std::to_string(opt.common.shard_bytes)};
-    if (opt.common.shard_runs) {
-      args.push_back("--shards");
-      args.push_back(std::to_string(opt.common.shard_runs));
-    }
-    if (!opt.bench_json.empty()) {
-      args.push_back("--bench-json");
-      args.push_back(opt.bench_json);
-    }
-    if (opt.min_dh_per_wall_s > 0) {
-      args.push_back("--min-dh-per-wall-s");
-      args.push_back(std::to_string(opt.min_dh_per_wall_s));
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv("/proc/self/exe", argv.data());
-    std::perror("execv");  // only reached on failure
-    _exit(127);
-  }
-  int status = 0;
-  if (wait4(pid, &status, 0, ru) < 0) {
-    std::perror("wait4");
-    return 1;
-  }
-  return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
 }
 
 }  // namespace
@@ -256,9 +157,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--mode") {
-      opt.mode = value();
-    } else if (arg == "--bench-json") {
+    if (arg == "--bench-json") {
       opt.bench_json = value();
     } else if (arg == "--min-dh-per-wall-s") {
       opt.min_dh_per_wall_s = std::strtod(value(), nullptr);
@@ -269,32 +168,8 @@ int main(int argc, char** argv) {
   opt.common = bench::parse_options(static_cast<int>(rest.size()),
                                     rest.data());
   if (opt.common.out_dir.empty()) opt.common.out_dir = "bench_fleet_out";
-  if (opt.mode != "sharded" && opt.mode != "memory" && opt.mode != "both") {
-    std::fprintf(stderr, "--mode must be sharded, memory or both\n");
-    return 2;
-  }
 
-  if (opt.mode != "both") return run_one_mode(opt, opt.mode);
-
-  bench::banner("Fleet-scale campaign engine: sharded vs in-memory",
+  bench::banner("Fleet-scale campaign engine: sharded campaign scaling",
                 "constant-memory campaign scaling (DESIGN.md §5g)");
-  rusage ru_sharded{};
-  rusage ru_memory{};
-  int rc = spawn_mode(opt, "sharded", &ru_sharded);
-  rc |= spawn_mode(opt, "memory", &ru_memory);
-  const bool equal = artifact_equal(opt, "findings.jsonl") &&
-                     artifact_equal(opt, "timeline.jsonl") &&
-                     artifact_equal(opt, "metrics.json");
-  std::printf("peak RSS: sharded %.1f MiB vs in-memory %.1f MiB | "
-              "artifacts %s\n",
-              maxrss_mib(ru_sharded), maxrss_mib(ru_memory),
-              equal ? "byte-identical" : "DIFFER");
-  if (!opt.bench_json.empty()) {
-    bench::write_bench_json(
-        opt.bench_json, "fleet/summary",
-        {{"peak_rss_sharded_mib", maxrss_mib(ru_sharded)},
-         {"peak_rss_memory_mib", maxrss_mib(ru_memory)},
-         {"artifacts_equal", equal ? 1.0 : 0.0}});
-  }
-  return rc != 0 || !equal ? 1 : 0;
+  return run_fleet(opt);
 }

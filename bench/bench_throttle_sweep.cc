@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
         const double rate = kRates[cell % kRates.size()];
         return run_point(seed, lte, rate, kVideosPerRun);
       });
-  bench::report_campaign(campaign, result, opts);
+  const bool wrote = bench::report_campaign(campaign, result, opts);
 
   core::Table fig19("Fig. 19 — rebuffering ratio vs throttled bandwidth",
                     {"rate (kbps)", "3G shaping", "LTE policing"});
@@ -148,5 +148,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Fig. 19/20): both metrics fall as the rate\n"
       "rises toward the 500 kbps media bitrate; LTE's policing stays above\n"
       "3G's shaping at every rate (dropped bursts => TCP retransmissions).\n");
-  return 0;
+  return wrote ? 0 : 1;
 }

@@ -31,7 +31,7 @@ namespace qoed::bench {
 //   --out-dir D   sharded (constant-memory) campaigns: each campaign streams
 //                 its runs into shard files under D/<campaign>/ and writes
 //                 merged findings.jsonl/timeline.jsonl/metrics.json there
-//                 (byte-identical to in-memory mode at any --jobs)
+//                 (byte-identical at any --jobs)
 //   --shard-bytes N  shard rotation budget in bytes [4 MiB]
 //   --shards N    also rotate every N runs (0 = byte budget only)
 struct BenchOptions {
@@ -160,17 +160,26 @@ struct TraceCollector {
 
 // "campaign 'x': 20 runs over 8 workers in 1.3s (0 failed)" + optional JSON
 // artifacts. `traces`, when given, collects this campaign's tracers for the
-// caller's final TraceCollector::write.
-inline void report_campaign(const core::Campaign& campaign,
-                            const core::CampaignResult& result,
-                            const BenchOptions& opts,
-                            TraceCollector* traces = nullptr) {
+// caller's final TraceCollector::write. False (after naming it on stderr)
+// when an artifact could not be written; the bench then exits 1.
+[[nodiscard]] inline bool report_campaign(const core::Campaign& campaign,
+                                          const core::CampaignResult& result,
+                                          const BenchOptions& opts,
+                                          TraceCollector* traces = nullptr) {
   std::printf("campaign '%s': %zu runs over %zu workers in %.2fs (%zu failed)\n",
               result.name.c_str(), result.runs, result.jobs,
               campaign.last_wall_seconds(), result.failed_runs());
+  bool ok = true;
+  const auto check = [&ok](bool wrote, const std::string& path) {
+    if (!wrote) {
+      std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
+      ok = false;
+    }
+  };
   if (!opts.json_path.empty()) {
     std::ofstream os(opts.json_path, std::ios::app);
     core::export_campaign_json(os, result);
+    check(static_cast<bool>(os.flush()), opts.json_path);
   }
   if (!opts.metrics_path.empty()) {
     std::ofstream os(opts.metrics_path, std::ios::app);
@@ -179,6 +188,7 @@ inline void report_campaign(const core::Campaign& campaign,
     os << ",\"registry\":";
     result.registry.write_json(os);
     os << "}\n";
+    check(static_cast<bool>(os.flush()), opts.metrics_path);
   }
   if (traces != nullptr && opts.tracing()) traces->add(result);
   if (opts.sharded()) {
@@ -186,10 +196,16 @@ inline void report_campaign(const core::Campaign& campaign,
     // over this campaign's shard directory.
     const std::string dir =
         opts.out_dir + "/" + sanitize_campaign_dir(result.name);
-    core::ShardFindingsMergeSink(dir).write_file(dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
+    const core::ShardFindingsMergeSink findings(dir);
+    const core::ShardTimelineMergeSink timeline(dir);
+    const core::ShardMetricsMergeSink metrics(dir);
+    const core::ExportSink* sinks[] = {&findings, &timeline, &metrics};
+    for (const core::ExportSink* sink : sinks) {
+      const std::string path = dir + "/" + std::string(sink->id());
+      check(sink->write_file(path), path);
+    }
   }
+  return ok;
 }
 
 // Writes one micro-benchmark result as a flat JSON object (appends, one
@@ -219,8 +235,8 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
 // Prints a CDF as paper-style figure rows.
 inline void print_cdf(const std::string& title, const std::string& unit,
                       std::vector<double> values, std::size_t points = 12) {
-  core::print_series(title, unit, "CDF", core::cdf_points(std::move(values),
-                                                          points));
+  core::print_series(title, unit, "CDF",
+                     core::empirical_cdf(std::move(values), points));
 }
 
 }  // namespace qoed::bench

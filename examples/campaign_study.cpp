@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   cfg.runs = runs;
   cfg.jobs = jobs;
   cfg.master_seed = 2014;
-  cfg.cdf_points = 10;
   core::Campaign campaign(cfg);
 
   // One self-contained run: fresh testbed, one device, three page loads.
@@ -75,8 +74,6 @@ int main(int argc, char** argv) {
         "p90 %.2fs; mean-of-run-means %.2fs\n",
         m->pooled.n, m->pooled.mean, m->pooled.stddev, m->pooled.p90,
         m->per_run_means.mean);
-    core::print_series("page load CDF (pooled across runs)", "seconds", "CDF",
-                       m->cdf);
   }
 
   std::printf("\n--- CampaignResult JSON ---\n");

@@ -56,14 +56,14 @@
 //             latency medians; join findings with --findings=FILE)
 //             --merged: the single input is already merged/stamped
 //             (a cell or fleet timeline.jsonl) — summarize as-is
-//   fleet:    batch campaign over one ScenarioSpec JSON per line of --specs.
-//             Sharded (constant-memory) by default with --out-dir; --memory
-//             pools RunResults instead. Merged findings.jsonl /
-//             timeline.jsonl / metrics.json are byte-identical between the
-//             two modes and at any --jobs. --resume continues a killed
-//             sharded fleet; --merge-only just rebuilds merged artifacts
-//             from an existing shard dir. Exits 1 when a merged artifact
-//             cannot be written (e.g. a manifest-listed shard is missing).
+//   fleet:    batch campaign over one ScenarioSpec JSON per line of --specs,
+//             sharded (constant-memory) under --out-dir. Merged
+//             findings.jsonl / timeline.jsonl / metrics.json are
+//             byte-identical at any --jobs. --resume continues a killed
+//             fleet; --merge-only just rebuilds merged artifacts from an
+//             existing shard dir. Exits 2 on an unknown flag or a
+//             malformed number, 1 when a merged artifact cannot be written
+//             (e.g. a manifest-listed shard is missing).
 //   serve:    long-lived scheduler; line-delimited JSON commands
 //             (submit/status/drain/shutdown) on stdin or --socket=PATH.
 //             See src/svc/serve.h for the protocol.
@@ -81,12 +81,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -220,6 +224,62 @@ bool spec_from_flags(const Options& opt, svc::ScenarioSpec* spec,
   }
   json << '}';
   return svc::ScenarioSpec::parse_json(json.str(), spec, error);
+}
+
+// What a flag of a checked command takes: any text, a non-negative
+// integer, or a non-negative finite number.
+enum class FlagValue { kText, kCount, kNumber };
+struct FlagSpec {
+  std::string_view name;
+  FlagValue value;
+};
+
+// fleet's flags. --resume and --merge-only read as 1 when given bare.
+constexpr FlagSpec kFleetFlags[] = {
+    {"specs", FlagValue::kText},           {"out-dir", FlagValue::kText},
+    {"jobs", FlagValue::kCount},           {"master-seed", FlagValue::kCount},
+    {"retries", FlagValue::kCount},        {"max-virtual-s", FlagValue::kNumber},
+    {"max-reschedules", FlagValue::kCount}, {"shard-bytes", FlagValue::kCount},
+    {"shard-runs", FlagValue::kCount},     {"resume", FlagValue::kCount},
+    {"merge-only", FlagValue::kCount},     {"findings", FlagValue::kText},
+    {"timeline", FlagValue::kText},        {"metrics", FlagValue::kText},
+    {"captures", FlagValue::kText},        {"json", FlagValue::kText}};
+
+// False, with *error naming it, on a positional argument, a flag not in
+// `flags`, or a value that is not the number its flag takes — so a typo
+// or a unit suffix exits 2 instead of running with a default.
+bool check_flags(const Options& opt, std::span<const FlagSpec> flags,
+                 std::string* error) {
+  if (!opt.positional.empty()) {
+    *error = "unexpected argument \"" + opt.positional.front() + "\"";
+    return false;
+  }
+  for (const auto& [flag, value] : opt.kv) {
+    const auto spec =
+        std::find_if(flags.begin(), flags.end(),
+                     [&flag](const FlagSpec& f) { return f.name == flag; });
+    if (spec == flags.end()) {
+      *error = "unknown flag --" + flag;
+      return false;
+    }
+    const char* const begin = value.data();
+    const char* const end = begin + value.size();
+    bool ok = true;
+    if (spec->value == FlagValue::kCount) {
+      long n = 0;
+      const auto [stop, ec] = std::from_chars(begin, end, n);
+      ok = ec == std::errc() && stop == end && n >= 0;
+    } else if (spec->value == FlagValue::kNumber) {
+      double v = 0;
+      const auto [stop, ec] = std::from_chars(begin, end, v);
+      ok = ec == std::errc() && stop == end && std::isfinite(v) && v >= 0;
+    }
+    if (!ok) {
+      *error = "invalid value for --" + flag + ": \"" + value + "\"";
+      return false;
+    }
+  }
+  return true;
 }
 
 void report_policy(const ctrl::PolicyEngine* policy, const Options& opt) {
@@ -420,11 +480,16 @@ bool read_file(const std::string& path, std::string* out) {
 // --shards=DIR: join the --summary rollup with the per-run reaction
 // outcomes recorded in a fleet/serve shard directory — rescheduled and
 // quarantined counts keyed by the same run-N device label the summary uses.
-void print_reaction_outcomes(const Options& opt) {
+// False when the directory's metrics shards cannot be replayed.
+bool print_reaction_outcomes(const Options& opt) {
   const std::string shards = opt.get("shards", "");
-  if (shards.empty()) return;
-  const std::map<std::string, core::RunOutcomeCounts> outcomes =
-      core::read_run_outcomes(shards);
+  if (shards.empty()) return true;
+  std::map<std::string, core::RunOutcomeCounts> outcomes;
+  std::string error;
+  if (!core::read_run_outcomes(shards, &outcomes, &error)) {
+    std::printf("merge: %s\n", error.c_str());
+    return false;
+  }
   std::size_t rescheduled = 0;
   std::size_t quarantined = 0;
   for (const auto& [device, c] : outcomes) {
@@ -436,6 +501,7 @@ void print_reaction_outcomes(const Options& opt) {
   }
   std::printf("reactions total: %zu runs, rescheduled=%zu quarantined=%zu\n",
               outcomes.size(), rescheduled, quarantined);
+  return true;
 }
 
 // Per-device rollup of a merged timeline, joined with a stamped findings
@@ -451,8 +517,7 @@ int print_summary(const Options& opt, const std::string& merged) {
   std::ostringstream table;
   core::print_merged_summary(table, core::summarize_merged(merged, findings));
   std::fputs(table.str().c_str(), stdout);
-  print_reaction_outcomes(opt);
-  return 0;
+  return print_reaction_outcomes(opt) ? 0 : 1;
 }
 
 // Interleaves per-device timeline JSONL files (written via --timeline) into
@@ -634,13 +699,10 @@ int run_pop(const Options& opt) {
   return 0;
 }
 
-// Writes the merged fleet artifacts: from the shard directory (sharded
-// mode) or from the pooled per-run artifacts (--memory). Same stamping and
-// merge code both ways, so the outputs are byte-identical. False when any
-// artifact could not be written (a manifest-listed shard that is missing
-// or unreadable fails its merged artifact).
-bool write_fleet_artifacts(const Options& opt, const std::string& out_dir,
-                           const core::CampaignResult* memory_result) {
+// Writes the merged fleet artifacts from the shard directory. False when
+// any artifact could not be written (a manifest-listed shard that is
+// missing or unreadable fails its merged artifact).
+bool write_fleet_artifacts(const Options& opt, const std::string& out_dir) {
   const auto path = [&](const char* key, const char* def) {
     std::string p = opt.get(key, "");
     if (p.empty() && !out_dir.empty()) {
@@ -657,31 +719,27 @@ bool write_fleet_artifacts(const Options& opt, const std::string& out_dir,
   const std::string timeline = path("timeline", "timeline.jsonl");
   const std::string metrics = path("metrics", "metrics.json");
   const std::string captures = path("captures", "captures.jsonl");
-  if (memory_result == nullptr) {
-    write(core::ShardFindingsMergeSink(out_dir), findings);
-    write(core::ShardTimelineMergeSink(out_dir), timeline);
-    write(core::ShardMetricsMergeSink(out_dir), metrics);
-    write(core::ShardCapturesMergeSink(out_dir), captures);
-  } else {
-    write(core::CampaignFindingsSink(*memory_result), findings);
-    write(core::CampaignTimelineSink(*memory_result), timeline);
-    write(core::MetricsJsonSink(memory_result->registry), metrics);
-    write(core::CampaignCapturesSink(*memory_result), captures);
-  }
+  write(core::ShardFindingsMergeSink(out_dir), findings);
+  write(core::ShardTimelineMergeSink(out_dir), timeline);
+  write(core::ShardMetricsMergeSink(out_dir), metrics);
+  write(core::ShardCapturesMergeSink(out_dir), captures);
   return ok;
 }
 
 int run_fleet(const Options& opt) {
+  std::string error;
+  if (!check_flags(opt, kFleetFlags, &error)) {
+    std::printf("fleet: %s\n", error.c_str());
+    return 2;
+  }
   const std::string specs_path = opt.get("specs", "");
   const std::string out_dir = opt.get("out-dir", "");
-  const bool memory = opt.get_int("memory", 0) != 0;
-
+  if (out_dir.empty()) {
+    std::printf("fleet: --out-dir=DIR required\n");
+    return 2;
+  }
   if (opt.get_int("merge-only", 0) != 0) {
-    if (out_dir.empty()) {
-      std::printf("fleet: --merge-only needs --out-dir\n");
-      return 2;
-    }
-    return write_fleet_artifacts(opt, out_dir, nullptr) ? 0 : 1;
+    return write_fleet_artifacts(opt, out_dir) ? 0 : 1;
   }
 
   if (specs_path.empty()) {
@@ -713,10 +771,6 @@ int run_fleet(const Options& opt) {
     std::printf("fleet: no specs in %s\n", specs_path.c_str());
     return 2;
   }
-  if (!memory && out_dir.empty()) {
-    std::printf("fleet: need --out-dir (sharded) or --memory\n");
-    return 2;
-  }
 
   core::CampaignConfig cfg;
   cfg.name = "fleet";
@@ -728,16 +782,12 @@ int run_fleet(const Options& opt) {
       std::strtod(opt.get("max-virtual-s", "0").c_str(), nullptr);
   cfg.max_reschedules =
       static_cast<std::size_t>(opt.get_int("max-reschedules", 1));
-  if (memory) {
-    cfg.keep_artifacts = true;
-  } else {
-    cfg.shard.out_dir = out_dir;
-    cfg.shard.shard_bytes = static_cast<std::size_t>(
-        opt.get_int("shard-bytes", 4 << 20));
-    cfg.shard.shard_runs =
-        static_cast<std::size_t>(opt.get_int("shard-runs", 0));
-    cfg.shard.resume = opt.get_int("resume", 0) != 0;
-  }
+  cfg.shard.out_dir = out_dir;
+  cfg.shard.shard_bytes =
+      static_cast<std::size_t>(opt.get_int("shard-bytes", 4 << 20));
+  cfg.shard.shard_runs =
+      static_cast<std::size_t>(opt.get_int("shard-runs", 0));
+  cfg.shard.resume = opt.get_int("resume", 0) != 0;
 
   core::Campaign campaign(cfg);
   core::CampaignResult result;
@@ -760,8 +810,7 @@ int run_fleet(const Options& opt) {
       result.runs, result.quarantined.size(), rescheduled, result.jobs,
       campaign.last_wall_seconds());
 
-  const bool wrote =
-      write_fleet_artifacts(opt, out_dir, memory ? &result : nullptr);
+  const bool wrote = write_fleet_artifacts(opt, out_dir);
   const std::string json = opt.get("json", "");
   if (!json.empty()) {
     std::ofstream os(json, std::ios::binary);
@@ -972,9 +1021,9 @@ void print_fleet_summary(const obs::MetricsRegistry& reg,
   }
 }
 
-// `qoed_cli top` — the live fleet stats surface. Shard-dir mode reads
-// MANIFEST.json and merges the manifest-listed metrics shards (exactly
-// what `fleet --merge-only` would write to metrics.json); socket mode
+// `qoed_cli top` — the live fleet stats surface. Shard-dir mode replays
+// the manifest-listed metrics shards (exactly what `fleet --merge-only`
+// would write to metrics.json); socket mode
 // asks a running serve session for its in-memory snapshot. Both render
 // through the same summary, and the two byte-agree after a drain by the
 // stats-protocol contract (svc/serve.h).
@@ -988,21 +1037,16 @@ int run_top(const Options& opt) {
   obs::MetricsRegistry reg;
   std::size_t committed = 0;
   if (!shards.empty()) {
-    core::ShardManifest manifest;
     std::string error;
-    if (!core::read_shard_manifest(shards, &manifest, &error)) {
-      std::printf("top: %s: %s\n", shards.c_str(), error.c_str());
+    const std::unique_ptr<core::ShardedCampaignSink> fold =
+        core::ShardedCampaignSink::replay(shards, &error);
+    if (fold == nullptr) {
+      std::printf("top: %s\n", error.c_str());
       return 1;
     }
+    const core::ShardManifest& manifest = fold->manifest();
     committed = manifest.committed();
-    std::ostringstream merged;
-    core::ShardMetricsMergeSink(shards).write(merged);
-    if (!merged) {
-      std::printf("top: %s: a listed metrics shard cannot be read\n",
-                  shards.c_str());
-      return 1;
-    }
-    if (!reg.merge_from_json(merged.str(), &error)) {
+    if (!reg.merge_from_json(fold->metrics_snapshot(), &error)) {
       std::printf("top: %s\n", error.c_str());
       return 1;
     }
@@ -1078,7 +1122,7 @@ void usage() {
       "  pop:      [--users=N] [--seed=N] [--days=N] [--mix=S,V,B]\n"
       "            [--diurnal=mobile|flat] [--network=...] [--throttle=KBPS]\n"
       "            [--mechanism=...] [--begin=I] [--end=J] [--out=FILE]\n"
-      "  fleet:    --specs=FILE [--jobs=N] [--out-dir=DIR | --memory]\n"
+      "  fleet:    --specs=FILE --out-dir=DIR [--jobs=N]\n"
       "            [--shard-bytes=N] [--shard-runs=N] [--resume]\n"
       "            [--merge-only] [--retries=N] [--max-virtual-s=S]\n"
       "            [--max-reschedules=N] [--findings=FILE] [--timeline=FILE]\n"

@@ -9,7 +9,7 @@
 
 #include "apps/web_server.h"
 #include "core/control_spec.h"
-#include "core/log_export.h"
+#include "core/export_sink.h"
 #include "core/qoe_doctor.h"
 
 int main() {
@@ -47,13 +47,13 @@ int main() {
               result.records.size());
 
   std::printf("--- AppBehaviorLog ---\n");
-  std::cout << core::behavior_log_to_string(doctor.log());
+  core::BehaviorTextSink(doctor.log()).write(std::cout);
 
   std::printf("\n--- packet trace (first 15 lines) ---\n");
-  std::cout << core::trace_to_string(device->trace().records(), 15);
+  core::TraceTextSink(device->trace().records(), 15).write(std::cout);
 
   std::printf("\n--- QxDM radio log (first 15 PDUs) ---\n");
-  std::cout << core::qxdm_to_string(device->cellular()->qxdm(), 15);
+  core::QxdmTextSink(device->cellular()->qxdm(), 15).write(std::cout);
 
   const core::Summary s =
       core::AppLayerAnalyzer::summarize(doctor.log(), "page_load");

@@ -13,7 +13,7 @@
 # `fleet --merge-only` rebuilds the same merged bytes from the shards and
 # fails when a manifest-listed shard is missing, that a `qoed_cli post`
 # single run leaves the same artifacts as the fleet run of the same spec,
-# and that bad single-run input exits 2.
+# and that bad single-run or fleet input exits 2.
 #
 # usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]
 set -euo pipefail
@@ -119,9 +119,14 @@ cmp "$PARITY/fleet-findings.jsonl" "$PARITY/cli-findings.jsonl"
 "$CLI" metrics-diff "$PARITY/fleet/metrics.json" "$PARITY/cli-metrics.json" \
   --tol=campaign.=inf
 
-# Single-run flags pass the spec checks: a bad value or an unknown flag
-# exits 2 instead of running something else.
-for bad in "pageload --network=ltee" "video --throttle_kbps=200"; do
+# Single-run flags pass the spec checks and fleet checks its own flags: a
+# bad value, a malformed number or an unknown flag (including the flag of
+# the retired in-memory fleet mode) exits 2 instead of running something
+# else.
+rm -rf "$WORK/bad-fleet"
+for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
+           "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --memory" \
+           "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --jobs=abc"; do
   rc=0
   # shellcheck disable=SC2086  # word-split the subcommand and its flag
   "$CLI" $bad > "$WORK/bad-input.log" || rc=$?
@@ -131,6 +136,10 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200"; do
     exit 1
   fi
 done
+if [ -e "$WORK/bad-fleet" ]; then
+  echo "metrics gate: a fleet with bad flags still wrote $WORK/bad-fleet"
+  exit 1
+fi
 
 echo "metrics gate OK: jobs-invariant, merge-only rebuilds the same bytes" \
   "and fails on a missing shard, baseline matched, self-test exits 4," \

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Serve-mode smoke: a scripted stdin client drives `qoed_cli serve`, and
 # the session's merged artifacts must be byte-identical to a batch
-# `qoed_cli fleet` run (in-memory mode) over the same spec list — at
-# jobs=1 and jobs=4. This is the cross-mode determinism contract:
-#   batch in-memory == batch sharded == serve, at any worker count.
+# `qoed_cli fleet` run over the same spec list — at jobs=1 and jobs=4.
+# This is the cross-mode determinism contract:
+#   batch fleet == serve, at any worker count.
 set -euo pipefail
 
 CLI=${1:?usage: serve_smoke.sh path/to/qoed_cli [workdir]}
@@ -18,9 +18,9 @@ cat > "$SPECS" <<'EOF'
 {"scenario":"post","kind":"photos","reps":2,"seed":104,"fault_plan":"packet:drop=0.02","fault_seed":7}
 EOF
 
-# Batch reference: in-memory fleet over the same specs.
+# Batch reference: a fleet over the same specs.
 mkdir -p "$WORK/batch"
-"$CLI" fleet --specs="$SPECS" --memory --out-dir="$WORK/batch" --jobs=2
+"$CLI" fleet --specs="$SPECS" --out-dir="$WORK/batch" --jobs=2
 
 # Each spec line becomes a submit command by splicing in the cmd key.
 make_client() {

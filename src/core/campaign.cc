@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <thread>
 
 #include "core/shard.h"
@@ -158,69 +157,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
   }
 }
 
-namespace {
-
-// Per-run outcome bookkeeping beyond the RunResult itself.
-struct RunOutcome {
-  std::size_t attempts = 0;
-  std::size_t reschedules = 0;
-  std::uint64_t last_seed = 0;
-};
-
-void merge_runs(std::vector<RunResult>& results,
-                const std::vector<RunOutcome>& outcomes,
-                std::size_t cdf_points, bool build_trace,
-                CampaignResult* out) {
-  // Walk runs strictly in index order so the accumulation order (and thus
-  // every floating-point result) is independent of scheduling.
-  std::map<std::string, std::vector<double>> run_means;
-  std::size_t total_attempts = 0;
-  std::size_t total_reschedules = 0;
-  out->trace.set_enabled(build_trace);
-  out->traces.resize(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    RunResult& r = results[i];
-    out->run_errors.push_back(r.ok ? "" : r.error);
-    out->run_attempts.push_back(outcomes[i].attempts);
-    out->run_reschedules.push_back(outcomes[i].reschedules);
-    total_attempts += outcomes[i].attempts;
-    total_reschedules += outcomes[i].reschedules;
-    out->traces[i] = std::move(r.trace);
-    if (build_trace) {
-      add_spine_row(out->trace, out->name, i, outcomes[i].last_seed,
-                    outcomes[i].attempts, outcomes[i].reschedules, r.ok,
-                    r.virtual_seconds);
-    }
-    if (!r.ok) {
-      out->quarantined.push_back({i, outcomes[i].attempts,
-                                  outcomes[i].last_seed, r.error});
-      continue;
-    }
-    out->registry.merge_from(r.registry);
-    for (const auto& [name, samples] : r.samples) {
-      MetricAggregate& agg = out->metrics[name];
-      agg.pooled_samples.insert(agg.pooled_samples.end(), samples.begin(),
-                                samples.end());
-      if (!samples.empty()) {
-        double sum = 0;
-        for (double v : samples) sum += v;
-        run_means[name].push_back(sum / static_cast<double>(samples.size()));
-      }
-    }
-  }
-  add_campaign_counters(out->registry, total_attempts,
-                        out->quarantined.size(), total_reschedules);
-  for (auto& [name, agg] : out->metrics) {
-    agg.pooled = summarize(agg.pooled_samples);
-    agg.per_run_means = summarize(run_means[name]);
-    agg.cdf = cdf_points ? qoed::core::cdf_points(agg.pooled_samples,
-                                                  cdf_points)
-                         : std::vector<std::pair<double, double>>{};
-  }
-}
-
-}  // namespace
-
 CampaignResult Campaign::run(const RunFn& fn) {
   const std::size_t runs = cfg_.runs;
   std::size_t jobs = cfg_.jobs;
@@ -245,23 +181,16 @@ CampaignResult Campaign::run(const RunFn& fn) {
     out.run_specs.push_back(std::move(spec));
   }
 
-  const bool sharded = !cfg_.shard.out_dir.empty();
-  // In-memory mode: workers write into disjoint slots of pre-sized vectors.
-  // Sharded mode: the sink orders and folds; the vectors stay empty.
-  std::vector<RunResult> results(sharded ? 0 : runs);
-  std::vector<RunOutcome> outcomes(sharded ? 0 : runs);
   // Wall-clock profile slots, one per run (disjoint writes; folded into
   // last_profile_ after the join, in index order). Never enters `out`.
   std::vector<double> run_wall(runs, 0), backoff_wall(runs, 0),
       queue_wait(runs, 0);
+  if (cfg_.trace) out.traces.resize(runs);
 
-  std::unique_ptr<ShardedCampaignSink> sink;
-  std::size_t start = 0;
-  if (sharded) {
-    sink = std::make_unique<ShardedCampaignSink>(cfg_.shard, cfg_.name,
-                                                 cfg_.master_seed, runs);
-    start = sink->committed();  // resume skips the durable prefix
-  }
+  // Every run commits through the sink: it orders and folds, and with an
+  // out_dir also writes the shards. Resume skips the durable prefix.
+  ShardedCampaignSink sink(cfg_.shard, cfg_.name, cfg_.master_seed, runs);
+  const std::size_t start = sink.committed();
 
   std::atomic<std::size_t> next{start};
   const auto t0 = std::chrono::steady_clock::now();
@@ -275,12 +204,8 @@ CampaignResult Campaign::run(const RunFn& fn) {
       RunExecution ex = execute_run_with_policy(cfg_, fn, out.run_specs[i]);
       run_wall[i] = ex.run_wall_s;
       backoff_wall[i] = ex.backoff_wall_s;
-      if (sharded) {
-        sink->submit(i, std::move(ex));
-      } else {
-        outcomes[i] = {ex.attempts, ex.reschedules, ex.last_seed};
-        results[i] = std::move(ex.result);
-      }
+      if (cfg_.trace) out.traces[i] = std::move(ex.result.trace);
+      sink.submit(i, std::move(ex));
     }
   };
 
@@ -310,18 +235,8 @@ CampaignResult Campaign::run(const RunFn& fn) {
   last_profile_.set_gauge("prof.campaign.total_wall", last_wall_seconds_);
   last_profile_.set_gauge("prof.campaign.jobs", static_cast<double>(jobs));
 
-  if (sharded) {
-    sink->finalize();  // throws on shard I/O failure — don't mask it
-    sink->fold_into(&out, cfg_.trace);
-    return out;
-  }
-  merge_runs(results, outcomes, cfg_.cdf_points, cfg_.trace, &out);
-  if (cfg_.keep_artifacts) {
-    out.run_artifacts.resize(runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      out.run_artifacts[i] = std::move(results[i].artifacts);
-    }
-  }
+  sink.finalize();  // throws on shard I/O failure — don't mask it
+  sink.fold_into(&out, cfg_.trace);
   return out;
 }
 

@@ -51,11 +51,10 @@ struct RunSpec {
 };
 
 // Per-run export artifacts a factory may attach to its RunResult: the raw
-// (unstamped) findings and timeline JSONL for that one run. The campaign
-// either streams them into shard files (sharded mode) or moves them into
-// CampaignResult::run_artifacts (in-memory mode with keep_artifacts) so the
-// merged campaign-level findings.jsonl / timeline.jsonl can be produced by
-// either path with byte-identical output.
+// (unstamped) findings and timeline JSONL for that one run. A sharded
+// campaign streams them into shard files, from which the merged
+// campaign-level findings.jsonl / timeline.jsonl are produced; without an
+// out_dir they are dropped at commit.
 struct RunArtifacts {
   std::string findings_jsonl;  // FindingsJsonlSink::to_string() of this run
   std::string timeline_jsonl;  // TimelineJsonlSink::to_string() of this run
@@ -63,16 +62,12 @@ struct RunArtifacts {
   // line + packet lines per capture, see ctrl::PolicyEngine). Empty when no
   // policy fired a capture.
   std::string captures_jsonl;
-  bool empty() const {
-    return findings_jsonl.empty() && timeline_jsonl.empty() &&
-           captures_jsonl.empty();
-  }
 };
 
 // What one run hands back: named sample sets (e.g. latencies in seconds,
 // one value per replayed action) and the run's metrics registry.
 struct RunResult {
-  // Raw sample values, kept for the campaign's pooled summaries and CDFs.
+  // Raw sample values, folded into the campaign's per-metric summaries.
   std::map<std::string, std::vector<double>> samples;
   // The run's metrics: every counter (e.g. bytes transferred, videos
   // completed, each component's export_metrics), gauge and histogram;
@@ -80,8 +75,9 @@ struct RunResult {
   // into CampaignResult::registry.
   obs::MetricsRegistry registry;
   // The run's span trace (virtual time), moved from the factory's doctor
-  // when tracing is on; merged into the campaign trace artifact as one
-  // process per run. Empty/disabled otherwise.
+  // when tracing is on; moved into CampaignResult::traces when
+  // CampaignConfig::trace is set and merged into the campaign trace
+  // artifact as one process per run. Empty/disabled otherwise.
   obs::Tracer trace;
   bool ok = true;
   std::string error;  // set when the factory threw; run contributes nothing
@@ -89,8 +85,8 @@ struct RunResult {
   // loop's final now()). The campaign's virtual-time watchdog fails runs
   // exceeding CampaignConfig::max_run_virtual_seconds; zero = not reported.
   double virtual_seconds = 0;
-  // Optional per-run export artifacts (see RunArtifacts): streamed to shard
-  // files in sharded mode, kept per run when CampaignConfig::keep_artifacts.
+  // Optional per-run export artifacts (see RunArtifacts), streamed to shard
+  // files when the campaign has an out_dir.
   RunArtifacts artifacts;
   // Set by the run's control policy (ctrl::PolicyEngine) when a
   // `reschedule` action fired: the run completed but its collection layers
@@ -105,17 +101,16 @@ struct RunResult {
   }
 };
 
-// Cross-run aggregation of one named metric.
+// Cross-run aggregation of one named metric, folded by
+// ShardedCampaignSink in run-index order (DESIGN.md §5g): exact n/min/max,
+// Welford mean and stddev, percentiles from 1-2-5 histogram buckets
+// clamped to [min, max].
 struct MetricAggregate {
-  // All samples pooled across runs, concatenated in run-index order.
-  std::vector<double> pooled_samples;
-  // Summary (incl. pooled percentiles) over pooled_samples.
+  // Summary over every sample of every clean run.
   Summary pooled;
   // Summary over the per-run means ("mean of runs" — each run weighs the
   // same regardless of how many samples it produced).
   Summary per_run_means;
-  // CDF of the pooled samples, paper-figure style.
-  std::vector<std::pair<double, double>> cdf;
 };
 
 struct CampaignResult {
@@ -159,14 +154,9 @@ struct CampaignResult {
   // retry/quarantine instants. Built post-hoc in index order — worker
   // identity never leaks in.
   obs::Tracer trace;
-  // Per-run traces moved out of RunResult, indexed by run.
+  // Per-run traces moved out of RunResult, indexed by run (only when
+  // CampaignConfig::trace; runs a resume skipped hold empty tracers).
   std::vector<obs::Tracer> traces;
-
-  // Per-run artifacts moved out of RunResult (in-memory mode only, and only
-  // when CampaignConfig::keep_artifacts — sharded mode streams them to disk
-  // instead of retaining them). Indexed by run; quarantined runs hold empty
-  // entries.
-  std::vector<RunArtifacts> run_artifacts;
 
   // Move-stable description of one trace process: the spine (run == -1) or
   // the per-run tracer at traces[run]. Resolve against the CampaignResult
@@ -190,9 +180,10 @@ struct CampaignResult {
   const MetricAggregate* metric(const std::string& name) const;
 };
 
-// Sharded (constant-memory) campaign execution. When `out_dir` is set,
-// Campaign::run streams per-run findings/timeline/metrics JSONL into
-// bounded shard files under out_dir instead of pooling RunResults:
+// Sharded (constant-memory) campaign execution. Campaign::run commits every
+// run through a ShardedCampaignSink; when `out_dir` is set, the sink
+// streams per-run findings/timeline/metrics JSONL into bounded shard files
+// under out_dir:
 //   findings-NNNNNN.jsonl   stamped {"run":N,...} findings, run-index order
 //   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
 //                           the (t, device, seq) merge key
@@ -203,9 +194,9 @@ struct CampaignResult {
 // each written atomically (tmp+rename) before the manifest records it, so a
 // killed campaign leaves a consistent prefix that `resume` continues from.
 // The final artifacts come from an external k-way merge over the shards and
-// are byte-identical to the in-memory path at any --jobs.
+// are byte-identical at any --jobs.
 struct CampaignShardConfig {
-  std::string out_dir;  // empty => in-memory mode (pool RunResults)
+  std::string out_dir;  // empty => fold in memory, write no files
   std::size_t shard_bytes = 4u << 20;  // rotate when payload exceeds this
   std::size_t shard_runs = 0;          // also rotate every N runs (0 = off)
   // Adopt an existing MANIFEST.json in out_dir: replay closed shards into
@@ -219,7 +210,6 @@ struct CampaignConfig {
   std::size_t runs = 1;
   std::size_t jobs = 0;  // 0 => std::thread::hardware_concurrency()
   std::uint64_t master_seed = 1;
-  std::size_t cdf_points = 20;  // resolution of MetricAggregate::cdf
 
   // --- robustness policy (defaults preserve pre-existing behavior) ---
   // Extra attempts after a failed one; each retry reruns the factory with a
@@ -237,23 +227,14 @@ struct CampaignConfig {
   // RunResult::reschedule_requested). Each round gets a ctrl_reseed base
   // and a fresh retry budget; counted separately from failure retries.
   std::size_t max_reschedules = 1;
-  // Build the campaign-spine trace (CampaignResult::trace). Factories opt
-  // their own per-run tracers in independently (RunResult::trace).
+  // Build the campaign-spine trace (CampaignResult::trace) and keep each
+  // run's RunResult::trace in CampaignResult::traces. Factories opt their
+  // own per-run tracers in independently.
   bool trace = false;
 
-  // In-memory mode: move each run's RunArtifacts into
-  // CampaignResult::run_artifacts instead of dropping them. Off by default
-  // (it pools O(runs) artifact bytes — the thing sharded mode exists to
-  // avoid). Ignored in sharded mode, which always streams artifacts.
-  bool keep_artifacts = false;
-
-  // Sharded streaming execution; active when shard.out_dir is non-empty.
-  // Sharded campaigns keep O(shard) memory: CampaignResult then carries
-  // summaries/specs/quarantine info but no pooled samples, per-run traces
-  // or cdf (metrics summaries use streaming folds — exact n/min/max,
-  // Welford stddev, histogram-derived percentiles — documented in
-  // DESIGN.md §5g). Findings/timeline/metrics artifacts merged from the
-  // shards are byte-identical to the in-memory path.
+  // Where the commit sink writes shards. With an empty out_dir it only
+  // orders and folds, and runs finishing ahead of the frontier wait in
+  // memory instead of in pending files.
   CampaignShardConfig shard;
 };
 

@@ -202,6 +202,15 @@ class JsonLiteParser {
     return true;
   }
 
+  // True once every container entered has been closed and only whitespace
+  // is left. A next_key or array_next loop also ends on malformed input,
+  // so a text cut short passes every read before the cut; this tells the
+  // two apart.
+  bool at_end() {
+    skip_ws();
+    return stack_.empty() && pos_ == text_.size();
+  }
+
   bool skip_value() {
     skip_ws();
     if (pos_ >= text_.size()) return false;

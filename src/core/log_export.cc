@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "core/app_analyzer.h"
 #include "core/json_util.h"
@@ -160,46 +159,11 @@ void export_campaign_json(std::ostream& os, const CampaignResult& result) {
     put_json_summary(os, agg.pooled);
     os << ",\"per_run_means\":";
     put_json_summary(os, agg.per_run_means);
-    os << ",\"cdf\":[";
-    for (std::size_t i = 0; i < agg.cdf.size(); ++i) {
-      if (i) os << ',';
-      os << '[';
-      put_json_number(os, agg.cdf[i].first);
-      os << ',';
-      put_json_number(os, agg.cdf[i].second);
-      os << ']';
-    }
-    os << "]}";
+    os << '}';
   }
   os << "},\"registry\":";
   result.registry.write_json(os);
   os << "}\n";
-}
-
-std::string trace_to_string(const std::vector<net::PacketRecord>& trace,
-                            std::size_t max_lines) {
-  std::ostringstream os;
-  export_trace(os, trace, max_lines);
-  return os.str();
-}
-
-std::string qxdm_to_string(const radio::QxdmLogger& log,
-                           std::size_t max_lines) {
-  std::ostringstream os;
-  export_qxdm(os, log, max_lines);
-  return os.str();
-}
-
-std::string behavior_log_to_string(const AppBehaviorLog& log) {
-  std::ostringstream os;
-  export_behavior_log(os, log);
-  return os.str();
-}
-
-std::string campaign_to_json_string(const CampaignResult& result) {
-  std::ostringstream os;
-  export_campaign_json(os, result);
-  return os.str();
 }
 
 }  // namespace qoed::core

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "core/behavior_log.h"
 #include "core/campaign.h"
@@ -30,16 +29,9 @@ void export_behavior_log(std::ostream& os, const AppBehaviorLog& log);
 
 // CampaignResult as JSON: campaign identity, per-run seeds/errors (enough to
 // replay any run alone), and per-metric aggregates (pooled summary,
-// mean-of-run-means, pooled CDF). Doubles are emitted with round-trip
-// precision, so two bit-identical results produce byte-identical JSON.
+// mean-of-run-means). Doubles are emitted with round-trip precision, so two
+// bit-identical results produce byte-identical JSON. The ExportSink classes
+// (export_sink.h) wrap these renderers for files and strings.
 void export_campaign_json(std::ostream& os, const CampaignResult& result);
-
-// Convenience string forms.
-std::string trace_to_string(const std::vector<net::PacketRecord>& trace,
-                            std::size_t max_lines = 0);
-std::string qxdm_to_string(const radio::QxdmLogger& log,
-                           std::size_t max_lines = 0);
-std::string behavior_log_to_string(const AppBehaviorLog& log);
-std::string campaign_to_json_string(const CampaignResult& result);
 
 }  // namespace qoed::core

@@ -118,6 +118,10 @@ void stamp_findings(std::string_view member, std::string_view findings_jsonl,
   }
 }
 
+namespace {
+
+// Campaign-level outcome counters: campaign.run_attempts (attempts over
+// all runs), campaign.quarantined and campaign.rescheduled (policy rounds).
 void add_campaign_counters(obs::MetricsRegistry& reg, std::size_t attempts,
                            std::size_t quarantined, std::size_t rescheduled) {
   reg.add_counter("campaign.run_attempts", static_cast<double>(attempts));
@@ -125,6 +129,11 @@ void add_campaign_counters(obs::MetricsRegistry& reg, std::size_t attempts,
   reg.add_counter("campaign.rescheduled", static_cast<double>(rescheduled));
 }
 
+// Appends one run's campaign-spine row to `trace`: a "run-N" track holding
+// the run span (virtual 0 .. virtual_seconds, named after the campaign,
+// args seed + attempts), one "retry" instant per extra attempt, one
+// "rescheduled" instant per policy round and a "quarantined" instant when
+// the run failed.
 void add_spine_row(obs::Tracer& trace, const std::string& campaign,
                    std::size_t run_index, std::uint64_t last_seed,
                    std::size_t attempts, std::size_t reschedules, bool ok,
@@ -146,6 +155,9 @@ void add_spine_row(obs::Tracer& trace, const std::string& campaign,
   trace.span_close(id, t1);
 }
 
+// One metrics-shard line: the run's identity, outcome, samples and registry
+// snapshot. The line is the unit of the aggregate fold and of crash
+// recovery — ShardedCampaignSink::fold_metrics_line is its one decoder.
 std::string encode_metrics_line(std::size_t run_index,
                                 const RunExecution& ex) {
   const RunResult& r = ex.result;
@@ -174,6 +186,8 @@ std::string encode_metrics_line(std::size_t run_index,
   os << '}';
   return os.str();
 }
+
+}  // namespace
 
 // ---- ShardedCampaignSink ----
 
@@ -217,7 +231,10 @@ ShardedCampaignSink::ShardedCampaignSink(const CampaignShardConfig& cfg,
           "mismatch)");
     }
     manifest_.shards = existing.shards;
-    replay_closed_shards();
+    std::string error;
+    if (!replay_closed_shards(&error)) {
+      throw std::runtime_error("shard resume: " + error);
+    }
     frontier_ = manifest_.committed();
     shard_run_begin_ = frontier_;
   } else if (!cfg_.resume) {
@@ -276,15 +293,9 @@ void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
       os.write(findings.data(), static_cast<std::streamsize>(findings.size()));
       os.write(timeline.data(), static_cast<std::streamsize>(timeline.size()));
       os.write(captures.data(), static_cast<std::streamsize>(captures.size()));
-      if (os) {
-        p.spilled = true;
-      } else {  // disk trouble: keep it in memory rather than lose the run
-        p.metrics = std::move(metrics_line);
-        p.findings = std::move(findings);
-        p.timeline = std::move(timeline);
-        p.captures = std::move(captures);
-      }
-    } else {
+      p.spilled = static_cast<bool>(os);
+    }
+    if (!p.spilled) {  // no out_dir, or disk trouble: keep the run in memory
       p.metrics = std::move(metrics_line);
       p.findings = std::move(findings);
       p.timeline = std::move(timeline);
@@ -352,8 +363,8 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
     } else if (key == "virtual_s") {
       parsed = p.read_number(&out->virtual_seconds);
     } else if (key == "samples") {
-      // Quarantined runs contribute nothing — same rule as the in-memory
-      // merge. "ok" precedes the payload sections in the line format.
+      // Quarantined runs contribute nothing. "ok" precedes the payload
+      // sections in the line format.
       if (!out->ok) {
         parsed = p.skip_value();
       } else {
@@ -392,7 +403,7 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
     }
     if (!parsed) return false;
   }
-  return true;
+  return p.at_end();
 }
 
 void ShardedCampaignSink::record_outcome(std::size_t run_index,
@@ -431,6 +442,9 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
     stamp_findings(stamp, captures, &captures_buf_);
     metrics_buf_ += metrics_line;
     metrics_buf_ += '\n';
+    timeline_bytes_ += timeline.size();
+    timeline_entries_.push_back(
+        {"run-" + std::to_string(run_index), std::move(timeline)});
   }
   if (hook_) {
     Commit c;
@@ -445,11 +459,6 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
     c.registry_json = po.registry;
     hook_(c);
   }
-  if (!cfg_.out_dir.empty()) {
-    timeline_bytes_ += timeline.size();
-    timeline_entries_.push_back(
-        {"run-" + std::to_string(run_index), std::move(timeline)});
-  }
   ++frontier_;
 
   if (cfg_.out_dir.empty()) return;
@@ -463,11 +472,7 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
 }
 
 void ShardedCampaignSink::close_shard_locked() {
-  if (frontier_ == shard_run_begin_) return;  // nothing buffered
-  if (cfg_.out_dir.empty()) {
-    shard_run_begin_ = frontier_;
-    return;
-  }
+  if (frontier_ == shard_run_begin_ || cfg_.out_dir.empty()) return;
   if (!io_error_.empty()) return;  // don't extend a broken prefix
   const std::size_t index = manifest_.shards.size();
   // Artifacts first, manifest last: a crash in between leaves unlisted
@@ -511,25 +516,41 @@ void ShardedCampaignSink::write_manifest_locked() {
   }
 }
 
-void ShardedCampaignSink::replay_closed_shards() {
+bool ShardedCampaignSink::replay_closed_shards(std::string* error) {
   for (const ShardInfo& info : manifest_.shards) {
-    std::ifstream in(shard_path("metrics", info.index), std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("shard resume: manifest lists " +
-                               shard_path("metrics", info.index) +
-                               " but it cannot be read");
-    }
+    const std::string path = shard_path("metrics", info.index);
+    std::ifstream in(path, std::ios::binary);
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       ParsedOutcome po;
       if (!fold_metrics_line(line, &po)) {
-        throw std::runtime_error("shard resume: malformed metrics line in " +
-                                 shard_path("metrics", info.index));
+        *error = "malformed metrics line in " + path;
+        return false;
       }
       record_outcome(po.run, po);
     }
+    // A directory opens, then its first read fails.
+    if (!in.is_open() || in.bad()) {
+      *error = "manifest lists " + path + " but it cannot be read";
+      return false;
+    }
   }
+  return true;
+}
+
+std::unique_ptr<ShardedCampaignSink> ShardedCampaignSink::replay(
+    const std::string& out_dir, std::string* error) {
+  std::string why;
+  std::unique_ptr<ShardedCampaignSink> sink(new ShardedCampaignSink);
+  sink->cfg_.out_dir = out_dir;
+  if (!read_shard_manifest(out_dir, &sink->manifest_, &why) ||
+      !sink->replay_closed_shards(&why)) {
+    if (error) *error = out_dir + ": " + why;
+    return nullptr;
+  }
+  sink->frontier_ = sink->manifest_.committed();
+  return sink;
 }
 
 void ShardedCampaignSink::finalize() {
@@ -555,9 +576,14 @@ Summary streaming_summary(std::uint64_t n, double mean, double m2, double min,
   s.min = min;
   s.max = max;
   if (hist != nullptr && hist->count > 0) {
-    s.p50 = obs::histogram_quantile(*hist, 0.50);
-    s.p90 = obs::histogram_quantile(*hist, 0.90);
-    s.p99 = obs::histogram_quantile(*hist, 0.99);
+    // Interpolation inside a 1-2-5 bucket can land outside the observed
+    // range (every sample 0.5 reads p50 0.35 in the 0.2..0.5 bucket).
+    const auto quantile = [&](double q) {
+      return std::clamp(obs::histogram_quantile(*hist, q), min, max);
+    };
+    s.p50 = quantile(0.50);
+    s.p90 = quantile(0.90);
+    s.p99 = quantile(0.99);
   }
   return s;
 }
@@ -672,135 +698,35 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
 }
 
 void ShardMetricsMergeSink::write(std::ostream& os) const {
-  obs::MetricsRegistry registry;
-  std::size_t total_attempts = 0, total_reschedules = 0, quarantined = 0;
-  ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) {
+  const std::unique_ptr<ShardedCampaignSink> fold =
+      ShardedCampaignSink::replay(out_dir_);
+  if (fold == nullptr) {
     os.setstate(std::ios::failbit);
     return;
   }
-  for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir_, "metrics", info.index),
-                     std::ios::binary);
-    if (!in) {
-      os.setstate(std::ios::failbit);
-      return;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      JsonLiteParser p(line);
-      if (!p.enter_object()) continue;
-      std::string key;
-      bool ok = true;
-      std::uint64_t attempts = 0, reschedules = 0;
-      std::string_view reg;
-      bool parsed = true;
-      while (parsed && p.next_key(&key)) {
-        if (key == "attempts") {
-          parsed = p.read_uint64(&attempts);
-        } else if (key == "resched") {
-          parsed = p.read_uint64(&reschedules);
-        } else if (key == "ok") {
-          parsed = p.read_bool(&ok);
-        } else if (key == "registry") {
-          parsed = p.raw_value(&reg);
-        } else {
-          parsed = p.skip_value();
-        }
-      }
-      if (!parsed) continue;
-      total_attempts += static_cast<std::size_t>(attempts);
-      total_reschedules += static_cast<std::size_t>(reschedules);
-      if (!ok) {
-        ++quarantined;
-      } else if (!reg.empty()) {
-        registry.merge_from_json(reg);
-      }
-    }
-    if (in.bad()) {
-      os.setstate(std::ios::failbit);
-      return;
-    }
-  }
-  add_campaign_counters(registry, total_attempts, quarantined,
-                        total_reschedules);
-  registry.write_json(os);
-  os << '\n';
+  os << fold->metrics_snapshot() << '\n';
 }
 
 void ShardCapturesMergeSink::write(std::ostream& os) const {
   concat_shards(out_dir_, "captures", os);
 }
 
-std::map<std::string, RunOutcomeCounts> read_run_outcomes(
-    const std::string& out_dir) {
-  std::map<std::string, RunOutcomeCounts> out;
-  ShardManifest manifest;
-  if (!read_shard_manifest(out_dir, &manifest)) return out;
-  for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir, "metrics", info.index),
-                     std::ios::binary);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      JsonLiteParser p(line);
-      if (!p.enter_object()) continue;
-      std::string key;
-      std::uint64_t run = 0, reschedules = 0;
-      bool ok = true;
-      bool parsed = true;
-      while (parsed && p.next_key(&key)) {
-        if (key == "run") {
-          parsed = p.read_uint64(&run);
-        } else if (key == "resched") {
-          parsed = p.read_uint64(&reschedules);
-        } else if (key == "ok") {
-          parsed = p.read_bool(&ok);
-        } else {
-          parsed = p.skip_value();
-        }
-      }
-      if (!parsed) continue;
-      RunOutcomeCounts& c = out["run-" + std::to_string(run)];
-      c.rescheduled = static_cast<std::size_t>(reschedules);
-      c.quarantined = ok ? 0 : 1;
-    }
+bool read_run_outcomes(const std::string& out_dir,
+                       std::map<std::string, RunOutcomeCounts>* out,
+                       std::string* error) {
+  const std::unique_ptr<ShardedCampaignSink> fold =
+      ShardedCampaignSink::replay(out_dir, error);
+  if (fold == nullptr) return false;
+  CampaignResult result;
+  fold->fold_into(&result, /*build_trace=*/false);
+  out->clear();
+  for (std::size_t i = 0; i < result.run_reschedules.size(); ++i) {
+    (*out)["run-" + std::to_string(i)].rescheduled = result.run_reschedules[i];
   }
-  return out;
-}
-
-// ---- in-memory mirror sinks ----
-
-void CampaignFindingsSink::write(std::ostream& os) const {
-  std::string buf;
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    buf.clear();
-    stamp_findings("\"run\":" + std::to_string(i),
-                   result_->run_artifacts[i].findings_jsonl, &buf);
-    os << buf;
+  for (const CampaignResult::QuarantinedRun& q : result.quarantined) {
+    (*out)["run-" + std::to_string(q.run_index)].quarantined = 1;
   }
-}
-
-void CampaignCapturesSink::write(std::ostream& os) const {
-  std::string buf;
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    buf.clear();
-    stamp_findings("\"run\":" + std::to_string(i),
-                   result_->run_artifacts[i].captures_jsonl, &buf);
-    os << buf;
-  }
-}
-
-void CampaignTimelineSink::write(std::ostream& os) const {
-  std::vector<DeviceTimeline> inputs;
-  inputs.reserve(result_->run_artifacts.size());
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    if (result_->run_artifacts[i].timeline_jsonl.empty()) continue;
-    inputs.push_back({"run-" + std::to_string(i),
-                      result_->run_artifacts[i].timeline_jsonl});
-  }
-  os << merge_timelines(inputs);
+  return true;
 }
 
 }  // namespace qoed::core

@@ -1,31 +1,31 @@
 // Constant-memory sharded campaign execution (DESIGN.md §5g).
 //
-// The in-memory campaign pools every RunResult and exports one artifact at
-// the end — O(total artifact bytes) memory, fine for hundreds of runs, not
-// for a simulated metro fleet. ShardedCampaignSink inverts that: workers
-// stream each run's findings/timeline/metrics JSONL into bounded shard
-// files, rotated at a byte budget and written atomically (tmp+rename)
-// BEFORE the manifest records them, so a killed campaign leaves a
-// consistent prefix that a resume continues from. The final artifacts come
-// from an external merge over the shards:
+// Every Campaign::run commits its runs through one ShardedCampaignSink:
+// workers stream each run's findings/timeline/metrics JSONL into bounded
+// shard files, rotated at a byte budget and written atomically
+// (tmp+rename) BEFORE the manifest records them, so a killed campaign
+// leaves a consistent prefix that a resume continues from. Without an
+// out_dir the sink only orders and folds. The final artifacts come from an
+// external merge over the shards:
 //
 //   findings.jsonl  = concatenation of findings shards (run-index order)
 //   timeline.jsonl  = k-way merge of the per-shard (t, device, seq)-sorted
 //                     timeline shards (core::merge_sorted_timeline_streams)
-//   metrics.json    = index-ordered fold of the per-run registry snapshots
-//                     (obs::MetricsRegistry::merge_from_json)
+//   metrics.json    = the sink's fold replayed over the metrics shards
 //
 // Determinism: runs are committed strictly in run-index order regardless of
 // worker completion order (out-of-order payloads spill to pending files, so
 // memory stays O(shard budget)); every fold happens at commit from the
-// serialized line bytes, and %.17g doubles round-trip exactly — so the
-// merged artifacts are byte-identical to the in-memory path at any --jobs.
+// serialized metrics line, the line resume and the metrics merge replay,
+// and %.17g doubles round-trip exactly — so the merged artifacts and the
+// CampaignResult are byte-identical at any --jobs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -71,42 +71,17 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
 
 // Stamps each object line of one run's raw findings (or captures) JSONL
 // with `member` as its first key: member "run":7 turns {"i":0,...} into
-// {"run":7,"i":0,...}. The sharded and the in-memory merged campaign
-// artifacts stamp "run":N and cell runs stamp "device":"dev-NNNN" through
-// this one transformation, so their outputs are byte-comparable.
+// {"run":7,"i":0,...}. Merged campaign artifacts stamp "run":N and cell
+// runs stamp "device":"dev-NNNN" through this one transformation, so their
+// outputs are byte-comparable.
 void stamp_findings(std::string_view member, std::string_view findings_jsonl,
                     std::string* out);
-
-// Campaign-level outcome counters: campaign.run_attempts (attempts over
-// all runs), campaign.quarantined and campaign.rescheduled (policy rounds).
-// Every merged registry gets them the same way — the in-memory merge, the
-// sharded sink and the shard metrics merge — so metrics.json is the same
-// bytes on every path.
-void add_campaign_counters(obs::MetricsRegistry& reg, std::size_t attempts,
-                           std::size_t quarantined, std::size_t rescheduled);
-
-// Appends one run's campaign-spine row to `trace`: a "run-N" track holding
-// the run span (virtual 0 .. virtual_seconds, named after the campaign,
-// args seed + attempts), one "retry" instant per extra attempt, one
-// "rescheduled" instant per policy round and a "quarantined" instant when
-// the run failed. Both merge paths build the spine through it in run-index
-// order, so worker identity and completion order never reach the trace.
-void add_spine_row(obs::Tracer& trace, const std::string& campaign,
-                   std::size_t run_index, std::uint64_t last_seed,
-                   std::size_t attempts, std::size_t reschedules, bool ok,
-                   double virtual_seconds);
-
-// One metrics-shard line: the run's identity, outcome, samples and registry
-// snapshot. This line is the unit of both the aggregate fold and crash
-// recovery — resume replays closed metrics shards through the same fold
-// that live commits use.
-std::string encode_metrics_line(std::size_t run_index, const RunExecution& ex);
 
 // Thread-safe streaming sink for campaign runs. Workers submit completed
 // RunExecutions in any order; the sink commits them strictly in run-index
 // order, folding aggregates and buffering artifact bytes until the open
 // shard exceeds its budget and rotates to disk. With an empty out_dir it
-// degrades to an in-memory ordering/fold stage (used by `qoed_cli serve`
+// is only the ordering and fold stage (a Campaign or `qoed_cli serve`
 // without an artifact directory).
 class ShardedCampaignSink {
  public:
@@ -128,10 +103,19 @@ class ShardedCampaignSink {
   // Creates out_dir if needed. With cfg.resume and a matching manifest,
   // replays the closed shards into the aggregates and continues at the
   // durable frontier; a manifest disagreeing on (campaign, master_seed,
-  // runs) throws std::runtime_error. Without resume, stale manifest and
-  // pending files in out_dir are removed.
+  // runs), or a listed metrics shard that is missing, unreadable or holds
+  // a malformed line, throws std::runtime_error. Without resume, stale
+  // manifest and pending files in out_dir are removed.
   ShardedCampaignSink(const CampaignShardConfig& cfg, std::string campaign,
                       std::uint64_t master_seed, std::size_t planned_runs);
+
+  // Folds the manifest-listed metrics shards of out_dir through the resume
+  // replay, leaving the directory untouched: what metrics.json and
+  // read_run_outcomes report. Null, with *error set, when the manifest is
+  // unreadable or a listed metrics shard is missing, unreadable or holds a
+  // malformed line.
+  static std::unique_ptr<ShardedCampaignSink> replay(
+      const std::string& out_dir, std::string* error = nullptr);
 
   // The commit frontier: every run below it is folded (and durable when
   // sharding to disk). Campaign::run starts its index counter here.
@@ -158,10 +142,10 @@ class ShardedCampaignSink {
   std::string metrics_snapshot() const;
 
   // Fills a CampaignResult from the streaming aggregates: run_errors /
-  // run_attempts / quarantined / registry (+ campaign.* totals),
-  // metric summaries (exact n/min/max and index-ordered mean, Welford
-  // stddev, histogram-derived percentiles; pooled_samples and cdf stay
-  // empty — see DESIGN.md §5g), and the spine trace when build_trace.
+  // run_attempts / run_reschedules / quarantined / registry (+ campaign.*
+  // totals), metric summaries (exact n/min/max, Welford mean and stddev,
+  // histogram percentiles clamped to [min, max] — see DESIGN.md §5g), and
+  // the spine trace when build_trace.
   void fold_into(CampaignResult* out, bool build_trace) const;
 
   const ShardManifest& manifest() const { return manifest_; }
@@ -200,6 +184,10 @@ class ShardedCampaignSink {
     std::string metrics, findings, timeline, captures;
   };
 
+  ShardedCampaignSink() = default;  // for replay()
+
+  // The one decoder of a metrics-shard line: folds its samples and
+  // registry into the aggregates. False on a malformed or truncated line.
   bool fold_metrics_line(std::string_view line, ParsedOutcome* out);
   // Per-run metadata and outcome totals of one folded line (live commit
   // and resume replay alike).
@@ -211,7 +199,9 @@ class ShardedCampaignSink {
   void write_manifest_locked();
   std::string shard_path(const char* kind, std::size_t index) const;
   std::string pending_path(std::size_t run_index) const;
-  void replay_closed_shards();
+  // Folds the manifest-listed metrics shards; false with *error naming
+  // the first shard that is missing, unreadable or malformed.
+  bool replay_closed_shards(std::string* error);
 
   mutable std::mutex mu_;
   CampaignShardConfig cfg_;
@@ -242,9 +232,10 @@ class ShardedCampaignSink {
 // ---- merged-artifact sinks over a shard directory ----
 // Each reads MANIFEST.json at write() time and merges only manifest-listed
 // shards, so stale files from an interrupted run are never consulted. An
-// unreadable manifest, or a listed shard that cannot be opened or read,
-// fails the stream, so write_file returns false and publishes nothing
-// rather than an artifact missing those runs; a zero-length shard is legal.
+// unreadable manifest, or a listed shard that cannot be opened or read (a
+// metrics shard also when a line is malformed), fails the stream, so
+// write_file returns false and publishes nothing rather than an artifact
+// missing those runs; a zero-length shard is legal.
 
 class ShardFindingsMergeSink final : public ExportSink {
  public:
@@ -268,6 +259,8 @@ class ShardTimelineMergeSink final : public ExportSink {
   std::string out_dir_;
 };
 
+// The registry of ShardedCampaignSink::replay plus the campaign.* outcome
+// counters: the bytes metrics_snapshot() gives the live campaign.
 class ShardMetricsMergeSink final : public ExportSink {
  public:
   explicit ShardMetricsMergeSink(std::string out_dir)
@@ -293,51 +286,16 @@ class ShardCapturesMergeSink final : public ExportSink {
 };
 
 // Per-run rescheduled/quarantined reaction counts, read back from a shard
-// directory's manifest-listed metrics lines. Keyed "run-N" — the label the
-// merged timeline/findings use — so fleet rollups can join on it.
+// directory's manifest-listed metrics lines through
+// ShardedCampaignSink::replay. Keyed "run-N" — the label the merged
+// timeline/findings use — so fleet rollups can join on it. False, with
+// *error set, where replay fails.
 struct RunOutcomeCounts {
   std::size_t rescheduled = 0;
   std::size_t quarantined = 0;  // 0 or 1 per run
 };
-std::map<std::string, RunOutcomeCounts> read_run_outcomes(
-    const std::string& out_dir);
-
-// ---- in-memory mirror sinks ----
-// The same merged artifacts, produced from a CampaignResult that ran with
-// keep_artifacts. Byte-identical to the shard merge sinks by construction
-// (same stamping and merge code) — the equality the shard tests enforce.
-
-class CampaignFindingsSink final : public ExportSink {
- public:
-  explicit CampaignFindingsSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "findings.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
-
-class CampaignTimelineSink final : public ExportSink {
- public:
-  explicit CampaignTimelineSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "timeline.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
-
-class CampaignCapturesSink final : public ExportSink {
- public:
-  explicit CampaignCapturesSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "captures.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
+bool read_run_outcomes(const std::string& out_dir,
+                       std::map<std::string, RunOutcomeCounts>* out,
+                       std::string* error = nullptr);
 
 }  // namespace qoed::core

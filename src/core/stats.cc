@@ -39,8 +39,8 @@ Summary summarize(std::vector<double> values) {
   return s;
 }
 
-std::vector<std::pair<double, double>> cdf_points(std::vector<double> values,
-                                                  std::size_t points) {
+std::vector<std::pair<double, double>> empirical_cdf(
+    std::vector<double> values, std::size_t points) {
   std::vector<std::pair<double, double>> out;
   if (values.empty() || points == 0) return out;
   std::sort(values.begin(), values.end());

@@ -25,7 +25,7 @@ double percentile_sorted(const std::vector<double>& sorted, double p);
 
 // (value, cumulative fraction) pairs for CDF plots; `points` samples evenly
 // spaced in rank.
-std::vector<std::pair<double, double>> cdf_points(std::vector<double> values,
-                                                  std::size_t points = 20);
+std::vector<std::pair<double, double>> empirical_cdf(
+    std::vector<double> values, std::size_t points = 20);
 
 }  // namespace qoed::core

@@ -100,8 +100,8 @@ void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 // ever materializing more than one line per input. Because the key is
 // total across distinct device labels, merging sorted shards produces the
 // same bytes as one global merge_timelines over all the runs — this is
-// what makes sharded campaign timelines byte-identical to the in-memory
-// path. The key's device is the line's first "device" member (a cell
+// what keeps a campaign's merged timeline the same bytes however its runs
+// were cut into shards. The key's device is the line's first "device" member (a cell
 // campaign's lines carry the run stamp first, then the member's label).
 // Lines without a usable "t" or a "device" string are dropped (same
 // contract as merge_timelines). Returns the number of lines written.

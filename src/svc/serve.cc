@@ -174,15 +174,22 @@ int ServeEngine::shutdown_now(bool ack) {
     error = e.what();
   }
   if (rc == 0 && !opts_.out_dir.empty()) {
-    // Merged campaign-level artifacts beside the shards they merge.
-    core::ShardFindingsMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/metrics.json");
-    core::ShardCapturesMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/captures.jsonl");
+    // Merged campaign-level artifacts beside the shards they merge. Each is
+    // attempted; the first one that cannot be written fails the shutdown.
+    const std::string& dir = opts_.out_dir;
+    const core::ShardFindingsMergeSink findings(dir);
+    const core::ShardTimelineMergeSink timeline(dir);
+    const core::ShardMetricsMergeSink metrics(dir);
+    const core::ShardCapturesMergeSink captures(dir);
+    const core::ExportSink* sinks[] = {&findings, &timeline, &metrics,
+                                       &captures};
+    for (const core::ExportSink* sink : sinks) {
+      const std::string path = dir + "/" + std::string(sink->id());
+      if (!sink->write_file(path) && rc == 0) {
+        rc = 1;
+        error = "cannot write " + path;
+      }
+    }
   }
   if (ack) {
     std::ostringstream os;

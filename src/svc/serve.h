@@ -20,7 +20,9 @@
 //                          same specs writes
 //   {"cmd":"drain"}     -> blocks, then {"ok":true,"drained":C}
 //   {"cmd":"shutdown"}  -> drain + finalize + merged artifacts, then
-//                          {"ok":true,"shutdown":true,"runs":C}
+//                          {"ok":true,"shutdown":true,"runs":C}, or
+//                          {"ok":false,"error":...} when a shard or merged
+//                          artifact could not be written
 //   EOF                 -> implicit shutdown (no ack)
 // As each run commits the engine emits, in this order:
 //   {"event":"reschedule","id":N,"round":R}       (one per ctrl reschedule)
@@ -70,7 +72,8 @@ class ServeEngine {
   ~ServeEngine();
 
   // Blocks until shutdown or EOF; returns a process exit code (0 on a clean
-  // shutdown, 1 when finalize hit a shard I/O error).
+  // shutdown, 1 when finalize hit a shard I/O error or a merged artifact
+  // could not be written).
   int run();
 
  private:

@@ -1,22 +1,27 @@
-// Sharded (constant-memory) campaign execution: byte-equality with the
-// in-memory path, shard rotation, crash/resume, and stale-file hygiene.
+// Sharded (constant-memory) campaign execution: byte-equality across jobs
+// counts, shard budgets and submission orders, shard rotation,
+// crash/resume, stale-file hygiene, and the readers of the metrics shards.
 //
-// The contract under test (DESIGN.md §5g): a campaign streamed through
-// ShardedCampaignSink produces merged findings/timeline/metrics artifacts
-// byte-identical to the in-memory keep_artifacts path, at any --jobs, and
-// a killed campaign resumes from its durable frontier without changing a
-// byte of the final output.
+// The contract under test (DESIGN.md §5g): every campaign commits through
+// ShardedCampaignSink; its merged findings/timeline/metrics artifacts and
+// its CampaignResult fold are the same at any --jobs, shard budget or
+// worker completion order, with or without an out_dir, and a killed
+// campaign resumes from its durable frontier without changing a byte of
+// the final output.
 #include "core/shard.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/campaign.h"
 #include "core/export_sink.h"
@@ -101,38 +106,145 @@ RunFn synthetic_factory() {
   return [](std::uint64_t seed, const RunSpec&) { return synthetic_run(seed); };
 }
 
-TEST(CampaignShard, MatchesInMemoryByteForByte) {
-  const std::string dir = scratch_dir("vs_memory");
-  CampaignConfig sharded = sharded_config(dir, 9, 4);
-  const CampaignResult shard_result =
-      Campaign(sharded).run(synthetic_factory());
+void expect_same_summary(const Summary& a, const Summary& b) {
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p90, b.p90);
+  EXPECT_EQ(a.p99, b.p99);
+}
 
-  CampaignConfig memory = sharded_config("", 9, 4);
-  memory.shard.out_dir.clear();
-  memory.keep_artifacts = true;
-  const CampaignResult mem_result = Campaign(memory).run(synthetic_factory());
+// Field-for-field equality of two folds of the same campaign.
+void expect_same_fold(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_EQ(a.runs, b.runs);
+  ASSERT_EQ(a.run_specs.size(), b.run_specs.size());
+  for (std::size_t i = 0; i < a.run_specs.size(); ++i) {
+    EXPECT_EQ(a.run_specs[i].seed, b.run_specs[i].seed);
+  }
+  EXPECT_EQ(a.run_errors, b.run_errors);
+  EXPECT_EQ(a.run_attempts, b.run_attempts);
+  EXPECT_EQ(a.run_reschedules, b.run_reschedules);
+  ASSERT_EQ(a.quarantined.size(), b.quarantined.size());
+  for (std::size_t i = 0; i < a.quarantined.size(); ++i) {
+    EXPECT_EQ(a.quarantined[i].run_index, b.quarantined[i].run_index);
+    EXPECT_EQ(a.quarantined[i].attempts, b.quarantined[i].attempts);
+    EXPECT_EQ(a.quarantined[i].last_seed, b.quarantined[i].last_seed);
+    EXPECT_EQ(a.quarantined[i].error, b.quarantined[i].error);
+  }
+  EXPECT_EQ(a.registry.snapshot(), b.registry.snapshot());
+  ASSERT_EQ(a.metrics.size(), b.metrics.size());
+  for (const auto& [name, agg] : a.metrics) {
+    const MetricAggregate* other = b.metric(name);
+    ASSERT_NE(other, nullptr) << name;
+    expect_same_summary(agg.pooled, other->pooled);
+    expect_same_summary(agg.per_run_means, other->per_run_means);
+  }
+}
 
-  const Artifacts a = merged_artifacts(dir);
-  EXPECT_EQ(a.findings, CampaignFindingsSink(mem_result).to_string());
-  EXPECT_EQ(a.timeline, CampaignTimelineSink(mem_result).to_string());
-  EXPECT_EQ(a.metrics, MetricsJsonSink(mem_result.registry).to_string());
+// The commit frontier under the worst completion order: at jobs=8, run i
+// waits until run i+1 has spilled its pending file, so runs reach the sink
+// in reverse index order and every run but run 0 (submitted last) spills.
+// With 200-byte shards every commit also rotates. Merged bytes and the
+// fold equal a jobs=1 campaign writing one unbounded shard.
+TEST(CampaignShard, SpillingJobs8MatchesUnboundedJobs1) {
+  constexpr std::size_t kRuns = 8;
+  const std::string one_dir = scratch_dir("unbounded");
+  CampaignConfig one = sharded_config(one_dir, kRuns, 1);
+  one.shard.shard_bytes = 0;  // never rotate: one shard
+  const CampaignResult one_result = Campaign(one).run(synthetic_factory());
 
-  // The streaming summaries agree with the in-memory fold on the exact
-  // moments (pooled percentiles intentionally differ: histogram-derived).
-  ASSERT_EQ(shard_result.runs, mem_result.runs);
-  ASSERT_EQ(shard_result.registry.snapshot(), mem_result.registry.snapshot());
-  const MetricAggregate* ms = shard_result.metric("latency_s");
-  const MetricAggregate* mm = mem_result.metric("latency_s");
-  ASSERT_NE(ms, nullptr);
-  ASSERT_NE(mm, nullptr);
-  EXPECT_EQ(ms->pooled.n, mm->pooled.n);
-  EXPECT_DOUBLE_EQ(ms->pooled.mean, mm->pooled.mean);
-  EXPECT_DOUBLE_EQ(ms->pooled.min, mm->pooled.min);
-  EXPECT_DOUBLE_EQ(ms->pooled.max, mm->pooled.max);
-  EXPECT_NEAR(ms->pooled.stddev, mm->pooled.stddev, 1e-9);
-  // Sharded mode keeps O(shard) memory: no pooled samples or cdf.
-  EXPECT_TRUE(ms->pooled_samples.empty());
-  EXPECT_TRUE(ms->cdf.empty());
+  const std::string spill_dir = scratch_dir("spill");
+  CampaignConfig spill = sharded_config(spill_dir, kRuns, kRuns);
+  spill.shard.shard_bytes = 200;
+  std::atomic<bool> reversed{true};
+  const CampaignResult spill_result =
+      Campaign(spill).run([&](std::uint64_t seed, const RunSpec& spec) {
+        const std::size_t next = spec.run_index + 1;
+        if (next < kRuns) {
+          const std::string pending =
+              spill_dir + "/pending-" + std::to_string(next);
+          int waited_ms = 0;
+          while (!fs::exists(pending) && waited_ms < 20000) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            waited_ms += 2;
+          }
+          if (!fs::exists(pending)) reversed = false;
+        }
+        return synthetic_run(seed);
+      });
+  EXPECT_TRUE(reversed.load()) << "runs did not reach the sink in reverse";
+
+  ShardManifest one_manifest, spill_manifest;
+  ASSERT_TRUE(read_shard_manifest(one_dir, &one_manifest));
+  ASSERT_TRUE(read_shard_manifest(spill_dir, &spill_manifest));
+  EXPECT_EQ(one_manifest.shards.size(), 1u);
+  EXPECT_EQ(spill_manifest.shards.size(), kRuns);
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    EXPECT_FALSE(fs::exists(spill_dir + "/pending-" + std::to_string(i)));
+  }
+
+  const Artifacts a = merged_artifacts(one_dir);
+  const Artifacts b = merged_artifacts(spill_dir);
+  EXPECT_EQ(a.findings, b.findings);
+  EXPECT_EQ(a.timeline, b.timeline);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(ShardCapturesMergeSink(one_dir).to_string(),
+            ShardCapturesMergeSink(spill_dir).to_string());
+  EXPECT_EQ(a.metrics, MetricsJsonSink(one_result.registry).to_string());
+  expect_same_fold(one_result, spill_result);
+}
+
+// Without an out_dir the sink only orders and folds; the CampaignResult
+// is the one a sharded run of the same campaign folds, retries and a
+// quarantined run included.
+TEST(CampaignShard, InMemoryFoldEqualsShardedFold) {
+  const auto flaky = [](std::uint64_t seed, const RunSpec& spec) {
+    if (spec.run_index == 3) throw std::runtime_error("device offline");
+    if (spec.run_index % 4 == 1 && spec.attempt == 0) {
+      throw std::runtime_error("flaky");
+    }
+    return synthetic_run(seed);
+  };
+  CampaignConfig memory = sharded_config("", 10, 4);
+  memory.max_retries = 1;
+  memory.trace = true;
+  CampaignConfig sharded = memory;
+  sharded.shard.out_dir = scratch_dir("fold");
+  sharded.jobs = 3;
+  const CampaignResult a = Campaign(memory).run(flaky);
+  const CampaignResult b = Campaign(sharded).run(flaky);
+  ASSERT_EQ(a.quarantined.size(), 1u);
+  EXPECT_EQ(a.run_attempts[1], 2u);
+  expect_same_fold(a, b);
+  EXPECT_EQ(TraceEventSink(a.trace_processes()).to_string(),
+            TraceEventSink(b.trace_processes()).to_string());
+}
+
+// Streamed percentiles come from 1-2-5 histogram buckets; interpolating
+// inside the 0.2..0.5 bucket used to report p50/p90/p99 of a constant 0.5
+// as 0.35/0.47/0.497. They are clamped to the observed [min, max].
+TEST(CampaignShard, ConstantSamplesReportExactPercentiles) {
+  const auto constant = [](std::uint64_t, const RunSpec&) {
+    RunResult out;
+    for (int i = 0; i < 3; ++i) out.add_sample("v", 0.5);
+    return out;
+  };
+  for (const std::string& dir : {std::string(), scratch_dir("constant")}) {
+    const CampaignResult result =
+        Campaign(sharded_config(dir, 5, 2)).run(constant);
+    const MetricAggregate* m = result.metric("v");
+    ASSERT_NE(m, nullptr);
+    for (const Summary* s : {&m->pooled, &m->per_run_means}) {
+      EXPECT_EQ(s->min, 0.5);
+      EXPECT_EQ(s->max, 0.5);
+      EXPECT_EQ(s->p50, 0.5);
+      EXPECT_EQ(s->p90, 0.5);
+      EXPECT_EQ(s->p99, 0.5);
+    }
+  }
 }
 
 TEST(CampaignShard, ArtifactsInvariantAcrossJobs) {
@@ -325,8 +437,8 @@ TEST(CampaignShard, EmptyFindingsStillExport) {
 // A manifest-listed shard that is missing or unreadable fails its merged
 // artifact: the export returns false, leaves no temp file and keeps the
 // previous artifact, instead of writing one that silently leaves those runs
-// out. A zero-length shard (every captures shard here) is legal and merges
-// as nothing.
+// out; a metrics shard fails read_run_outcomes the same way. A zero-length
+// shard (every captures shard here) is legal and merges as nothing.
 class CampaignShardMissing : public ::testing::TestWithParam<const char*> {};
 
 std::unique_ptr<ExportSink> merge_sink(const std::string& family,
@@ -353,15 +465,21 @@ TEST_P(CampaignShardMissing, FailsTheMergedArtifact) {
   const std::string dest = dir + "/merged-" + family;
   ASSERT_TRUE(sink->write_file(dest));
   const std::string before = sink->to_string();
+  std::map<std::string, RunOutcomeCounts> outcomes;
+  ASSERT_TRUE(read_run_outcomes(dir, &outcomes));
+  EXPECT_EQ(outcomes.size(), 4u);
+  const bool outcomes_read = family != "metrics";
 
   const std::string shard = dir + "/" + family + "-000000.jsonl";
   ASSERT_TRUE(fs::remove(shard));
   EXPECT_FALSE(sink->write_file(dest));
   EXPECT_FALSE(fs::exists(dest + ".tmp"));
+  EXPECT_EQ(read_run_outcomes(dir, &outcomes), outcomes_read);
   // Present but unreadable (a directory opens, then every read fails).
   ASSERT_TRUE(fs::create_directory(shard));
   EXPECT_FALSE(sink->write_file(dest));
   EXPECT_FALSE(fs::exists(dest + ".tmp"));
+  EXPECT_EQ(read_run_outcomes(dir, &outcomes), outcomes_read);
   std::ifstream in(dest, std::ios::binary);
   std::stringstream kept;
   kept << in.rdbuf();
@@ -374,6 +492,46 @@ INSTANTIATE_TEST_SUITE_P(Families, CampaignShardMissing,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// A metrics line cut short (a torn write, a truncated copy) fails every
+// reader of the metrics shards alike: the metrics.json merge, the outcome
+// reader and a resume.
+TEST(CampaignShard, TruncatedMetricsLineFailsEveryReader) {
+  const std::string dir = scratch_dir("truncated");
+  CampaignConfig cfg = sharded_config(dir, 4, 2);
+  cfg.shard.shard_runs = 2;
+  Campaign(cfg).run(synthetic_factory());
+  std::map<std::string, RunOutcomeCounts> outcomes;
+  ASSERT_TRUE(read_run_outcomes(dir, &outcomes));
+  ASSERT_TRUE(ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json"));
+
+  // Cut the shard's last line after its registry, before the closing brace
+  // of the line: every member before the cut still parses.
+  const std::string shard = dir + "/metrics-000000.jsonl";
+  std::string text;
+  {
+    std::ifstream in(shard, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  ASSERT_GE(text.size(), 2u);
+  ASSERT_EQ(text.substr(text.size() - 2), "}\n");
+  for (const std::size_t cut : {std::size_t{2}, text.size() / 4}) {
+    std::ofstream(shard, std::ios::binary | std::ios::trunc)
+        << text.substr(0, text.size() - cut);
+    EXPECT_FALSE(ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json"))
+        << cut;
+    EXPECT_FALSE(fs::exists(dir + "/metrics.json.tmp"));
+    std::string error;
+    EXPECT_FALSE(read_run_outcomes(dir, &outcomes, &error)) << cut;
+    EXPECT_NE(error.find("metrics-000000.jsonl"), std::string::npos) << error;
+    CampaignConfig resume = cfg;
+    resume.shard.resume = true;
+    EXPECT_THROW(Campaign(resume).run(synthetic_factory()),
+                 std::runtime_error);
+  }
+}
 
 TEST(CampaignShard, EmptyShardedCampaignIsWellFormed) {
   const std::string dir = scratch_dir("empty");

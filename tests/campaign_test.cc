@@ -7,7 +7,7 @@
 #include <string>
 
 #include "apps/web_server.h"
-#include "core/log_export.h"
+#include "core/export_sink.h"
 #include "core/qoe_doctor.h"
 #include "fault/fault_injector.h"
 
@@ -92,8 +92,8 @@ TEST(CampaignTest, BitIdenticalAcrossThreadCounts) {
 
   // jobs is part of the export (it describes the execution); mask it so the
   // comparison covers exactly the deterministic payload.
-  std::string a = campaign_to_json_string(serial);
-  std::string b = campaign_to_json_string(parallel);
+  std::string a = CampaignJsonSink(serial).to_string();
+  std::string b = CampaignJsonSink(parallel).to_string();
   const auto mask = [](std::string& s) {
     const auto pos = s.find("\"jobs\":");
     ASSERT_NE(pos, std::string::npos);
@@ -117,7 +117,6 @@ TEST(CampaignTest, MergesInRunIndexOrderWithKnownValues) {
   CampaignConfig cfg;
   cfg.runs = 4;
   cfg.jobs = 2;
-  cfg.cdf_points = 4;
   Campaign campaign(cfg);
   const CampaignResult result =
       campaign.run([](std::uint64_t, const RunSpec& spec) {
@@ -132,18 +131,15 @@ TEST(CampaignTest, MergesInRunIndexOrderWithKnownValues) {
 
   const MetricAggregate* m = result.metric("m");
   ASSERT_NE(m, nullptr);
-  ASSERT_EQ(m->pooled_samples.size(), 8u);
-  // Concatenated strictly by run index: 0,1,1,2,2,3,3,4.
-  EXPECT_EQ(m->pooled_samples[0], 0.0);
-  EXPECT_EQ(m->pooled_samples[1], 1.0);
-  EXPECT_EQ(m->pooled_samples[6], 3.0);
-  EXPECT_EQ(m->pooled_samples[7], 4.0);
+  // Pooled over every run: 0,1,1,2,2,3,3,4.
+  EXPECT_EQ(m->pooled.n, 8u);
   EXPECT_DOUBLE_EQ(m->pooled.mean, 2.0);
+  EXPECT_EQ(m->pooled.min, 0.0);
+  EXPECT_EQ(m->pooled.max, 4.0);
   EXPECT_EQ(m->per_run_means.n, 4u);
   EXPECT_DOUBLE_EQ(m->per_run_means.mean, 2.0);
   EXPECT_DOUBLE_EQ(m->per_run_means.min, 0.5);
   EXPECT_DOUBLE_EQ(m->per_run_means.max, 3.5);
-  EXPECT_EQ(m->cdf.size(), 4u);
   EXPECT_DOUBLE_EQ(result.registry.counters().at("c"), 4.0);
 }
 
@@ -238,15 +234,19 @@ TEST(CampaignTest, RetriesRecoverDeterministically) {
     // run_specs keeps the first attempt's seed as the replay handle.
     EXPECT_EQ(result.run_specs[i].seed, Campaign::run_seed(5, i));
   }
-  // Recovered runs contributed their retry-attempt sample.
+  // Recovered runs contributed their retry-attempt sample: 0, 1.1, 2, 3.1,
+  // 4, 5.1 (one sample per run, so the run means are the same values).
   const MetricAggregate* m = result.metric("v");
   ASSERT_NE(m, nullptr);
-  ASSERT_EQ(m->pooled_samples.size(), 6u);
-  EXPECT_DOUBLE_EQ(m->pooled_samples[1], 1.1);
-  EXPECT_DOUBLE_EQ(m->pooled_samples[2], 2.0);
+  for (const Summary* s : {&m->pooled, &m->per_run_means}) {
+    EXPECT_EQ(s->n, 6u);
+    EXPECT_DOUBLE_EQ(s->mean, 2.55);
+    EXPECT_EQ(s->min, 0.0);
+    EXPECT_DOUBLE_EQ(s->max, 5.1);
+  }
 
-  std::string a = campaign_to_json_string(result);
-  std::string b = campaign_to_json_string(run_with_jobs(6));
+  std::string a = CampaignJsonSink(result).to_string();
+  std::string b = CampaignJsonSink(run_with_jobs(6)).to_string();
   const auto mask = [](std::string& s) {
     const auto pos = s.find("\"jobs\":");
     ASSERT_NE(pos, std::string::npos);
@@ -280,7 +280,7 @@ TEST(CampaignTest, QuarantineReportedNotDropped) {
   EXPECT_EQ(q.last_seed, Campaign::retry_seed(9, 2, 1));
   EXPECT_EQ(q.error, "always fails");
   // The quarantined run is visible in the JSON export, not silently thinner.
-  const std::string json = campaign_to_json_string(result);
+  const std::string json = CampaignJsonSink(result).to_string();
   EXPECT_NE(json.find("\"quarantined\":[{\"run\":2,\"attempts\":2"),
             std::string::npos);
   EXPECT_NE(json.find("\"run_attempts\":[1,1,2,1]"), std::string::npos);
@@ -345,25 +345,33 @@ TEST(CampaignTest, TraceProcessesSurviveMove) {
   EXPECT_EQ(refs[0].run, -1);  // campaign spine first
 }
 
-TEST(CampaignTest, CdfPointsZeroDisablesCdfOnly) {
+TEST(CampaignTest, PageLoadSummariesStayWithinObservedRange) {
   CampaignConfig cfg;
-  cfg.name = "nocdf";
+  cfg.name = "range";
   cfg.runs = 3;
   cfg.jobs = 1;
   cfg.master_seed = 7;
-  cfg.cdf_points = 0;
   Campaign campaign(cfg);
   const CampaignResult result = campaign.run(
       [](std::uint64_t seed, const RunSpec&) { return page_load_run(seed); });
   const MetricAggregate* m = result.metric("page_load_s");
   ASSERT_NE(m, nullptr);
-  EXPECT_TRUE(m->cdf.empty());
-  EXPECT_GT(m->pooled.n, 0u);  // summaries unaffected
+  EXPECT_GT(m->pooled.n, 0u);
+  EXPECT_EQ(m->per_run_means.n, 3u);
+  // Histogram percentiles are clamped into [min, max] and stay ordered.
+  for (const Summary* s : {&m->pooled, &m->per_run_means}) {
+    EXPECT_LE(s->min, s->mean);
+    EXPECT_LE(s->mean, s->max);
+    EXPECT_LE(s->min, s->p50);
+    EXPECT_LE(s->p50, s->p90);
+    EXPECT_LE(s->p90, s->p99);
+    EXPECT_LE(s->p99, s->max);
+  }
 }
 
 TEST(CampaignTest, JsonExportRecordsReplayHandles) {
   const CampaignResult result = run_campaign(1, 2, 99);
-  const std::string json = campaign_to_json_string(result);
+  const std::string json = CampaignJsonSink(result).to_string();
   EXPECT_NE(json.find("\"campaign\":\"determinism\""), std::string::npos);
   EXPECT_NE(json.find("\"master_seed\":99"), std::string::npos);
   EXPECT_NE(json.find("\"run_seeds\":[" +

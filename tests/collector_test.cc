@@ -13,7 +13,6 @@
 
 #include "apps/social_server.h"
 #include "core/export_sink.h"
-#include "core/log_export.h"
 #include "core/pcap_writer.h"
 #include "core/qoe_doctor.h"
 
@@ -335,23 +334,11 @@ TEST_F(CollectorSpineTest, SinksMatchLegacyExporters) {
   start();
   ASSERT_FALSE(upload().timed_out);
   const auto& trace = dev_->trace().records();
-  const auto& qxdm = dev_->cellular()->qxdm();
-
-  EXPECT_EQ(TraceTextSink(trace).to_string(), trace_to_string(trace));
-  EXPECT_EQ(QxdmTextSink(qxdm).to_string(), qxdm_to_string(qxdm));
-  EXPECT_EQ(BehaviorTextSink(doctor_->log()).to_string(),
-            behavior_log_to_string(doctor_->log()));
-
   const auto pcap_bytes = to_pcap(trace);
   const std::string pcap_str = PcapSink(trace).to_string();
   ASSERT_EQ(pcap_str.size(), pcap_bytes.size());
   EXPECT_EQ(0, std::memcmp(pcap_str.data(), pcap_bytes.data(),
                            pcap_bytes.size()));
-
-  CampaignResult campaign;
-  campaign.name = "c";
-  EXPECT_EQ(CampaignJsonSink(campaign).to_string(),
-            campaign_to_json_string(campaign));
 }
 
 TEST_F(CollectorSpineTest, TimelineJsonlDeterministicOneLinePerEvent) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -388,7 +389,8 @@ TEST(CtrlReschedule, BatchFleetReschedulesAndCounts) {
 
   // The shard metrics lines record the rounds; the outcome reader joins
   // them back per device label for fleet rollups.
-  const auto outcomes = core::read_run_outcomes(dir);
+  std::map<std::string, core::RunOutcomeCounts> outcomes;
+  ASSERT_TRUE(core::read_run_outcomes(dir, &outcomes));
   ASSERT_EQ(outcomes.count("run-0"), 1u);
   EXPECT_EQ(outcomes.at("run-0").rescheduled, 1u);
   EXPECT_EQ(outcomes.at("run-0").quarantined, 0u);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "apps/social_server.h"
-#include "core/log_export.h"
+#include "core/export_sink.h"
 #include "core/qoe_doctor.h"
 #include "core/rlc_mapper.h"
 #include "diag/findings_sink.h"
@@ -724,8 +724,8 @@ TEST(FindingsSinkTest, CampaignJsonWithDiagCountersIdenticalAcrossJobs) {
   EXPECT_TRUE(counters.count("rlc.dl.retx"));
   // jobs is part of the export (it describes the execution); mask it so the
   // comparison covers exactly the deterministic payload.
-  std::string a = core::campaign_to_json_string(serial);
-  std::string b = core::campaign_to_json_string(parallel);
+  std::string a = core::CampaignJsonSink(serial).to_string();
+  std::string b = core::CampaignJsonSink(parallel).to_string();
   const auto mask = [](std::string& s) {
     const auto pos = s.find("\"jobs\":");
     ASSERT_NE(pos, std::string::npos);

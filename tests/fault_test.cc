@@ -14,7 +14,6 @@
 
 #include "apps/social_server.h"
 #include "core/export_sink.h"
-#include "core/log_export.h"
 #include "core/qoe_doctor.h"
 #include "diag/diagnosis_engine.h"
 #include "fault/fault_plan.h"
@@ -541,14 +540,14 @@ TEST(FaultAcceptanceTest, BlackoutCampaignWithRetriesIsJobsInvariant) {
   EXPECT_GT(counters.at("fault.radio.blacked_out"), 0.0);
   EXPECT_GT(counters.at("fault.packet.dropped"), 0.0);
 
-  const std::string json = core::campaign_to_json_string(serial);
+  const std::string json = core::CampaignJsonSink(serial).to_string();
   EXPECT_NE(json.find("\"quarantined\":[{\"run\":3,\"attempts\":2"),
             std::string::npos);
   EXPECT_NE(json.find("\"run_attempts\":[1,2,1,2]"), std::string::npos);
 
   // jobs invariance, compared through the byte-exact JSON export.
   std::string a = json;
-  std::string b = core::campaign_to_json_string(run_with_jobs(8));
+  std::string b = core::CampaignJsonSink(run_with_jobs(8)).to_string();
   const auto mask = [](std::string& s) {
     const auto pos = s.find("\"jobs\":");
     ASSERT_NE(pos, std::string::npos);

@@ -1,13 +1,13 @@
-#include "core/log_export.h"
+#include "core/export_sink.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "apps/web_server.h"
-#include "core/export_sink.h"
 #include "core/qoe_doctor.h"
 
 namespace qoed::core {
@@ -41,7 +41,7 @@ class LogExportTest : public ::testing::Test {
 };
 
 TEST_F(LogExportTest, TraceExportShowsDnsAndTcp) {
-  const std::string out = trace_to_string(dev_->trace().records());
+  const std::string out = TraceTextSink(dev_->trace().records()).to_string();
   EXPECT_NE(out.find("dns-query www.page.sim"), std::string::npos);
   EXPECT_NE(out.find("dns-resp www.page.sim ->"), std::string::npos);
   EXPECT_NE(out.find("TCP S "), std::string::npos);   // SYN
@@ -51,7 +51,7 @@ TEST_F(LogExportTest, TraceExportShowsDnsAndTcp) {
 }
 
 TEST_F(LogExportTest, TraceExportHonorsLineCap) {
-  const std::string out = trace_to_string(dev_->trace().records(), 5);
+  const std::string out = TraceTextSink(dev_->trace().records(), 5).to_string();
   int newlines = 0;
   for (char c : out) newlines += c == '\n';
   EXPECT_EQ(newlines, 6);  // 5 packets + the "... (N more)" line
@@ -59,7 +59,7 @@ TEST_F(LogExportTest, TraceExportHonorsLineCap) {
 }
 
 TEST_F(LogExportTest, QxdmExportShowsAllThreeRecordKinds) {
-  const std::string out = qxdm_to_string(dev_->cellular()->qxdm(), 50);
+  const std::string out = QxdmTextSink(dev_->cellular()->qxdm(), 50).to_string();
   EXPECT_NE(out.find("RRC PCH -> "), std::string::npos);
   EXPECT_NE(out.find("PDU seq="), std::string::npos);
   EXPECT_NE(out.find("first2="), std::string::npos);
@@ -68,7 +68,7 @@ TEST_F(LogExportTest, QxdmExportShowsAllThreeRecordKinds) {
 }
 
 TEST_F(LogExportTest, BehaviorLogExportShowsCalibratedLatency) {
-  const std::string out = behavior_log_to_string(doctor_->log());
+  const std::string out = BehaviorTextSink(doctor_->log()).to_string();
   EXPECT_NE(out.find("page_load"), std::string::npos);
   EXPECT_NE(out.find("calibrated="), std::string::npos);
   EXPECT_NE(out.find("url=www.page.sim/index"), std::string::npos);
@@ -76,9 +76,10 @@ TEST_F(LogExportTest, BehaviorLogExportShowsCalibratedLatency) {
 }
 
 TEST(LogExportEmptyTest, EmptyLogsProduceEmptyOutput) {
-  EXPECT_TRUE(trace_to_string({}).empty());
+  const std::vector<net::PacketRecord> no_packets;
+  EXPECT_TRUE(TraceTextSink(no_packets).to_string().empty());
   AppBehaviorLog empty;
-  EXPECT_TRUE(behavior_log_to_string(empty).empty());
+  EXPECT_TRUE(BehaviorTextSink(empty).to_string().empty());
 }
 
 // --- crash-safe exports: temp-file + atomic rename ---

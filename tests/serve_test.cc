@@ -107,6 +107,28 @@ TEST(Serve, EofIsImplicitShutdown) {
   EXPECT_TRUE(fs::exists(dir + "/findings.jsonl"));
 }
 
+// A merged artifact that cannot be written fails the shutdown: the ack
+// says ok:false with the path, run() returns 1 and no temp file is left.
+TEST(Serve, ShutdownFailsWhenAMergedArtifactCannotBeWritten) {
+  const std::string dir = scratch_dir("unwritable");
+  fs::create_directories(dir + "/metrics.json");  // rename over it fails
+  std::istringstream in(submit_line(41) + "{\"cmd\":\"shutdown\"}\n");
+  std::ostringstream out;
+  ServeOptions opts;
+  opts.out_dir = dir;
+  ServeEngine engine(in, out, opts);
+  EXPECT_EQ(engine.run(), 1);
+
+  const std::vector<std::string> lines = lines_of(out.str());
+  EXPECT_EQ(count_containing(lines, "\"shutdown\":true"), 0u);
+  ASSERT_EQ(count_containing(lines, "{\"ok\":false,\"error\":"), 1u);
+  EXPECT_EQ(count_containing(lines, "metrics.json"), 1u);
+  EXPECT_FALSE(fs::exists(dir + "/metrics.json.tmp"));
+  // The other merged artifacts are still written.
+  EXPECT_TRUE(fs::exists(dir + "/findings.jsonl"));
+  EXPECT_TRUE(fs::exists(dir + "/captures.jsonl"));
+}
+
 TEST(Serve, RejectsMalformedInput) {
   std::istringstream in(
       "{\"cmd\":\"bogus\"}\n"

@@ -47,7 +47,7 @@ TEST(StatsTest, PercentileInterpolates) {
 }
 
 TEST(StatsTest, CdfPointsAreMonotone) {
-  auto pts = cdf_points({5, 3, 8, 1, 9, 2}, 10);
+  auto pts = empirical_cdf({5, 3, 8, 1, 9, 2}, 10);
   ASSERT_EQ(pts.size(), 10u);
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_GE(pts[i].first, pts[i - 1].first);
