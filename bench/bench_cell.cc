@@ -13,18 +13,17 @@
 //      from the fleet.device_seconds counter every cell run folds).
 //
 // With --out-dir the bench additionally streams a sharded cell campaign and
-// writes merged findings/timeline/metrics artifacts there — CI runs it at
-// --jobs 1 and --jobs 8 and byte-compares the outputs (jobs invariance).
+// writes the merged findings/timeline/metrics/captures artifacts there — CI
+// runs it at --jobs 1 and --jobs 8 and byte-compares the outputs (jobs
+// invariance).
 //
 //   bench_cell --bench-json BENCH_cell.json --min-dh-per-wall-s 0.1
 //
 // Exit status is non-zero if any gate fails.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "cell/cell_run.h"
@@ -72,28 +71,10 @@ bool transparency_gate() {
 int main(int argc, char** argv) {
   using namespace qoed;
 
-  std::string bench_json;
-  double min_dh_per_wall_s = 0;  // 0 = report only, no floor
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--bench-json") {
-      bench_json = value();
-    } else if (arg == "--min-dh-per-wall-s") {
-      min_dh_per_wall_s = std::strtod(value(), nullptr);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
   const bench::BenchOptions opts =
-      bench::parse_options(static_cast<int>(rest.size()), rest.data());
+      bench::parse_options(argc, argv, /*throughput_gate=*/true);
+  const std::string& bench_json = opts.bench_json;
+  const double min_dh_per_wall_s = opts.min_dh_per_wall_s;
 
   bench::banner("Shared-cell contention: shaping vs policing under load",
                 "Finding 7 (§7.5) as a per-cell effect (DESIGN.md §5h)");

@@ -15,10 +15,8 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "sim/rng.h"
@@ -27,12 +25,6 @@ namespace qoed {
 namespace {
 
 using namespace core;
-
-struct FleetOptions {
-  std::string bench_json;        // BENCH_fleet.json path ("" = don't write)
-  double min_dh_per_wall_s = 0;  // throughput floor (0 = report only)
-  bench::BenchOptions common;
-};
 
 // One synthetic fleet run: no testbed, just a deterministic stream of
 // artifacts seeded from the campaign's per-run seed. Sized to roughly
@@ -80,33 +72,16 @@ double maxrss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-// Runs the campaign sharded under <out-dir>/sharded/ and writes the three
-// merged artifacts there.
-int run_fleet(const FleetOptions& opt) {
-  const std::string dir = opt.common.out_dir + "/sharded";
-  CampaignConfig cfg;
-  cfg.name = "fleet/sharded";
-  cfg.runs = opt.common.runs ? opt.common.runs : 10000;
-  cfg.jobs = opt.common.jobs;
-  cfg.master_seed = opt.common.seed ? opt.common.seed : 7700;
-  cfg.shard.out_dir = dir;
-  cfg.shard.shard_bytes = opt.common.shard_bytes;
-  cfg.shard.shard_runs = opt.common.shard_runs;
-
-  Campaign campaign(cfg);
+// Runs the campaign sharded under <out-dir>/fleet_sharded/ and publishes
+// the merged artifacts there.
+int run_fleet(const bench::BenchOptions& opts) {
+  Campaign campaign(bench::campaign_config(opts, "fleet/sharded",
+                                           /*default_runs=*/10000,
+                                           /*default_seed=*/7700));
   const CampaignResult result = campaign.run(
       [](std::uint64_t seed, const RunSpec&) { return synthetic_run(seed); });
   const double wall = campaign.last_wall_seconds();
-
-  const bool wrote =
-      ShardFindingsMergeSink(dir).write_file(dir + "/findings.jsonl") &&
-      ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl") &&
-      ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
-  if (!wrote) {
-    std::fprintf(stderr, "FAILED to write merged artifacts under %s\n",
-                 dir.c_str());
-    return 1;
-  }
+  if (!bench::report_campaign(campaign, result, opts)) return 1;
 
   const double device_hours =
       result.registry.counter("fleet.device_seconds") / 3600.0;
@@ -116,23 +91,23 @@ int run_fleet(const FleetOptions& opt) {
       "fleet/sharded: %zu runs over %zu workers in %.2fs | %.1f "
       "device-hours (%.1f dh/wall-s) | peak RSS %.1f MiB\n",
       result.runs, result.jobs, wall, device_hours, dh_per_wall_s, rss);
-  if (!opt.bench_json.empty()) {
+  if (!opts.bench_json.empty()) {
     bench::write_bench_json(
-        opt.bench_json, "fleet/sharded",
+        opts.bench_json, "fleet/sharded",
         {{"runs", static_cast<double>(result.runs)},
          {"jobs", static_cast<double>(result.jobs)},
          {"wall_s", wall},
          {"device_hours", device_hours},
          {"device_hours_per_wall_s", dh_per_wall_s},
-         {"min_dh_per_wall_s", opt.min_dh_per_wall_s},
+         {"min_dh_per_wall_s", opts.min_dh_per_wall_s},
          {"failed_runs", static_cast<double>(result.failed_runs())},
          {"peak_rss_mib", rss}});
   }
-  if (opt.min_dh_per_wall_s > 0 && dh_per_wall_s < opt.min_dh_per_wall_s) {
+  if (opts.min_dh_per_wall_s > 0 && dh_per_wall_s < opts.min_dh_per_wall_s) {
     std::fprintf(stderr,
                  "THROUGHPUT GATE: fleet/sharded %.2f dh/wall-s below floor "
                  "%.2f\n",
-                 dh_per_wall_s, opt.min_dh_per_wall_s);
+                 dh_per_wall_s, opts.min_dh_per_wall_s);
     return 1;
   }
   return result.failed_runs() == 0 ? 0 : 1;
@@ -143,33 +118,11 @@ int run_fleet(const FleetOptions& opt) {
 
 int main(int argc, char** argv) {
   using namespace qoed;
-  FleetOptions opt;
-  // Split bench_fleet-specific flags out, hand the rest to the shared
-  // parser so --runs/--jobs/--seed/--out-dir/--shard-bytes/--shards keep
-  // their usual spelling.
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--bench-json") {
-      opt.bench_json = value();
-    } else if (arg == "--min-dh-per-wall-s") {
-      opt.min_dh_per_wall_s = std::strtod(value(), nullptr);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  opt.common = bench::parse_options(static_cast<int>(rest.size()),
-                                    rest.data());
-  if (opt.common.out_dir.empty()) opt.common.out_dir = "bench_fleet_out";
+  bench::BenchOptions opts =
+      bench::parse_options(argc, argv, /*throughput_gate=*/true);
+  if (opts.out_dir.empty()) opts.out_dir = "bench_fleet_out";
 
   bench::banner("Fleet-scale campaign engine: sharded campaign scaling",
                 "constant-memory campaign scaling (DESIGN.md §5g)");
-  return run_fleet(opt);
+  return run_fleet(opts);
 }

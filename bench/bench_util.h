@@ -1,6 +1,8 @@
 // Shared helpers for the experiment benches.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,7 +14,6 @@
 
 #include "core/export_sink.h"
 #include "core/json_util.h"
-#include "core/log_export.h"
 #include "core/qoe_doctor.h"
 #include "core/shard.h"
 #include "obs/tracer.h"
@@ -30,10 +31,14 @@ namespace qoed::bench {
 //                 campaign to F (overwrites; the format cannot be appended)
 //   --out-dir D   sharded (constant-memory) campaigns: each campaign streams
 //                 its runs into shard files under D/<campaign>/ and writes
-//                 merged findings.jsonl/timeline.jsonl/metrics.json there
-//                 (byte-identical at any --jobs)
+//                 the merged findings.jsonl/timeline.jsonl/metrics.json/
+//                 captures.jsonl there (byte-identical at any --jobs)
 //   --shard-bytes N  shard rotation budget in bytes [4 MiB]
 //   --shards N    also rotate every N runs (0 = byte budget only)
+// Throughput-gated benches (parse_options(..., true)) also take:
+//   --bench-json F          append the bench's result series to F
+//   --min-dh-per-wall-s X   fail below X simulated device-hours per
+//                           wall-second (0 = report only)
 struct BenchOptions {
   std::size_t jobs = 0;
   std::size_t runs = 0;
@@ -44,12 +49,16 @@ struct BenchOptions {
   std::string out_dir;
   std::size_t shard_bytes = 4u << 20;
   std::size_t shard_runs = 0;
+  std::string bench_json;
+  double min_dh_per_wall_s = 0;
 
   bool tracing() const { return !trace_path.empty(); }
   bool sharded() const { return !out_dir.empty(); }
 };
 
-inline BenchOptions parse_options(int argc, char** argv) {
+// Exits 2 on an unknown flag, a missing value or a malformed number.
+inline BenchOptions parse_options(int argc, char** argv,
+                                  bool throughput_gate = false) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -60,17 +69,21 @@ inline BenchOptions parse_options(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto number = [&]() -> std::uint64_t {
-      const char* text = value();
-      char* end = nullptr;
-      const std::uint64_t n = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') {
+    // A complete, finite, non-negative number of `out`'s type: no sign,
+    // space or suffix.
+    auto parse = [&](auto out) {
+      const std::string_view text = value();
+      const char* const end = text.data() + text.size();
+      const auto [stop, ec] = std::from_chars(text.data(), end, out);
+      if (ec != std::errc() || stop != end || text.front() == '-' ||
+          !std::isfinite(static_cast<double>(out))) {
         std::fprintf(stderr, "invalid number for %s: '%s'\n", arg.c_str(),
-                     text);
+                     std::string(text).c_str());
         std::exit(2);
       }
-      return n;
+      return out;
     };
+    auto number = [&] { return parse(std::uint64_t{0}); };
     if (arg == "--jobs") {
       opts.jobs = static_cast<std::size_t>(number());
     } else if (arg == "--runs") {
@@ -89,12 +102,18 @@ inline BenchOptions parse_options(int argc, char** argv) {
       opts.shard_bytes = static_cast<std::size_t>(number());
     } else if (arg == "--shards") {
       opts.shard_runs = static_cast<std::size_t>(number());
+    } else if (throughput_gate && arg == "--bench-json") {
+      opts.bench_json = value();
+    } else if (throughput_gate && arg == "--min-dh-per-wall-s") {
+      opts.min_dh_per_wall_s = parse(0.0);
     } else if (arg == "-h" || arg == "--help") {
       std::printf(
           "usage: %s [--jobs N] [--runs N] [--seed S] [--json FILE]"
           " [--metrics FILE] [--trace FILE] [--out-dir DIR]"
-          " [--shard-bytes N] [--shards N]\n",
-          argv[0]);
+          " [--shard-bytes N] [--shards N]%s\n",
+          argv[0],
+          throughput_gate ? " [--bench-json FILE] [--min-dh-per-wall-s X]"
+                          : "");
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
@@ -178,7 +197,7 @@ struct TraceCollector {
   };
   if (!opts.json_path.empty()) {
     std::ofstream os(opts.json_path, std::ios::app);
-    core::export_campaign_json(os, result);
+    core::CampaignJsonSink(result).write(os);
     check(static_cast<bool>(os.flush()), opts.json_path);
   }
   if (!opts.metrics_path.empty()) {
@@ -191,19 +210,12 @@ struct TraceCollector {
     check(static_cast<bool>(os.flush()), opts.metrics_path);
   }
   if (traces != nullptr && opts.tracing()) traces->add(result);
-  if (opts.sharded()) {
-    // Merged campaign-level artifacts, produced by the external k-way merge
-    // over this campaign's shard directory.
-    const std::string dir =
-        opts.out_dir + "/" + sanitize_campaign_dir(result.name);
-    const core::ShardFindingsMergeSink findings(dir);
-    const core::ShardTimelineMergeSink timeline(dir);
-    const core::ShardMetricsMergeSink metrics(dir);
-    const core::ExportSink* sinks[] = {&findings, &timeline, &metrics};
-    for (const core::ExportSink* sink : sinks) {
-      const std::string path = dir + "/" + std::string(sink->id());
-      check(sink->write_file(path), path);
-    }
+  std::string error;
+  if (opts.sharded() &&
+      !core::write_merged_artifacts(
+          opts.out_dir + "/" + sanitize_campaign_dir(result.name), &error)) {
+    std::fprintf(stderr, "FAILED: %s\n", error.c_str());
+    ok = false;
   }
   return ok;
 }

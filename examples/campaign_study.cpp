@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "apps/web_server.h"
-#include "core/log_export.h"
+#include "core/export_sink.h"
 #include "core/qoe_doctor.h"
 
 int main(int argc, char** argv) {
@@ -77,6 +77,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- CampaignResult JSON ---\n");
-  core::export_campaign_json(std::cout, result);
+  core::CampaignJsonSink(result).write(std::cout);
   return 0;
 }

@@ -57,16 +57,18 @@
 //             --merged: the single input is already merged/stamped
 //             (a cell or fleet timeline.jsonl) — summarize as-is
 //   fleet:    batch campaign over one ScenarioSpec JSON per line of --specs,
-//             sharded (constant-memory) under --out-dir. Merged
-//             findings.jsonl / timeline.jsonl / metrics.json are
-//             byte-identical at any --jobs. --resume continues a killed
-//             fleet; --merge-only just rebuilds merged artifacts from an
-//             existing shard dir. Exits 2 on an unknown flag or a
-//             malformed number, 1 when a merged artifact cannot be written
-//             (e.g. a manifest-listed shard is missing).
+//             sharded (constant-memory) under --out-dir. The merged
+//             findings.jsonl / timeline.jsonl / metrics.json /
+//             captures.jsonl land beside the shards, byte-identical at any
+//             --jobs. --resume continues a killed fleet; --merge-only just
+//             rebuilds the merged artifacts from an existing shard dir.
+//             Exits 1 when a merged artifact cannot be written (e.g. a
+//             manifest-listed shard is missing).
 //   serve:    long-lived scheduler; line-delimited JSON commands
 //             (submit/status/drain/shutdown) on stdin or --socket=PATH.
-//             See src/svc/serve.h for the protocol.
+//             Takes fleet's campaign flags (not --specs, --resume,
+//             --merge-only or --json). See src/svc/serve.h for the
+//             protocol.
 //   top:      fleet summary (runs committed/quarantined/rescheduled,
 //             finding counts, flow.* headline rates, shard frontier) from a
 //             shard directory (--shards=DIR) or a live serve session
@@ -76,6 +78,10 @@
 //             --allow-new-keys) appeared (the CI metrics gate).
 //   trace-report: diag windows x fault/ctrl instants from a --trace file,
 //             plus the --top=K slowest windows with peak flow counters.
+//
+// Every command checks its flags against its own table before reading
+// one: an unknown flag, a positional argument to a command that takes no
+// files, or a malformed number exits 2 without running anything.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -84,7 +90,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -99,7 +104,6 @@
 #include "cell/cell_run.h"
 #include "core/export_sink.h"
 #include "core/json_util.h"
-#include "core/log_export.h"
 #include "core/qoe_doctor.h"
 #include "core/shard.h"
 #include "core/speed_index.h"
@@ -119,6 +123,21 @@ namespace {
 
 using namespace qoed;
 
+// A complete non-negative integer.
+bool parse_count(std::string_view text, std::uint64_t* out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
+
+// A complete non-negative finite number.
+bool parse_number(std::string_view text, double* out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end && std::isfinite(*out) &&
+         *out >= 0;
+}
+
 struct Options {
   std::string command;
   std::map<std::string, std::string> kv;
@@ -128,9 +147,16 @@ struct Options {
     auto it = kv.find(key);
     return it == kv.end() ? def : it->second;
   }
-  long get_int(const std::string& key, long def) const {
+  // The value of a count or number flag, whose syntax check_flags vetted.
+  std::uint64_t count(const std::string& key, std::uint64_t def) const {
     auto it = kv.find(key);
-    return it == kv.end() ? def : std::strtol(it->second.c_str(), nullptr, 10);
+    if (it != kv.end()) parse_count(it->second, &def);
+    return def;
+  }
+  double number(const std::string& key, double def) const {
+    auto it = kv.find(key);
+    if (it != kv.end()) parse_number(it->second, &def);
+    return def;
   }
 };
 
@@ -177,46 +203,88 @@ bool write_text(const std::string& path, const std::string& content,
   return true;
 }
 
-// pageload|post|video flags: those naming a ScenarioSpec field (its spec
-// JSON key is the flag with '_' for '-') and those that only choose what
-// the printer shows.
-constexpr std::string_view kSpecFlags[] = {
-    "network", "seed", "pages", "think", "kind", "reps", "videos",
-    "throttle", "mechanism", "fault-plan", "fault-seed", "policy"};
-constexpr std::string_view kPrintFlags[] = {
-    "pcap", "qxdm", "timeline", "counters", "diagnose",
-    "findings", "trace", "metrics", "captures"};
+// What a flag takes: any text, a non-negative integer, a non-negative
+// finite number, or a ScenarioSpec field (its spec JSON key is the flag
+// with '_' for '-'), which ScenarioSpec::parse_json checks.
+enum class FlagValue { kText, kCount, kNumber, kSpec };
+using enum FlagValue;
+struct FlagSpec {
+  std::string_view name;
+  FlagValue value;
+};
 
-// Writes the flags as a spec JSON object and parses it, so they pass the
-// same checks a fleet or serve spec does. False with *error set on an
-// unknown flag or argument, or anything ScenarioSpec::parse_json rejects.
-bool spec_from_flags(const Options& opt, svc::ScenarioSpec* spec,
-                     std::string* error) {
-  if (!opt.positional.empty()) {
-    *error = "unexpected argument \"" + opt.positional.front() + "\"";
-    return false;
-  }
-  const auto listed = [](const auto& flags, const std::string& flag) {
-    return std::find(std::begin(flags), std::end(flags), flag) !=
-           std::end(flags);
-  };
+// pageload|post|video: the ScenarioSpec fields, then the flags that only
+// choose what the printer shows.
+constexpr FlagSpec kSingleFlags[] = {
+    {"network", kSpec},   {"seed", kSpec},       {"pages", kSpec},
+    {"think", kSpec},     {"kind", kSpec},       {"reps", kSpec},
+    {"videos", kSpec},    {"throttle", kSpec},   {"mechanism", kSpec},
+    {"fault-plan", kSpec}, {"fault-seed", kSpec}, {"policy", kSpec},
+    {"pcap", kText},      {"qxdm", kText},       {"timeline", kText},
+    {"counters", kCount}, {"diagnose", kCount},  {"findings", kText},
+    {"trace", kText},     {"metrics", kText},    {"captures", kText}};
+
+// The campaign settings fleet and serve share (campaign_config reads
+// them), then each command's own. fleet's --resume and --merge-only read
+// as 1 when given bare.
+constexpr FlagSpec kCampaignFlags[] = {
+    {"out-dir", kText},         {"jobs", kCount},
+    {"master-seed", kCount},    {"retries", kCount},
+    {"max-virtual-s", kNumber}, {"max-reschedules", kCount},
+    {"shard-bytes", kCount},    {"shard-runs", kCount}};
+constexpr FlagSpec kFleetFlags[] = {
+    {"specs", kText}, {"resume", kCount}, {"merge-only", kCount},
+    {"json", kText}};
+constexpr FlagSpec kServeFlags[] = {{"socket", kText}};
+
+constexpr FlagSpec kMergeFlags[] = {
+    {"out", kText},     {"strict", kCount}, {"summary", kCount},
+    {"findings", kText}, {"shards", kText}, {"merged", kCount}};
+constexpr FlagSpec kCellFlags[] = {
+    {"spec-file", kText}, {"app", kText},        {"devices", kCount},
+    {"stagger", kNumber}, {"network", kText},    {"seed", kCount},
+    {"capacity", kNumber}, {"throttle", kCount}, {"mechanism", kText},
+    {"grants", kCount},   {"actions", kCount},   {"timeline", kText},
+    {"findings", kText}};
+// pop's --network, --throttle and --mechanism are carried into every
+// emitted spec, so the spec parser checks them.
+constexpr FlagSpec kPopFlags[] = {
+    {"seed", kCount},     {"users", kCount},    {"days", kCount},
+    {"network", kSpec},   {"throttle", kSpec},  {"mechanism", kSpec},
+    {"diurnal", kText},   {"mix", kText},       {"begin", kCount},
+    {"end", kCount},      {"out", kText}};
+constexpr FlagSpec kTopFlags[] = {{"shards", kText}, {"socket", kText}};
+constexpr FlagSpec kMetricsDiffFlags[] = {
+    {"tol", kText}, {"default-tol", kNumber}, {"allow-new-keys", kCount}};
+constexpr FlagSpec kTraceReportFlags[] = {{"top", kCount}};
+
+const FlagSpec* find_flag(std::span<const FlagSpec> flags,
+                          std::string_view name) {
+  const auto it =
+      std::find_if(flags.begin(), flags.end(),
+                   [name](const FlagSpec& f) { return f.name == name; });
+  return it == flags.end() ? nullptr : &*it;
+}
+
+// Writes the kSpec flags of `flags` as a spec JSON object and parses it, so
+// they pass the same checks a fleet or serve spec does. The others are
+// skipped: check_flags has vetted them.
+bool spec_from_flags(const Options& opt, std::span<const FlagSpec> flags,
+                     svc::ScenarioSpec* spec, std::string* error) {
   std::ostringstream json;
-  json << "{\"scenario\":";
-  core::put_json_string(json, opt.command);
+  json << '{';
+  const char* sep = "";
   for (const auto& [flag, value] : opt.kv) {
-    if (listed(kPrintFlags, flag)) continue;
-    if (!listed(kSpecFlags, flag)) {
-      *error = "unknown flag --" + flag;
-      return false;
-    }
+    const FlagSpec* f = find_flag(flags, flag);
+    if (f == nullptr || f->value != kSpec) continue;
     std::string key = flag;
     std::replace(key.begin(), key.end(), '-', '_');
-    json << ",\"" << key << "\":";
+    json << sep << '"' << key << "\":";
+    sep = ",";
     // A number goes in bare, anything else as a string; the parser then
     // rejects either one where the key wants the other.
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (!value.empty() && *end == '\0') {
+    double number = 0;
+    if (parse_number(value, &number)) {
       json << value;
     } else {
       core::put_json_string(json, value);
@@ -224,62 +292,6 @@ bool spec_from_flags(const Options& opt, svc::ScenarioSpec* spec,
   }
   json << '}';
   return svc::ScenarioSpec::parse_json(json.str(), spec, error);
-}
-
-// What a flag of a checked command takes: any text, a non-negative
-// integer, or a non-negative finite number.
-enum class FlagValue { kText, kCount, kNumber };
-struct FlagSpec {
-  std::string_view name;
-  FlagValue value;
-};
-
-// fleet's flags. --resume and --merge-only read as 1 when given bare.
-constexpr FlagSpec kFleetFlags[] = {
-    {"specs", FlagValue::kText},           {"out-dir", FlagValue::kText},
-    {"jobs", FlagValue::kCount},           {"master-seed", FlagValue::kCount},
-    {"retries", FlagValue::kCount},        {"max-virtual-s", FlagValue::kNumber},
-    {"max-reschedules", FlagValue::kCount}, {"shard-bytes", FlagValue::kCount},
-    {"shard-runs", FlagValue::kCount},     {"resume", FlagValue::kCount},
-    {"merge-only", FlagValue::kCount},     {"findings", FlagValue::kText},
-    {"timeline", FlagValue::kText},        {"metrics", FlagValue::kText},
-    {"captures", FlagValue::kText},        {"json", FlagValue::kText}};
-
-// False, with *error naming it, on a positional argument, a flag not in
-// `flags`, or a value that is not the number its flag takes — so a typo
-// or a unit suffix exits 2 instead of running with a default.
-bool check_flags(const Options& opt, std::span<const FlagSpec> flags,
-                 std::string* error) {
-  if (!opt.positional.empty()) {
-    *error = "unexpected argument \"" + opt.positional.front() + "\"";
-    return false;
-  }
-  for (const auto& [flag, value] : opt.kv) {
-    const auto spec =
-        std::find_if(flags.begin(), flags.end(),
-                     [&flag](const FlagSpec& f) { return f.name == flag; });
-    if (spec == flags.end()) {
-      *error = "unknown flag --" + flag;
-      return false;
-    }
-    const char* const begin = value.data();
-    const char* const end = begin + value.size();
-    bool ok = true;
-    if (spec->value == FlagValue::kCount) {
-      long n = 0;
-      const auto [stop, ec] = std::from_chars(begin, end, n);
-      ok = ec == std::errc() && stop == end && n >= 0;
-    } else if (spec->value == FlagValue::kNumber) {
-      double v = 0;
-      const auto [stop, ec] = std::from_chars(begin, end, v);
-      ok = ec == std::errc() && stop == end && std::isfinite(v) && v >= 0;
-    }
-    if (!ok) {
-      *error = "invalid value for --" + flag + ": \"" + value + "\"";
-      return false;
-    }
-  }
-  return true;
 }
 
 void report_policy(const ctrl::PolicyEngine* policy, const Options& opt) {
@@ -305,7 +317,7 @@ void report_policy(const ctrl::PolicyEngine* policy, const Options& opt) {
 // it) prints its findings table.
 void report_diagnosis(core::QoeDoctor& doctor, const Options& opt) {
   const std::string findings = opt.get("findings", "");
-  if (opt.get_int("diagnose", 0) == 0 && findings.empty() &&
+  if (opt.count("diagnose", 0) == 0 && findings.empty() &&
       opt.get("policy", "").empty()) {
     return;
   }
@@ -355,7 +367,7 @@ void export_artifacts(svc::ScenarioRun& run, const core::RunResult& result,
   if (!timeline.empty()) {
     run_sink(core::TimelineJsonlSink(doctor.collector()), timeline);
   }
-  if (opt.get_int("counters", 0) != 0) {
+  if (opt.count("counters", 0) != 0) {
     doctor.collector().counters_table().print();
     if (run.injector() != nullptr) run.injector()->counters_table().print();
   }
@@ -449,10 +461,11 @@ void print_videos(svc::ScenarioRun& run, const svc::ScenarioSpec& spec) {
 int run_single(const Options& opt) {
   svc::ScenarioSpec spec;
   std::string error;
-  if (!spec_from_flags(opt, &spec, &error)) {
+  if (!spec_from_flags(opt, kSingleFlags, &spec, &error)) {
     std::printf("%s: %s\n", opt.command.c_str(), error.c_str());
     return 2;
   }
+  spec.scenario = opt.command;
   svc::ScenarioRun run(spec, !opt.get("trace", "").empty());
   run.execute();
   if (spec.scenario == "pageload") {
@@ -527,7 +540,7 @@ int run_merge(const Options& opt) {
   // --merged: the single input is an ALREADY-merged stream (a cell run's or
   // fleet's timeline.jsonl) whose lines carry device/run labels — pass it
   // through unstamped instead of re-labeling it by filename.
-  if (opt.get_int("merged", 0) != 0) {
+  if (opt.count("merged", 0) != 0) {
     if (opt.positional.size() != 1) {
       std::printf("merge: --merged takes exactly one input file\n");
       return 2;
@@ -570,9 +583,9 @@ int run_merge(const Options& opt) {
   // --strict: the merged output is still written (for inspection), but a
   // quarantined or out-of-order input line fails the invocation.
   const int strict_rc =
-      (opt.get_int("strict", 0) != 0 && dirty) ? 3 : 0;
+      (opt.count("strict", 0) != 0 && dirty) ? 3 : 0;
   const std::string& merged = result.jsonl;
-  const bool summary = opt.get_int("summary", 0) != 0;
+  const bool summary = opt.count("summary", 0) != 0;
   const std::string out = opt.get("out", "");
   if (!out.empty()) {
     if (!write_text(out, merged,
@@ -608,16 +621,17 @@ int run_cell(const Options& opt) {
     }
   } else {
     spec = cell::CellScenarioSpec::uniform(
-        opt.get("app", "browser"), static_cast<int>(opt.get_int("devices", 4)),
-        std::strtod(opt.get("stagger", "1").c_str(), nullptr));
+        opt.get("app", "browser"), static_cast<int>(opt.count("devices", 4)),
+        opt.number("stagger", 1));
     spec.network = opt.get("network", "3g");
-    spec.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-    spec.capacity_kbps =
-        std::strtod(opt.get("capacity", "2000").c_str(), nullptr);
-    spec.throttle_kbps = opt.get_int("throttle", 0);
+    spec.seed = opt.count("seed", 1);
+    spec.capacity_kbps = opt.number("capacity", 2000);
+    spec.throttle_kbps = static_cast<long>(opt.count("throttle", 0));
     spec.mechanism = opt.get("mechanism", "shaping");
-    spec.max_active_grants = static_cast<int>(opt.get_int("grants", 0));
-    for (auto& d : spec.devices) d.actions = opt.get_int("actions", 3);
+    spec.max_active_grants = static_cast<int>(opt.count("grants", 0));
+    for (auto& d : spec.devices) {
+      d.actions = static_cast<long>(opt.count("actions", 3));
+    }
   }
 
   core::RunResult result;
@@ -655,35 +669,54 @@ int run_cell(const Options& opt) {
   return 0;
 }
 
+// --mix=S[,V[,B]]: social, video and browser weights; an omitted weight
+// is 0, an empty value keeps the default mix.
+bool parse_mix(std::string_view text, pop::AppMix* mix) {
+  if (text.empty()) return true;
+  *mix = {0, 0, 0};
+  for (double* weight : {&mix->social, &mix->video, &mix->browser}) {
+    const auto comma = text.find(',');
+    if (!parse_number(text.substr(0, comma), weight)) return false;
+    if (comma == std::string_view::npos) return true;
+    text.remove_prefix(comma + 1);
+  }
+  return false;  // a fourth weight
+}
+
 // Emits one svc::ScenarioSpec JSON line per synthetic user — the
 // `qoed_cli fleet --specs=` input format — from a seeded population model.
 int run_pop(const Options& opt) {
-  pop::PopulationConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  cfg.users = static_cast<std::size_t>(opt.get_int("users", 100));
-  cfg.days = static_cast<int>(opt.get_int("days", 1));
-  cfg.network = opt.get("network", "3g");
-  cfg.throttle_kbps = opt.get_int("throttle", 0);
-  cfg.mechanism = opt.get("mechanism", "shaping");
-  if (opt.get("diurnal", "mobile") == "flat") {
-    cfg.diurnal = pop::DiurnalCurve::flat();
+  // The flags carried into every spec pass the spec parser, so pop writes
+  // only specs fleet accepts.
+  svc::ScenarioSpec carried;
+  std::string error;
+  if (!spec_from_flags(opt, kPopFlags, &carried, &error)) {
+    std::printf("pop: %s\n", error.c_str());
+    return 2;
   }
-  const std::string mix = opt.get("mix", "");
-  if (!mix.empty()) {
-    char* cursor = nullptr;
-    cfg.mix.social = std::strtod(mix.c_str(), &cursor);
-    cfg.mix.video = (cursor && *cursor == ',') ? std::strtod(cursor + 1,
-                                                             &cursor)
-                                               : 0;
-    cfg.mix.browser = (cursor && *cursor == ',') ? std::strtod(cursor + 1,
-                                                               nullptr)
-                                                 : 0;
+  pop::PopulationConfig cfg;
+  cfg.seed = opt.count("seed", cfg.seed);
+  cfg.users = opt.count("users", cfg.users);
+  cfg.days = static_cast<int>(opt.count("days", cfg.days));
+  cfg.network = carried.network;
+  cfg.throttle_kbps = carried.throttle_kbps;
+  cfg.mechanism = carried.mechanism;
+  const std::string diurnal = opt.get("diurnal", "mobile");
+  if (diurnal == "flat") {
+    cfg.diurnal = pop::DiurnalCurve::flat();
+  } else if (diurnal != "mobile") {
+    std::printf("pop: invalid value for --diurnal: \"%s\"\n",
+                diurnal.c_str());
+    return 2;
+  }
+  if (!parse_mix(opt.get("mix", ""), &cfg.mix)) {
+    std::printf("pop: invalid value for --mix: \"%s\"\n",
+                opt.get("mix", "").c_str());
+    return 2;
   }
   const pop::PopulationGenerator gen(cfg);
-  const std::size_t begin =
-      static_cast<std::size_t>(opt.get_int("begin", 0));
-  const std::size_t end = static_cast<std::size_t>(
-      opt.get_int("end", static_cast<long>(cfg.users)));
+  const std::size_t begin = opt.count("begin", 0);
+  const std::size_t end = opt.count("end", cfg.users);
   const std::string out = opt.get("out", "");
   if (out.empty()) {
     gen.write_jsonl(std::cout, begin, end);
@@ -699,49 +732,46 @@ int run_pop(const Options& opt) {
   return 0;
 }
 
-// Writes the merged fleet artifacts from the shard directory. False when
-// any artifact could not be written (a manifest-listed shard that is
-// missing or unreadable fails its merged artifact).
-bool write_fleet_artifacts(const Options& opt, const std::string& out_dir) {
-  const auto path = [&](const char* key, const char* def) {
-    std::string p = opt.get(key, "");
-    if (p.empty() && !out_dir.empty()) {
-      p = out_dir + "/" + def;
-    }
-    return p;
-  };
-  bool ok = true;
-  const auto write = [&ok](const core::ExportSink& sink,
-                           const std::string& p) {
-    if (!p.empty()) ok = run_sink(sink, p) && ok;
-  };
-  const std::string findings = path("findings", "findings.jsonl");
-  const std::string timeline = path("timeline", "timeline.jsonl");
-  const std::string metrics = path("metrics", "metrics.json");
-  const std::string captures = path("captures", "captures.jsonl");
-  write(core::ShardFindingsMergeSink(out_dir), findings);
-  write(core::ShardTimelineMergeSink(out_dir), timeline);
-  write(core::ShardMetricsMergeSink(out_dir), metrics);
-  write(core::ShardCapturesMergeSink(out_dir), captures);
-  return ok;
+// fleet and serve: the campaign flags both take, read into the one
+// settings type over its own defaults (--jobs defaults to 1).
+core::CampaignConfig campaign_config(const Options& opt, std::string name) {
+  core::CampaignConfig cfg;
+  cfg.name = std::move(name);
+  cfg.jobs = opt.count("jobs", 1);
+  cfg.master_seed = opt.count("master-seed", cfg.master_seed);
+  cfg.max_retries = opt.count("retries", cfg.max_retries);
+  cfg.max_run_virtual_seconds =
+      opt.number("max-virtual-s", cfg.max_run_virtual_seconds);
+  cfg.max_reschedules = opt.count("max-reschedules", cfg.max_reschedules);
+  cfg.shard.out_dir = opt.get("out-dir", "");
+  cfg.shard.shard_bytes = opt.count("shard-bytes", cfg.shard.shard_bytes);
+  cfg.shard.shard_runs = opt.count("shard-runs", cfg.shard.shard_runs);
+  return cfg;
+}
+
+// Publishes the merged artifacts beside the shards in out_dir. False, after
+// naming the first file that could not be written (a manifest-listed shard
+// that is missing or unreadable fails its merged artifact), on failure.
+bool publish_merged(const std::string& out_dir) {
+  std::string error;
+  if (!core::write_merged_artifacts(out_dir, &error)) {
+    std::printf("fleet: %s\n", error.c_str());
+    return false;
+  }
+  std::printf("fleet: merged artifacts written to %s\n", out_dir.c_str());
+  return true;
 }
 
 int run_fleet(const Options& opt) {
-  std::string error;
-  if (!check_flags(opt, kFleetFlags, &error)) {
-    std::printf("fleet: %s\n", error.c_str());
-    return 2;
-  }
-  const std::string specs_path = opt.get("specs", "");
-  const std::string out_dir = opt.get("out-dir", "");
+  core::CampaignConfig cfg = campaign_config(opt, "fleet");
+  const std::string out_dir = cfg.shard.out_dir;
   if (out_dir.empty()) {
     std::printf("fleet: --out-dir=DIR required\n");
     return 2;
   }
-  if (opt.get_int("merge-only", 0) != 0) {
-    return write_fleet_artifacts(opt, out_dir) ? 0 : 1;
-  }
+  if (opt.count("merge-only", 0) != 0) return publish_merged(out_dir) ? 0 : 1;
 
+  const std::string specs_path = opt.get("specs", "");
   if (specs_path.empty()) {
     std::printf("fleet: --specs=FILE (one ScenarioSpec JSON per line) "
                 "required\n");
@@ -771,23 +801,8 @@ int run_fleet(const Options& opt) {
     std::printf("fleet: no specs in %s\n", specs_path.c_str());
     return 2;
   }
-
-  core::CampaignConfig cfg;
-  cfg.name = "fleet";
   cfg.runs = specs.size();
-  cfg.jobs = static_cast<std::size_t>(opt.get_int("jobs", 1));
-  cfg.master_seed = static_cast<std::uint64_t>(opt.get_int("master-seed", 1));
-  cfg.max_retries = static_cast<std::size_t>(opt.get_int("retries", 0));
-  cfg.max_run_virtual_seconds =
-      std::strtod(opt.get("max-virtual-s", "0").c_str(), nullptr);
-  cfg.max_reschedules =
-      static_cast<std::size_t>(opt.get_int("max-reschedules", 1));
-  cfg.shard.out_dir = out_dir;
-  cfg.shard.shard_bytes =
-      static_cast<std::size_t>(opt.get_int("shard-bytes", 4 << 20));
-  cfg.shard.shard_runs =
-      static_cast<std::size_t>(opt.get_int("shard-runs", 0));
-  cfg.shard.resume = opt.get_int("resume", 0) != 0;
+  cfg.shard.resume = opt.count("resume", 0) != 0;
 
   core::Campaign campaign(cfg);
   core::CampaignResult result;
@@ -810,35 +825,22 @@ int run_fleet(const Options& opt) {
       result.runs, result.quarantined.size(), rescheduled, result.jobs,
       campaign.last_wall_seconds());
 
-  const bool wrote = write_fleet_artifacts(opt, out_dir);
+  bool wrote = publish_merged(out_dir);
   const std::string json = opt.get("json", "");
   if (!json.empty()) {
-    std::ofstream os(json, std::ios::binary);
-    core::export_campaign_json(os, result);
-    if (os) std::printf("wrote campaign.json to %s\n", json.c_str());
+    wrote = run_sink(core::CampaignJsonSink(result), json) && wrote;
   }
   if (!wrote) return 1;
   return result.quarantined.empty() ? 0 : 3;
 }
 
 int run_serve(const Options& opt) {
-  svc::ServeOptions sopts;
-  sopts.jobs = static_cast<std::size_t>(opt.get_int("jobs", 1));
-  sopts.out_dir = opt.get("out-dir", "");
-  sopts.shard_bytes =
-      static_cast<std::size_t>(opt.get_int("shard-bytes", 4 << 20));
-  sopts.shard_runs = static_cast<std::size_t>(opt.get_int("shard-runs", 0));
-  sopts.max_retries = static_cast<std::size_t>(opt.get_int("retries", 0));
-  sopts.max_virtual_s =
-      std::strtod(opt.get("max-virtual-s", "0").c_str(), nullptr);
-  sopts.max_reschedules =
-      static_cast<std::size_t>(opt.get_int("max-reschedules", 1));
-  sopts.master_seed = static_cast<std::uint64_t>(opt.get_int("master-seed", 1));
+  const core::CampaignConfig cfg = campaign_config(opt, "serve");
   const std::string socket_path = opt.get("socket", "");
   if (!socket_path.empty()) {
-    return svc::serve_over_socket(socket_path, sopts);
+    return svc::serve_over_socket(socket_path, cfg);
   }
-  svc::ServeEngine engine(std::cin, std::cout, sopts);
+  svc::ServeEngine engine(std::cin, std::cout, cfg);
   return engine.run();
 }
 
@@ -856,7 +858,7 @@ int run_metrics_diff(const Options& opt) {
     return 2;
   }
   obs::DiffOptions dopts;
-  dopts.fail_on_added = opt.get_int("allow-new-keys", 0) == 0;
+  dopts.fail_on_added = opt.count("allow-new-keys", 0) == 0;
   // Wall-clock profiling keys are nondeterministic by nature; ignore that
   // subtree by default (a later, longer user prefix can re-tighten it).
   dopts.tolerances.emplace_back("prof.",
@@ -869,8 +871,7 @@ int run_metrics_diff(const Options& opt) {
     std::printf("metrics-diff: %s\n", e.what());
     return 2;
   }
-  dopts.default_tolerance =
-      std::strtod(opt.get("default-tol", "0").c_str(), nullptr);
+  dopts.default_tolerance = opt.number("default-tol", 0);
   obs::MetricsRegistry base;
   obs::MetricsRegistry current;
   const auto load = [](const std::string& path, obs::MetricsRegistry* reg) {
@@ -916,7 +917,7 @@ int run_trace_report(const Options& opt) {
   }
   std::ostringstream os;
   obs::print_trace_report(os, report,
-                          static_cast<std::size_t>(opt.get_int("top", 3)));
+                          opt.count("top", 3));
   std::fputs(os.str().c_str(), stdout);
   return 0;
 }
@@ -1122,14 +1123,13 @@ void usage() {
       "  pop:      [--users=N] [--seed=N] [--days=N] [--mix=S,V,B]\n"
       "            [--diurnal=mobile|flat] [--network=...] [--throttle=KBPS]\n"
       "            [--mechanism=...] [--begin=I] [--end=J] [--out=FILE]\n"
-      "  fleet:    --specs=FILE --out-dir=DIR [--jobs=N]\n"
-      "            [--shard-bytes=N] [--shard-runs=N] [--resume]\n"
-      "            [--merge-only] [--retries=N] [--max-virtual-s=S]\n"
-      "            [--max-reschedules=N] [--findings=FILE] [--timeline=FILE]\n"
-      "            [--metrics=FILE] [--captures=FILE] [--json=FILE]\n"
-      "  serve:    [--jobs=N] [--out-dir=DIR] [--shard-bytes=N]\n"
-      "            [--shard-runs=N] [--socket=PATH] [--retries=N]\n"
-      "            [--max-virtual-s=S] [--max-reschedules=N]\n"
+      "  fleet:    --specs=FILE --out-dir=DIR [--resume] [--merge-only]\n"
+      "            [--json=FILE] CAMPAIGN-FLAGS   (merged artifacts land\n"
+      "            beside the shards in DIR)\n"
+      "  serve:    [--socket=PATH] [--out-dir=DIR] CAMPAIGN-FLAGS\n"
+      "  CAMPAIGN-FLAGS: [--jobs=N (0 = all cores)] [--master-seed=N]\n"
+      "            [--retries=N] [--max-virtual-s=S] [--max-reschedules=N]\n"
+      "            [--shard-bytes=N] [--shard-runs=N]\n"
       "  top:      --shards=DIR | --socket=PATH   (fleet summary: runs,\n"
       "            findings, flow.* headline rates, shard frontier)\n"
       "  metrics-diff: BASELINE.json CURRENT.json [--tol=PREFIX=REL,...]\n"
@@ -1139,22 +1139,70 @@ void usage() {
       "            instants, K slowest windows with peak flow counters)\n");
 }
 
+// One qoed_cli command: its flag table and whether it takes positional
+// file arguments.
+struct Command {
+  std::string_view name;
+  int (*run)(const Options&);
+  std::span<const FlagSpec> flags;
+  bool campaign = false;  // also takes kCampaignFlags
+  bool files = false;
+};
+
+constexpr Command kCommands[] = {
+    {"pageload", run_single, kSingleFlags},
+    {"post", run_single, kSingleFlags},
+    {"video", run_single, kSingleFlags},
+    {"merge", run_merge, kMergeFlags, false, true},
+    {"--merge", run_merge, kMergeFlags, false, true},
+    {"cell", run_cell, kCellFlags},
+    {"pop", run_pop, kPopFlags},
+    {"fleet", run_fleet, kFleetFlags, true},
+    {"serve", run_serve, kServeFlags, true},
+    {"top", run_top, kTopFlags},
+    {"metrics-diff", run_metrics_diff, kMetricsDiffFlags, false, true},
+    {"trace-report", run_trace_report, kTraceReportFlags, false, true}};
+
+// False, with *error naming it, on a positional argument to a command that
+// takes no files, a flag not in the command's tables, or a value that is
+// not the number its flag takes — so a typo or a unit suffix exits 2
+// instead of running with a default.
+bool check_flags(const Options& opt, const Command& cmd, std::string* error) {
+  if (!cmd.files && !opt.positional.empty()) {
+    *error = "unexpected argument \"" + opt.positional.front() + "\"";
+    return false;
+  }
+  for (const auto& [flag, value] : opt.kv) {
+    const FlagSpec* spec = find_flag(cmd.flags, flag);
+    if (spec == nullptr && cmd.campaign) spec = find_flag(kCampaignFlags, flag);
+    if (spec == nullptr) {
+      *error = "unknown flag --" + flag;
+      return false;
+    }
+    std::uint64_t n = 0;
+    double v = 0;
+    if ((spec->value == kCount && !parse_count(value, &n)) ||
+        (spec->value == kNumber && !parse_number(value, &v))) {
+      *error = "invalid value for --" + flag + ": \"" + value + "\"";
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (opt.command == "pageload" || opt.command == "post" ||
-      opt.command == "video") {
-    return run_single(opt);
+  for (const Command& cmd : kCommands) {
+    if (cmd.name != opt.command) continue;
+    std::string error;
+    if (!check_flags(opt, cmd, &error)) {
+      std::printf("%s: %s\n", opt.command.c_str(), error.c_str());
+      return 2;
+    }
+    return cmd.run(opt);
   }
-  if (opt.command == "merge" || opt.command == "--merge") return run_merge(opt);
-  if (opt.command == "cell") return run_cell(opt);
-  if (opt.command == "pop") return run_pop(opt);
-  if (opt.command == "fleet") return run_fleet(opt);
-  if (opt.command == "serve") return run_serve(opt);
-  if (opt.command == "top") return run_top(opt);
-  if (opt.command == "metrics-diff") return run_metrics_diff(opt);
-  if (opt.command == "trace-report") return run_trace_report(opt);
   usage();
   return opt.command.empty() ? 1 : 2;
 }

@@ -10,10 +10,10 @@
 # Also self-tests the gate's teeth (an injected drift must exit 4) and the
 # closed-loop determinism contract (jobs=1 vs jobs=8 fleet artifacts,
 # captures.jsonl included, must be byte-identical), checks that
-# `fleet --merge-only` rebuilds the same merged bytes from the shards and
-# fails when a manifest-listed shard is missing, that a `qoed_cli post`
-# single run leaves the same artifacts as the fleet run of the same spec,
-# and that bad single-run or fleet input exits 2.
+# `fleet --merge-only` over a copy of the shards rebuilds the same merged
+# bytes beside them and fails when a manifest-listed shard is missing, that
+# a `qoed_cli post` single run leaves the same artifacts as the fleet run
+# of the same spec, and that bad flags to any command exit 2.
 #
 # usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]
 set -euo pipefail
@@ -50,14 +50,14 @@ for f in MANIFEST.json findings.jsonl timeline.jsonl metrics.json \
   cmp "$WORK/fleet-j1/$f" "$WORK/fleet-j8/$f"
 done
 
-# Merge-only rebuild: merging the same shard directory again must leave the
-# bytes the campaign wrote.
+# Merge-only rebuild: the manifest and the numbered shards, copied into a
+# fresh directory, must merge to the bytes the campaign wrote. The merged
+# artifacts always land beside the shards they merge.
 REMERGE="$WORK/remerge"
+rm -rf "$REMERGE"
 mkdir -p "$REMERGE"
-"$CLI" fleet --merge-only --out-dir="$WORK/fleet-j8" \
-  --findings="$REMERGE/findings.jsonl" --timeline="$REMERGE/timeline.jsonl" \
-  --metrics="$REMERGE/metrics.json" --captures="$REMERGE/captures.jsonl" \
-  > "$REMERGE/merge.log"
+cp "$WORK/fleet-j8/MANIFEST.json" "$WORK/fleet-j8"/*-[0-9]*.jsonl "$REMERGE/"
+"$CLI" fleet --merge-only --out-dir="$REMERGE" > "$WORK/remerge.log"
 for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
   cmp "$WORK/fleet-j8/$f" "$REMERGE/$f"
 done
@@ -119,27 +119,37 @@ cmp "$PARITY/fleet-findings.jsonl" "$PARITY/cli-findings.jsonl"
 "$CLI" metrics-diff "$PARITY/fleet/metrics.json" "$PARITY/cli-metrics.json" \
   --tol=campaign.=inf
 
-# Single-run flags pass the spec checks and fleet checks its own flags: a
-# bad value, a malformed number or an unknown flag (including the flag of
-# the retired in-memory fleet mode) exits 2 instead of running something
-# else.
-rm -rf "$WORK/bad-fleet"
+# Single-run flags pass the spec checks and every command checks its own
+# flags: a bad value, a malformed number or an unknown flag (including the
+# flags of the retired in-memory fleet mode and merged-artifact path
+# overrides) exits 2 instead of running something else, and writes nothing.
+BAD_POP="$WORK/bad-pop.jsonl"
+rm -rf "$WORK/bad-fleet" "$BAD_POP"
 for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
            "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --memory" \
-           "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --jobs=abc"; do
+           "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --jobs=abc" \
+           "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --timeline=$BAD_POP" \
+           "serve --out-dir=$WORK/bad-fleet --jobs=abc" \
+           "serve --out-dir=$WORK/bad-fleet --jbos=4" \
+           "pop --users=abc --out=$BAD_POP" "pop --userz=3 --out=$BAD_POP" \
+           "pop --network=ltee --mechanism=police --out=$BAD_POP" \
+           "pop --mix=0.4,x --out=$BAD_POP" "pop --diurnal=flatt --out=$BAD_POP" \
+           "cell --devices=1 --actions=1 --capacity=2Mbps --bogus=1"; do
   rc=0
   # shellcheck disable=SC2086  # word-split the subcommand and its flag
-  "$CLI" $bad > "$WORK/bad-input.log" || rc=$?
+  "$CLI" $bad < /dev/null > "$WORK/bad-input.log" || rc=$?
   if [ "$rc" -ne 2 ]; then
     echo "metrics gate: qoed_cli $bad: expected exit 2, got $rc"
     cat "$WORK/bad-input.log"
     exit 1
   fi
 done
-if [ -e "$WORK/bad-fleet" ]; then
-  echo "metrics gate: a fleet with bad flags still wrote $WORK/bad-fleet"
-  exit 1
-fi
+for wrote in "$WORK/bad-fleet" "$BAD_POP"; do
+  if [ -e "$wrote" ]; then
+    echo "metrics gate: a command with bad flags still wrote $wrote"
+    exit 1
+  fi
+done
 
 echo "metrics gate OK: jobs-invariant, merge-only rebuilds the same bytes" \
   "and fails on a missing shard, baseline matched, self-test exits 4," \

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serve-mode smoke: a scripted stdin client drives `qoed_cli serve`, and
 # the session's merged artifacts must be byte-identical to a batch
-# `qoed_cli fleet` run over the same spec list — at jobs=1 and jobs=4.
+# `qoed_cli fleet` run over the same spec list — at jobs=1 and jobs=4 —
+# and its commit events identical between the two worker counts.
 # This is the cross-mode determinism contract:
 #   batch fleet == serve, at any worker count.
 set -euo pipefail
@@ -40,9 +41,14 @@ for jobs in 1 4; do
   [ "$runs" -eq 4 ] || { echo "expected 4 run events, got $runs"; exit 1; }
   grep -q '"shutdown":true,"runs":4' "$WORK/serve-j$jobs.log"
   # ...and the merged artifacts match the batch fleet byte-for-byte.
-  for f in findings.jsonl timeline.jsonl metrics.json; do
+  for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
     cmp "$WORK/batch/$f" "$dir/$f"
   done
+  # Commit events (reschedules, findings, quarantines, run summaries) come
+  # in submission order, so they do not depend on the worker count.
+  grep '"event":' "$WORK/serve-j$jobs.log" > "$WORK/serve-j$jobs.events"
 done
+cmp "$WORK/serve-j1.events" "$WORK/serve-j4.events"
 
-echo "serve smoke OK: serve(jobs=1,4) == batch fleet, artifacts byte-identical"
+echo "serve smoke OK: serve(jobs=1,4) == batch fleet, artifacts byte-identical," \
+  "events jobs-invariant"

@@ -97,7 +97,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
       // The run is single-threaded on this worker, so the thread-local
       // logger tallies delta-attributed here belong to exactly this attempt.
       const sim::LogCounts log_before = sim::Logger::thread_counts();
-      const auto run_t0 = std::chrono::steady_clock::now();
       try {
         ex.result = fn(spec.seed, spec);
       } catch (const std::exception& e) {
@@ -109,9 +108,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
         ex.result.ok = false;
         ex.result.error = "unknown exception";
       }
-      ex.run_wall_s += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - run_t0)
-                           .count();
       const sim::LogCounts log_after = sim::Logger::thread_counts();
       ex.result.registry.add_counter(
           "log.warn", static_cast<double>(log_after.warn - log_before.warn));
@@ -130,22 +126,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
                           std::to_string(cfg.max_run_virtual_seconds) + "s)";
       }
       if (ex.result.ok || attempt >= cfg.max_retries) break;
-      if (cfg.retry_backoff.count() > 0) {
-        // Exponential backoff with deterministic jitter in [0.5, 1.5).
-        // Wall clock only — nothing here feeds back into results.
-        const double jitter =
-            0.5 + sim::Rng(spec.seed).fork("backoff").uniform();
-        const double scale =
-            static_cast<double>(1ULL << std::min<std::size_t>(attempt, 20)) *
-            jitter;
-        const auto sleep_t0 = std::chrono::steady_clock::now();
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                cfg.retry_backoff * scale));
-        ex.backoff_wall_s += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sleep_t0)
-                                 .count();
-      }
     }
     ex.reschedules = resched;
     // Reschedule applies to runs that completed with a policy verdict; a
@@ -177,14 +157,9 @@ CampaignResult Campaign::run(const RunFn& fn) {
     spec.run_index = i;
     spec.seed = run_seed(cfg_.master_seed, i);
     spec.master_seed = cfg_.master_seed;
-    spec.campaign = cfg_.name;
     out.run_specs.push_back(std::move(spec));
   }
 
-  // Wall-clock profile slots, one per run (disjoint writes; folded into
-  // last_profile_ after the join, in index order). Never enters `out`.
-  std::vector<double> run_wall(runs, 0), backoff_wall(runs, 0),
-      queue_wait(runs, 0);
   if (cfg_.trace) out.traces.resize(runs);
 
   // Every run commits through the sink: it orders and folds, and with an
@@ -198,12 +173,7 @@ CampaignResult Campaign::run(const RunFn& fn) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= runs) return;
-      queue_wait[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
       RunExecution ex = execute_run_with_policy(cfg_, fn, out.run_specs[i]);
-      run_wall[i] = ex.run_wall_s;
-      backoff_wall[i] = ex.backoff_wall_s;
       if (cfg_.trace) out.traces[i] = std::move(ex.result.trace);
       sink.submit(i, std::move(ex));
     }
@@ -221,19 +191,6 @@ CampaignResult Campaign::run(const RunFn& fn) {
   last_wall_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-
-  // Fold the wall-clock slots into the profile registry (index order for a
-  // stable fold, though this registry is explicitly non-deterministic).
-  last_profile_.clear();
-  for (std::size_t i = start; i < runs; ++i) {
-    last_profile_.observe("prof.campaign.run_wall", run_wall[i]);
-    last_profile_.observe("prof.campaign.queue_wait", queue_wait[i]);
-    if (backoff_wall[i] > 0) {
-      last_profile_.observe("prof.campaign.backoff_wall", backoff_wall[i]);
-    }
-  }
-  last_profile_.set_gauge("prof.campaign.total_wall", last_wall_seconds_);
-  last_profile_.set_gauge("prof.campaign.jobs", static_cast<double>(jobs));
 
   sink.finalize();  // throws on shard I/O failure — don't mask it
   sink.fold_into(&out, cfg_.trace);

@@ -18,7 +18,6 @@
 // the bit-identical guarantee); read Campaign::last_wall_seconds() instead.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -38,7 +37,6 @@ struct RunSpec {
   std::size_t run_index = 0;
   std::uint64_t seed = 0;         // per-run seed, derived from master_seed
   std::uint64_t master_seed = 0;  // the campaign's master seed
-  std::string campaign;           // campaign name (for labeling exports)
   // Which attempt this is (0 = first). Retries re-run the factory with a
   // reseeded spec (Campaign::retry_seed), so a run that failed on a
   // stochastic edge gets a genuinely different draw sequence.
@@ -180,21 +178,8 @@ struct CampaignResult {
   const MetricAggregate* metric(const std::string& name) const;
 };
 
-// Sharded (constant-memory) campaign execution. Campaign::run commits every
-// run through a ShardedCampaignSink; when `out_dir` is set, the sink
-// streams per-run findings/timeline/metrics JSONL into bounded shard files
-// under out_dir:
-//   findings-NNNNNN.jsonl   stamped {"run":N,...} findings, run-index order
-//   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
-//                           the (t, device, seq) merge key
-//   metrics-NNNNNN.jsonl    one per-run line: spec/outcome + samples +
-//                           registry snapshot
-//   MANIFEST.json           shard index + durable commit frontier
-// Shards rotate when the payload exceeds shard_bytes (or shard_runs runs),
-// each written atomically (tmp+rename) before the manifest records it, so a
-// killed campaign leaves a consistent prefix that `resume` continues from.
-// The final artifacts come from an external k-way merge over the shards and
-// are byte-identical at any --jobs.
+// Where Campaign::run's commit sink writes its shards (the layout is in
+// core/shard.h).
 struct CampaignShardConfig {
   std::string out_dir;  // empty => fold in memory, write no files
   std::size_t shard_bytes = 4u << 20;  // rotate when payload exceeds this
@@ -205,9 +190,12 @@ struct CampaignShardConfig {
   bool resume = false;
 };
 
+// The one campaign settings type: Campaign::run, svc::ServeEngine (which
+// rejects `runs`, `trace` and `shard.resume`: a session is open-ended),
+// `qoed_cli fleet|serve` and the campaign benches all take it.
 struct CampaignConfig {
   std::string name = "campaign";
-  std::size_t runs = 1;
+  std::size_t runs = 0;  // runs to execute (0 in an open-ended serve session)
   std::size_t jobs = 0;  // 0 => std::thread::hardware_concurrency()
   std::uint64_t master_seed = 1;
 
@@ -215,10 +203,6 @@ struct CampaignConfig {
   // Extra attempts after a failed one; each retry reruns the factory with a
   // reseeded RunSpec. 0 = fail fast.
   std::size_t max_retries = 0;
-  // Base wall-clock backoff before retry k: base * 2^k, scaled by a
-  // deterministic jitter in [0.5, 1.5) drawn from the attempt seed. Wall
-  // clock only — never observable in CampaignResult. 0 = no backoff.
-  std::chrono::milliseconds retry_backoff{0};
   // Per-run virtual-time watchdog: a run reporting
   // RunResult::virtual_seconds beyond this is treated as failed (and
   // retried/quarantined like a thrown run). 0 = disabled.
@@ -239,25 +223,21 @@ struct CampaignConfig {
 };
 
 // Factory for one self-contained run (see RunFn below) executed through the
-// full per-run policy: retry loop with reseeded attempts, deterministic
-// exponential backoff, exception capture and the virtual-time watchdog.
-// Shared by Campaign::run's workers and the service-mode scheduler so both
-// paths fail/retry/quarantine identically.
+// full per-run policy: retry loop with reseeded attempts, exception capture
+// and the virtual-time watchdog. Shared by Campaign::run's workers and the
+// service-mode scheduler so both paths fail/retry/quarantine identically.
 struct RunExecution {
   RunResult result;
   std::size_t attempts = 0;     // attempts consumed, all rounds (1 = clean)
   std::size_t reschedules = 0;  // policy reschedule rounds consumed (0 = none)
   std::uint64_t last_seed = 0;  // seed of the final attempt
-  // Wall-clock profile (never enters deterministic artifacts).
-  double run_wall_s = 0;      // time inside the factory, all attempts
-  double backoff_wall_s = 0;  // time sleeping between attempts
 };
 
 // Factory for one self-contained run. Must not touch state shared with other
 // runs; everything stochastic must derive from `seed` (== spec.seed).
 using RunFn = std::function<RunResult(std::uint64_t seed, const RunSpec&)>;
 
-// Executes ONE run through the campaign's retry/backoff/watchdog policy
+// Executes ONE run through the campaign's retry/watchdog policy
 // (only the policy fields of `cfg` are read). Seeds derive from
 // (base.master_seed, base.run_index, attempt) via Campaign::retry_seed, so
 // the outcome is deterministic regardless of which thread or process runs
@@ -290,22 +270,13 @@ class Campaign {
                                    std::size_t run_index,
                                    std::size_t reschedule);
 
-  const CampaignConfig& config() const { return cfg_; }
-
   // Wall-clock duration of the most recent run() — reported separately so
   // CampaignResult stays bit-identical across thread counts.
   double last_wall_seconds() const { return last_wall_seconds_; }
 
-  // Wall-clock profile of the most recent run() (`prof.campaign.*`
-  // histograms: queue-wait, per-run wall time, retry backoff). Like
-  // last_wall_seconds(), kept OUT of CampaignResult so deterministic
-  // artifacts never see the wall clock.
-  const obs::MetricsRegistry& last_profile() const { return last_profile_; }
-
  private:
   CampaignConfig cfg_;
   double last_wall_seconds_ = 0;
-  obs::MetricsRegistry last_profile_;
 };
 
 }  // namespace qoed::core

@@ -43,7 +43,13 @@ class ExportSink {
   std::string to_string() const;
 };
 
-// One line per packet, tcpdump-style (see log_export.h).
+// Human-readable renderings of the collected logs, for eyeballing an
+// experiment and diffing runs; the analyzers never parse these (they
+// consume the structured records directly).
+//
+// One line per packet, tcpdump-style:
+//   1.002334 UL 10.0.0.2:40000 > 203.0.113.10:443 TCP SA seq=0 ack=0 len=0
+// `max_lines` > 0 truncates with a "... (N more)" line.
 class TraceTextSink final : public ExportSink {
  public:
   explicit TraceTextSink(const std::vector<net::PacketRecord>& trace,
@@ -57,7 +63,10 @@ class TraceTextSink final : public ExportSink {
   std::size_t max_lines_;
 };
 
-// RRC transitions + data PDUs + STATUS PDUs, QxDM-style.
+// RRC transitions, then data-plane PDUs (the ones `max_lines` keeps), then
+// STATUS PDUs, QxDM-style:
+//   0.600000 RRC PCH -> FACH
+//   0.612000 UL PDU seq=12 len=40 li=[40] poll first2=3fa9
 class QxdmTextSink final : public ExportSink {
  public:
   explicit QxdmTextSink(const radio::QxdmLogger& log,
@@ -96,7 +105,11 @@ class PcapSink final : public ExportSink {
   PcapOptions options_;
 };
 
-// CampaignResult as JSON (see log_export.h).
+// CampaignResult as one JSON line: campaign identity, per-run seeds/errors
+// (enough to replay any run alone), per-metric aggregates (pooled summary,
+// mean-of-run-means) and the merged registry. Doubles are emitted with
+// round-trip precision, so two bit-identical results produce byte-identical
+// JSON.
 class CampaignJsonSink final : public ExportSink {
  public:
   explicit CampaignJsonSink(const CampaignResult& result) : result_(&result) {}

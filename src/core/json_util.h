@@ -1,5 +1,5 @@
 // Minimal JSON emission and parsing helpers shared by the exporters
-// (log_export, export_sink) and the shard/service layers. Numbers use %.17g
+// (export_sink) and the shard/service layers. Numbers use %.17g
 // so distinct doubles never collapse to the same text (round-trip precision)
 // — two bit-identical results therefore produce byte-identical JSON; strings
 // escape the minimum JSON set. The parser below is the inverse: it reads

@@ -711,6 +711,24 @@ void ShardCapturesMergeSink::write(std::ostream& os) const {
   concat_shards(out_dir_, "captures", os);
 }
 
+bool write_merged_artifacts(const std::string& out_dir, std::string* error) {
+  const ShardFindingsMergeSink findings(out_dir);
+  const ShardTimelineMergeSink timeline(out_dir);
+  const ShardMetricsMergeSink metrics(out_dir);
+  const ShardCapturesMergeSink captures(out_dir);
+  const ExportSink* const sinks[] = {&findings, &timeline, &metrics,
+                                     &captures};
+  bool ok = true;
+  for (const ExportSink* sink : sinks) {
+    const std::string path = out_dir + "/" + std::string(sink->id());
+    if (!sink->write_file(path) && ok) {
+      ok = false;
+      if (error != nullptr) *error = "cannot write " + path;
+    }
+  }
+  return ok;
+}
+
 bool read_run_outcomes(const std::string& out_dir,
                        std::map<std::string, RunOutcomeCounts>* out,
                        std::string* error) {

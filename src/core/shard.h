@@ -1,17 +1,24 @@
 // Constant-memory sharded campaign execution (DESIGN.md §5g).
 //
-// Every Campaign::run commits its runs through one ShardedCampaignSink:
-// workers stream each run's findings/timeline/metrics JSONL into bounded
-// shard files, rotated at a byte budget and written atomically
-// (tmp+rename) BEFORE the manifest records them, so a killed campaign
-// leaves a consistent prefix that a resume continues from. Without an
-// out_dir the sink only orders and folds. The final artifacts come from an
-// external merge over the shards:
-//
+// Every Campaign::run commits its runs through one ShardedCampaignSink.
+// With a CampaignShardConfig::out_dir, workers stream each run's artifacts
+// into bounded shard files there, rotated at shard_bytes (or every
+// shard_runs runs) and written atomically (tmp+rename) BEFORE the manifest
+// records them, so a killed campaign leaves a consistent prefix that a
+// resume continues from:
+//   findings-NNNNNN.jsonl   stamped {"run":N,...} findings, run-index order
+//   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
+//                           the (t, device, seq) merge key
+//   metrics-NNNNNN.jsonl    one per-run line: outcome, samples, registry
+//   captures-NNNNNN.jsonl   stamped {"run":N,...} policy capture slices
+//   MANIFEST.json           shard index + durable commit frontier
+// Without an out_dir the sink only orders and folds. write_merged_artifacts
+// publishes the merged set beside the shards, from an external merge:
 //   findings.jsonl  = concatenation of findings shards (run-index order)
 //   timeline.jsonl  = k-way merge of the per-shard (t, device, seq)-sorted
 //                     timeline shards (core::merge_sorted_timeline_streams)
 //   metrics.json    = the sink's fold replayed over the metrics shards
+//   captures.jsonl  = concatenation of captures shards (run-index order)
 //
 // Determinism: runs are committed strictly in run-index order regardless of
 // worker completion order (out-of-order payloads spill to pending files, so
@@ -284,6 +291,14 @@ class ShardCapturesMergeSink final : public ExportSink {
  private:
   std::string out_dir_;
 };
+
+// The one publisher of a campaign's merged artifact set: writes
+// findings.jsonl, timeline.jsonl, metrics.json and captures.jsonl beside
+// the shards in out_dir, through the four merge sinks above and in that
+// order. Every file is attempted; false, with *error naming the first one
+// that could not be written, when any failed (that file keeps its earlier
+// contents and leaves no temp file behind).
+bool write_merged_artifacts(const std::string& out_dir, std::string* error);
 
 // Per-run rescheduled/quarantined reaction counts, read back from a shard
 // directory's manifest-listed metrics lines through

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "radio/carrier.h"
+
 namespace qoed::radio {
 
 CellularConfig CellularConfig::umts() {
@@ -31,11 +33,14 @@ CellularConfig CellularConfig::for_scenario(const std::string& network,
                        : network == "3g-simplified" ? umts_simplified()
                                                     : umts();
   if (throttle_kbps > 0) {
+    // Bucket depths are the C1 carrier's (§7), whichever network throttles.
+    const Carrier c1 = Carrier::c1();
     const bool policing = mechanism == "policing";
     cfg.throttle =
         policing ? net::ThrottleKind::kPolicing : net::ThrottleKind::kShaping;
     cfg.throttle_rate_bps = static_cast<double>(throttle_kbps) * 1000;
-    cfg.throttle_burst_bytes = policing ? 8 * 1024 : 24 * 1024;
+    cfg.throttle_burst_bytes =
+        policing ? c1.policing_burst_bytes : c1.shaping_burst_bytes;
   }
   return cfg;
 }

@@ -59,8 +59,9 @@ struct CellularConfig {
 
   // The link a scenario names: the preset for `network` ("lte",
   // "3g-simplified", anything else "3g"), throttled on the downlink at
-  // `throttle_kbps` (<= 0: not throttled). "policing" drops with a shallow
-  // 8 KiB bucket; any other mechanism shapes with a 24 KiB one. Scenario
+  // `throttle_kbps` (<= 0: not throttled). "policing" drops with the C1
+  // carrier's shallow policing bucket; any other mechanism shapes with its
+  // deeper shaping one (radio::Carrier holds both depths). Scenario
   // runs, the CLI and shared-cell runs all build their links here, which
   // keeps a one-member cell's gate identical to a plain link's.
   static CellularConfig for_scenario(const std::string& network,

@@ -9,6 +9,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 
 #include "core/json_util.h"
@@ -17,29 +18,36 @@ namespace qoed::svc {
 
 namespace {
 
-// Appends serve events for one committed run: its ctrl reschedules, its
-// findings (stamped with the run id), a quarantine marker for failed runs,
-// then the run summary. Everything comes from the commit's serialized
-// bytes, so events match the shard artifacts exactly.
-void format_commit(const core::ShardedCampaignSink::Commit& c,
-                   std::string* out) {
+// An open-ended session plans no run count, builds no campaign trace and
+// has no manifest to resume: a config asking for one is an error, not a
+// setting to ignore.
+void require_open_ended(const core::CampaignConfig& cfg) {
+  const char* field = cfg.runs != 0      ? "runs"
+                      : cfg.trace        ? "trace"
+                      : cfg.shard.resume ? "shard.resume"
+                                         : nullptr;
+  if (field != nullptr) {
+    throw std::invalid_argument(
+        std::string("serve: an open-ended session cannot honour ") + field);
+  }
+}
+
+// Serve events for one committed run: its ctrl reschedules, its findings
+// (stamped with the run id by core::stamp_findings, the rule the merged
+// findings.jsonl uses), a quarantine marker for failed runs, then the run
+// summary. Everything comes from the commit's serialized bytes, so events
+// match the shard artifacts exactly.
+std::string format_commit(const core::ShardedCampaignSink::Commit& c) {
   std::ostringstream os;
   for (std::size_t r = 1; r <= c.reschedules; ++r) {
     os << "{\"event\":\"reschedule\",\"id\":" << c.run_index
        << ",\"round\":" << r << "}\n";
   }
-  std::string_view rest = c.findings_jsonl;
-  while (!rest.empty()) {
-    const auto nl = rest.find('\n');
-    const std::string_view line = rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view{}
-                                        : rest.substr(nl + 1);
-    if (line.empty() || line.front() != '{') continue;
-    os << "{\"event\":\"finding\",\"id\":" << c.run_index;
-    const std::string_view body = line.substr(1);
-    if (body != "}") os << ',';
-    os << body << '\n';
-  }
+  std::string findings;
+  core::stamp_findings(
+      "\"event\":\"finding\",\"id\":" + std::to_string(c.run_index),
+      c.findings_jsonl, &findings);
+  os << findings;
   if (!c.ok) {
     os << "{\"event\":\"quarantine\",\"id\":" << c.run_index
        << ",\"attempts\":" << c.attempts << ",\"error\":";
@@ -56,29 +64,19 @@ void format_commit(const core::ShardedCampaignSink::Commit& c,
   os << ",\"registry\":"
      << (c.registry_json.empty() ? std::string_view("{}") : c.registry_json)
      << "}\n";
-  *out += os.str();
+  return os.str();
 }
 
 }  // namespace
 
 ServeEngine::ServeEngine(std::istream& in, std::ostream& out,
-                         ServeOptions opts)
-    : in_(in), out_(out), opts_(std::move(opts)) {
-  policy_.name = "serve";
-  policy_.master_seed = opts_.master_seed;
-  policy_.max_retries = opts_.max_retries;
-  policy_.max_run_virtual_seconds = opts_.max_virtual_s;
-  policy_.max_reschedules = opts_.max_reschedules;
-
-  core::CampaignShardConfig shard;
-  shard.out_dir = opts_.out_dir;
-  shard.shard_bytes = opts_.shard_bytes;
-  shard.shard_runs = opts_.shard_runs;
+                         core::CampaignConfig cfg)
+    : in_(in), out_(out), cfg_(std::move(cfg)) {
+  require_open_ended(cfg_);
   sink_ = std::make_unique<core::ShardedCampaignSink>(
-      shard, policy_.name, opts_.master_seed, /*planned_runs=*/0);
+      cfg_.shard, cfg_.name, cfg_.master_seed, /*planned_runs=*/0);
   sink_->set_commit_hook([this](const core::ShardedCampaignSink::Commit& c) {
-    std::string events;
-    format_commit(c, &events);
+    const std::string events = format_commit(c);
     {
       std::lock_guard<std::mutex> lock(out_mu_);
       out_ << events;
@@ -103,14 +101,6 @@ ServeEngine::~ServeEngine() {
   }
 }
 
-void ServeEngine::start_workers() {
-  const std::size_t jobs = std::max<std::size_t>(1, opts_.jobs);
-  workers_.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-}
-
 void ServeEngine::worker_main() {
   for (;;) {
     std::size_t index = 0;
@@ -125,8 +115,7 @@ void ServeEngine::worker_main() {
     }
     core::RunSpec base;
     base.run_index = index;
-    base.master_seed = opts_.master_seed;
-    base.campaign = policy_.name;
+    base.master_seed = cfg_.master_seed;
     // The spec carries its own seed: the campaign-derived attempt seed is
     // ignored, so serve and a batch fleet over the same specs produce
     // byte-identical per-run artifacts. Reschedule rounds reseed from
@@ -135,7 +124,7 @@ void ServeEngine::worker_main() {
     const core::RunFn fn = [&spec](std::uint64_t, const core::RunSpec& rs) {
       return run_scenario(spec, rs);
     };
-    core::RunExecution ex = core::execute_run_with_policy(policy_, fn, base);
+    core::RunExecution ex = core::execute_run_with_policy(cfg_, fn, base);
     sink_->submit(index, std::move(ex));
   }
 }
@@ -173,23 +162,9 @@ int ServeEngine::shutdown_now(bool ack) {
     rc = 1;
     error = e.what();
   }
-  if (rc == 0 && !opts_.out_dir.empty()) {
-    // Merged campaign-level artifacts beside the shards they merge. Each is
-    // attempted; the first one that cannot be written fails the shutdown.
-    const std::string& dir = opts_.out_dir;
-    const core::ShardFindingsMergeSink findings(dir);
-    const core::ShardTimelineMergeSink timeline(dir);
-    const core::ShardMetricsMergeSink metrics(dir);
-    const core::ShardCapturesMergeSink captures(dir);
-    const core::ExportSink* sinks[] = {&findings, &timeline, &metrics,
-                                       &captures};
-    for (const core::ExportSink* sink : sinks) {
-      const std::string path = dir + "/" + std::string(sink->id());
-      if (!sink->write_file(path) && rc == 0) {
-        rc = 1;
-        error = "cannot write " + path;
-      }
-    }
+  if (rc == 0 && !cfg_.shard.out_dir.empty() &&
+      !core::write_merged_artifacts(cfg_.shard.out_dir, &error)) {
+    rc = 1;
   }
   if (ack) {
     std::ostringstream os;
@@ -294,7 +269,15 @@ void ServeEngine::handle_line(const std::string& line, bool* shutdown) {
 }
 
 int ServeEngine::run() {
-  start_workers();
+  // jobs as in Campaign::run: 0 = hardware concurrency.
+  const std::size_t jobs =
+      cfg_.jobs != 0
+          ? cfg_.jobs
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  workers_.reserve(jobs);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
+  }
   std::string line;
   while (std::getline(in_, line)) {
     if (line.empty()) continue;
@@ -350,7 +333,9 @@ class FdStreamBuf final : public std::streambuf {
 
 }  // namespace
 
-int serve_over_socket(const std::string& path, const ServeOptions& opts) {
+int serve_over_socket(const std::string& path,
+                      const core::CampaignConfig& cfg) {
+  require_open_ended(cfg);
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) return 2;
   sockaddr_un addr{};
@@ -378,7 +363,7 @@ int serve_over_socket(const std::string& path, const ServeOptions& opts) {
     FdStreamBuf buf(client);
     std::istream in(&buf);
     std::ostream out(&buf);
-    ServeEngine engine(in, out, opts);
+    ServeEngine engine(in, out, cfg);
     rc = engine.run();
   }
   ::close(client);

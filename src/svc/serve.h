@@ -6,8 +6,14 @@
 // retry/watchdog/quarantine policy (core::execute_run_with_policy), and
 // streams results back as runs COMMIT — strictly in submission order, via
 // the same ShardedCampaignSink the batch fleet uses, so a serve session
-// with --out-dir leaves the identical shard directory a batch fleet over
-// the same specs would.
+// with a shard out_dir leaves the identical shard directory a batch fleet
+// over the same specs would.
+//
+// The session is configured by the batch campaign's own settings type,
+// core::CampaignConfig: its name, master seed, retry, watchdog and
+// reschedule policy, `jobs` (0 = hardware concurrency) and shard settings.
+// A session is open-ended, so a config setting `runs`, `trace` or
+// `shard.resume` is rejected with std::invalid_argument.
 //
 // Protocol (one JSON object per line; replies/events on the output stream):
 //   {"cmd":"submit", <ScenarioSpec fields>}  -> {"ok":true,"id":N}
@@ -36,7 +42,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <memory>
@@ -51,24 +56,12 @@
 
 namespace qoed::svc {
 
-struct ServeOptions {
-  std::size_t jobs = 1;
-  // Shard directory: when set, committed runs stream into shard files and
-  // shutdown writes merged findings.jsonl/timeline.jsonl/metrics.json there.
-  std::string out_dir;
-  std::size_t shard_bytes = 4u << 20;
-  std::size_t shard_runs = 0;
-  // Campaign retry policy applied to every submitted run.
-  std::size_t max_retries = 0;
-  double max_virtual_s = 0;
-  // Ctrl-policy reschedule budget per run (rounds beyond the first).
-  std::size_t max_reschedules = 1;
-  std::uint64_t master_seed = 1;
-};
-
 class ServeEngine {
  public:
-  ServeEngine(std::istream& in, std::ostream& out, ServeOptions opts);
+  // With cfg.shard.out_dir set, committed runs stream into shard files and
+  // shutdown publishes the merged artifacts there
+  // (core::write_merged_artifacts).
+  ServeEngine(std::istream& in, std::ostream& out, core::CampaignConfig cfg);
   ~ServeEngine();
 
   // Blocks until shutdown or EOF; returns a process exit code (0 on a clean
@@ -77,7 +70,6 @@ class ServeEngine {
   int run();
 
  private:
-  void start_workers();
   void worker_main();
   void handle_line(const std::string& line, bool* shutdown);
   void reply(const std::string& line);
@@ -86,8 +78,7 @@ class ServeEngine {
 
   std::istream& in_;
   std::ostream& out_;
-  ServeOptions opts_;
-  core::CampaignConfig policy_;
+  core::CampaignConfig cfg_;
   std::unique_ptr<core::ShardedCampaignSink> sink_;
 
   // Output lock: protocol acks and commit-hook events interleave here.
@@ -113,7 +104,8 @@ class ServeEngine {
 
 // Binds a Unix-domain socket at `path`, serves one client connection with a
 // ServeEngine, then unlinks the socket. Returns the engine's exit code, or
-// 2 when the socket cannot be created.
-int serve_over_socket(const std::string& path, const ServeOptions& opts);
+// 2 when the socket cannot be created. Rejects a config ServeEngine rejects
+// before binding.
+int serve_over_socket(const std::string& path, const core::CampaignConfig& cfg);
 
 }  // namespace qoed::svc

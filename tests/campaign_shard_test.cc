@@ -493,6 +493,75 @@ INSTANTIATE_TEST_SUITE_P(Families, CampaignShardMissing,
                            return std::string(info.param);
                          });
 
+// ---- write_merged_artifacts: the one publisher of the merged set ----
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A two-shard campaign whose runs also flush a capture slice, so all four
+// merged families carry bytes.
+std::string published_campaign(const std::string& name) {
+  const std::string dir = scratch_dir(name);
+  CampaignConfig cfg = sharded_config(dir, 4, 2);
+  cfg.shard.shard_runs = 2;
+  Campaign(cfg).run([](std::uint64_t seed, const RunSpec& spec) {
+    RunResult r = synthetic_run(seed);
+    r.artifacts.captures_jsonl =
+        "{\"capture\":" + std::to_string(spec.run_index) + "}\n";
+    return r;
+  });
+  return dir;
+}
+
+TEST(CampaignShard, WriteMergedArtifactsPublishesEveryMergeSink) {
+  const std::string dir = published_campaign("publish");
+  std::string error;
+  ASSERT_TRUE(write_merged_artifacts(dir, &error)) << error;
+  const std::pair<const char*, std::string> expected[] = {
+      {"findings.jsonl", ShardFindingsMergeSink(dir).to_string()},
+      {"timeline.jsonl", ShardTimelineMergeSink(dir).to_string()},
+      {"metrics.json", ShardMetricsMergeSink(dir).to_string()},
+      {"captures.jsonl", ShardCapturesMergeSink(dir).to_string()}};
+  for (const auto& [name, bytes] : expected) {
+    EXPECT_FALSE(bytes.empty()) << name;
+    EXPECT_EQ(slurp(dir + "/" + name), bytes) << name;
+  }
+}
+
+// Every file is attempted: one that cannot be renamed into place fails the
+// call and is named, the other three are still published, and no temp file
+// is left behind.
+TEST(CampaignShard, WriteMergedArtifactsNamesTheFileItCannotWrite) {
+  const std::string dir = published_campaign("publish_blocked");
+  ASSERT_TRUE(fs::create_directory(dir + "/metrics.json"));
+  std::string error;
+  EXPECT_FALSE(write_merged_artifacts(dir, &error));
+  EXPECT_NE(error.find("metrics.json"), std::string::npos) << error;
+  for (const char* name : {"findings.jsonl", "timeline.jsonl",
+                           "captures.jsonl"}) {
+    EXPECT_TRUE(fs::is_regular_file(dir + "/" + name)) << name;
+  }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
+// A manifest-listed shard that is missing fails its merged file, which is
+// not published from the shards that are left.
+TEST(CampaignShard, WriteMergedArtifactsFailsOnAMissingListedShard) {
+  const std::string dir = published_campaign("publish_missing");
+  ASSERT_TRUE(fs::remove(dir + "/timeline-000000.jsonl"));
+  std::string error;
+  EXPECT_FALSE(write_merged_artifacts(dir, &error));
+  EXPECT_NE(error.find("timeline.jsonl"), std::string::npos) << error;
+  EXPECT_FALSE(fs::exists(dir + "/timeline.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/timeline.jsonl.tmp"));
+}
+
 // A metrics line cut short (a torn write, a truncated copy) fails every
 // reader of the metrics shards alike: the metrics.json merge, the outcome
 // reader and a resume.

@@ -410,10 +410,11 @@ TEST(CtrlReschedule, ServeMatchesBatchByteForByte) {
     input += "{\"cmd\":\"shutdown\"}\n";
     std::istringstream in(input);
     std::ostringstream out;
-    svc::ServeOptions opts;
-    opts.jobs = 2;
-    opts.out_dir = serve_dir;
-    svc::ServeEngine engine(in, out, opts);
+    core::CampaignConfig cfg;
+    cfg.name = "serve";
+    cfg.jobs = 2;
+    cfg.shard.out_dir = serve_dir;
+    svc::ServeEngine engine(in, out, cfg);
     ASSERT_EQ(engine.run(), 0);
     serve_output = out.str();
   }
@@ -441,14 +442,8 @@ TEST(CtrlReschedule, ServeMatchesBatchByteForByte) {
     campaign.run([&specs](std::uint64_t, const core::RunSpec& rs) {
       return svc::run_scenario(specs[rs.run_index], rs);
     });
-    core::ShardFindingsMergeSink(batch_dir)
-        .write_file(batch_dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(batch_dir)
-        .write_file(batch_dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(batch_dir)
-        .write_file(batch_dir + "/metrics.json");
-    core::ShardCapturesMergeSink(batch_dir)
-        .write_file(batch_dir + "/captures.jsonl");
+    std::string error;
+    ASSERT_TRUE(core::write_merged_artifacts(batch_dir, &error)) << error;
   }
   for (const char* name : {"MANIFEST.json", "findings.jsonl",
                            "timeline.jsonl", "metrics.json",
@@ -471,10 +466,8 @@ TEST(CtrlReschedule, PolicyDecisionsAreJobsInvariant) {
     campaign.run([&specs](std::uint64_t, const core::RunSpec& rs) {
       return svc::run_scenario(specs[rs.run_index], rs);
     });
-    core::ShardFindingsMergeSink(dir).write_file(dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
-    core::ShardCapturesMergeSink(dir).write_file(dir + "/captures.jsonl");
+    std::string error;
+    EXPECT_TRUE(core::write_merged_artifacts(dir, &error)) << error;
   };
   const std::string d1 = scratch_dir("jobs1");
   const std::string d4 = scratch_dir("jobs4");

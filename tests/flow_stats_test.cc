@@ -365,10 +365,11 @@ TEST(ServeStats, SnapshotAtDrainByteMatchesBatchMetrics) {
   script += "{\"cmd\":\"drain\"}\n{\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n";
   std::istringstream in(script);
   std::ostringstream out;
-  svc::ServeOptions sopts;
-  sopts.jobs = 2;
-  sopts.out_dir = serve_dir;
-  svc::ServeEngine engine(in, out, sopts);
+  core::CampaignConfig serve_cfg;
+  serve_cfg.name = "serve";
+  serve_cfg.jobs = 2;
+  serve_cfg.shard.out_dir = serve_dir;
+  svc::ServeEngine engine(in, out, serve_cfg);
   ASSERT_EQ(engine.run(), 0);
 
   // Pull the stats reply line and its metrics payload.

@@ -8,7 +8,6 @@
 
 #include "core/campaign.h"
 #include "core/export_sink.h"
-#include "core/log_export.h"
 #include "obs/observability.h"
 #include "obs/tracer.h"
 #include "sim/log.h"
@@ -385,9 +384,7 @@ TEST(CampaignObs, ArtifactsByteIdenticalAcrossJobs) {
   // The campaign JSON records which pool size ran it ("jobs":N) — that is
   // the ONE field allowed to differ; everything else must match bytewise.
   auto normalized_json = [](const core::CampaignResult& r) {
-    std::ostringstream os;
-    core::export_campaign_json(os, r);
-    std::string s = os.str();
+    std::string s = core::CampaignJsonSink(r).to_string();
     const auto pos = s.find("\"jobs\":");
     const auto end = s.find(',', pos);
     return s.replace(pos, end - pos, "\"jobs\":X");

@@ -1,6 +1,6 @@
 // Service mode (`qoed_cli serve`): protocol behavior over in-memory
-// streams, and the batch-equivalence contract — a serve session with
-// --out-dir leaves the identical shard directory a batch fleet over the
+// streams, and the batch-equivalence contract — a serve session with a
+// shard out_dir leaves the identical shard directory a batch fleet over the
 // same specs would.
 #include "svc/serve.h"
 
@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,23 @@ std::vector<std::string> lines_of(const std::string& text) {
   return out;
 }
 
+// A serve session's settings: the batch campaign's own type, open-ended.
+core::CampaignConfig serve_config(const std::string& out_dir,
+                                  std::size_t jobs = 1) {
+  core::CampaignConfig cfg;
+  cfg.name = "serve";
+  cfg.jobs = jobs;
+  cfg.shard.out_dir = out_dir;
+  return cfg;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 std::size_t count_containing(const std::vector<std::string>& lines,
                              const std::string& needle) {
   std::size_t n = 0;
@@ -60,10 +78,7 @@ TEST(Serve, SubmitStatusDrainShutdown) {
                         "{\"cmd\":\"drain\"}\n"
                         "{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
-  ServeOptions opts;
-  opts.jobs = 2;
-  opts.out_dir = dir;
-  ServeEngine engine(in, out, opts);
+  ServeEngine engine(in, out, serve_config(dir, 2));
   EXPECT_EQ(engine.run(), 0);
 
   const std::vector<std::string> lines = lines_of(out.str());
@@ -97,9 +112,7 @@ TEST(Serve, EofIsImplicitShutdown) {
   const std::string dir = scratch_dir("eof");
   std::istringstream in(submit_line(21));
   std::ostringstream out;
-  ServeOptions opts;
-  opts.out_dir = dir;
-  ServeEngine engine(in, out, opts);
+  ServeEngine engine(in, out, serve_config(dir));
   EXPECT_EQ(engine.run(), 0);
   // No shutdown ack on EOF, but the session still drains and finalizes.
   EXPECT_EQ(count_containing(lines_of(out.str()), "\"shutdown\""), 0u);
@@ -114,9 +127,7 @@ TEST(Serve, ShutdownFailsWhenAMergedArtifactCannotBeWritten) {
   fs::create_directories(dir + "/metrics.json");  // rename over it fails
   std::istringstream in(submit_line(41) + "{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
-  ServeOptions opts;
-  opts.out_dir = dir;
-  ServeEngine engine(in, out, opts);
+  ServeEngine engine(in, out, serve_config(dir));
   EXPECT_EQ(engine.run(), 1);
 
   const std::vector<std::string> lines = lines_of(out.str());
@@ -137,7 +148,7 @@ TEST(Serve, RejectsMalformedInput) {
       "{\"cmd\":\"status\"}\n"
       "{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
-  ServeEngine engine(in, out, ServeOptions{});
+  ServeEngine engine(in, out, core::CampaignConfig{});
   EXPECT_EQ(engine.run(), 0);
   const std::vector<std::string> lines = lines_of(out.str());
   EXPECT_EQ(count_containing(lines, "\"ok\":false"), 3u);
@@ -148,7 +159,8 @@ TEST(Serve, RejectsMalformedInput) {
 
 // The determinism contract: serve commits runs through the same sink and
 // seeds runs from the spec itself, so a serve session and a batch fleet
-// over the same spec list leave byte-identical shard directories.
+// over the same spec list, configured from one CampaignConfig, leave
+// byte-identical shard directories and merged artifacts.
 TEST(Serve, ShardDirMatchesBatchFleet) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t seed : {31, 32, 33}) {
@@ -160,53 +172,72 @@ TEST(Serve, ShardDirMatchesBatchFleet) {
   }
 
   const std::string serve_dir = scratch_dir("vs_batch_serve");
+  const core::CampaignConfig cfg = serve_config(serve_dir, 3);
   {
     std::string input;
     for (const ScenarioSpec& s : specs) {
-      input += "{\"cmd\":\"submit\",\"scenario\":\"post\",\"reps\":1,"
-               "\"seed\":" + std::to_string(s.seed) + "}\n";
+      input += "{\"cmd\":\"submit\"," + s.to_json().substr(1) + "\n";
     }
     input += "{\"cmd\":\"shutdown\"}\n";
     std::istringstream in(input);
     std::ostringstream out;
-    ServeOptions opts;
-    opts.jobs = 3;
-    opts.out_dir = serve_dir;
-    ServeEngine engine(in, out, opts);
+    ServeEngine engine(in, out, cfg);
     ASSERT_EQ(engine.run(), 0);
   }
 
   const std::string batch_dir = scratch_dir("vs_batch_fleet");
   {
-    core::CampaignConfig cfg;
-    cfg.name = "serve";  // the serve engine's campaign identity
-    cfg.runs = specs.size();
-    cfg.jobs = 2;  // different pool size must not matter
-    cfg.master_seed = 1;
-    cfg.shard.out_dir = batch_dir;
-    core::Campaign campaign(cfg);
+    core::CampaignConfig batch = cfg;
+    batch.runs = specs.size();
+    batch.jobs = 2;  // different pool size must not matter
+    batch.shard.out_dir = batch_dir;
+    core::Campaign campaign(batch);
     campaign.run([&specs](std::uint64_t, const core::RunSpec& rs) {
       return run_scenario(specs[rs.run_index]);
     });
-    core::ShardFindingsMergeSink(batch_dir)
-        .write_file(batch_dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(batch_dir)
-        .write_file(batch_dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(batch_dir)
-        .write_file(batch_dir + "/metrics.json");
+    std::string error;
+    ASSERT_TRUE(core::write_merged_artifacts(batch_dir, &error)) << error;
   }
 
-  for (const char* name :
-       {"MANIFEST.json", "findings.jsonl", "timeline.jsonl", "metrics.json"}) {
-    std::ifstream a(serve_dir + "/" + name, std::ios::binary);
-    std::ifstream b(batch_dir + "/" + name, std::ios::binary);
-    ASSERT_TRUE(a.is_open()) << name;
-    ASSERT_TRUE(b.is_open()) << name;
-    std::stringstream sa, sb;
-    sa << a.rdbuf();
-    sb << b.rdbuf();
-    EXPECT_EQ(sa.str(), sb.str()) << name;
+  for (const char* name : {"MANIFEST.json", "findings.jsonl", "timeline.jsonl",
+                           "metrics.json", "captures.jsonl"}) {
+    ASSERT_TRUE(fs::exists(serve_dir + "/" + name)) << name;
+    ASSERT_TRUE(fs::exists(batch_dir + "/" + name)) << name;
+    EXPECT_EQ(slurp(serve_dir + "/" + name), slurp(batch_dir + "/" + name))
+        << name;
   }
+}
+
+// An open-ended session has no run count to plan, no campaign trace to
+// build and no manifest to resume: a config setting any of them is
+// rejected before anything runs or touches the out_dir, instead of being
+// silently ignored.
+TEST(Serve, RejectsConfigItCannotHonour) {
+  const std::string dir = scratch_dir("rejected");
+  core::CampaignConfig runs = serve_config(dir);
+  runs.runs = 3;
+  core::CampaignConfig trace = serve_config(dir);
+  trace.trace = true;
+  core::CampaignConfig resume = serve_config(dir);
+  resume.shard.resume = true;
+  for (const auto& [cfg, field] :
+       {std::pair{runs, "runs"}, std::pair{trace, "trace"},
+        std::pair{resume, "shard.resume"}}) {
+    std::istringstream in(submit_line(51) + "{\"cmd\":\"shutdown\"}\n");
+    std::ostringstream out;
+    try {
+      ServeEngine engine(in, out, cfg);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(out.str(), "") << field;
+    EXPECT_THROW(serve_over_socket(dir + ".sock", cfg), std::invalid_argument)
+        << field;
+  }
+  EXPECT_FALSE(fs::exists(dir));
+  EXPECT_FALSE(fs::exists(dir + ".sock"));
 }
 
 // Reaction events on the serve stream: a run whose control policy requested
@@ -221,7 +252,7 @@ TEST(Serve, EmitsRescheduleEventsInCommitOrder) {
       "\"policy\":\"on layer.radio==lost for 3s: abort+reschedule\"}\n"
       "{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
-  ServeEngine engine(in, out, ServeOptions{});
+  ServeEngine engine(in, out, core::CampaignConfig{});
   EXPECT_EQ(engine.run(), 0);
 
   const std::vector<std::string> lines = lines_of(out.str());
@@ -247,11 +278,11 @@ TEST(Serve, EmitsRescheduleEventsInCommitOrder) {
 TEST(Serve, EmitsQuarantineEventForFailedRuns) {
   std::istringstream in(submit_line(41) + "{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
-  ServeOptions opts;
+  core::CampaignConfig cfg;
   // A virtual-time watchdog far below any real post run fails the single
   // allowed attempt, so the run quarantines.
-  opts.max_virtual_s = 0.5;
-  ServeEngine engine(in, out, opts);
+  cfg.max_run_virtual_seconds = 0.5;
+  ServeEngine engine(in, out, cfg);
   EXPECT_EQ(engine.run(), 0);
 
   const std::vector<std::string> lines = lines_of(out.str());
