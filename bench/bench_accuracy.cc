@@ -333,7 +333,8 @@ void report_metric(core::Table& fig6, const std::string& name,
 
 int main(int argc, char** argv) {
   using namespace qoed;
-  const bench::BenchOptions opts = bench::parse_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_options(argc, argv, {.trace = true});
   g_trace = opts.tracing();
   g_artifacts = opts.sharded();
   bench::TraceCollector traces;

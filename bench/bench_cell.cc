@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   using namespace qoed;
 
   const bench::BenchOptions opts =
-      bench::parse_options(argc, argv, /*throughput_gate=*/true);
+      bench::parse_options(argc, argv, {.throughput_gate = true});
   const std::string& bench_json = opts.bench_json;
   const double min_dh_per_wall_s = opts.min_dh_per_wall_s;
 

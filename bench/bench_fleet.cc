@@ -119,7 +119,7 @@ int run_fleet(const bench::BenchOptions& opts) {
 int main(int argc, char** argv) {
   using namespace qoed;
   bench::BenchOptions opts =
-      bench::parse_options(argc, argv, /*throughput_gate=*/true);
+      bench::parse_options(argc, argv, {.throughput_gate = true});
   if (opts.out_dir.empty()) opts.out_dir = "bench_fleet_out";
 
   bench::banner("Fleet-scale campaign engine: sharded campaign scaling",

@@ -27,18 +27,25 @@ namespace qoed::bench {
 //   --json F      write each CampaignResult as JSON to F (appends)
 //   --metrics F   write each campaign's merged metrics registry to F
 //                 (appends, one {"campaign":...,"registry":...} per line)
-//   --trace F     write ONE merged Chrome trace-event JSON covering every
-//                 campaign to F (overwrites; the format cannot be appended)
 //   --out-dir D   sharded (constant-memory) campaigns: each campaign streams
 //                 its runs into shard files under D/<campaign>/ and writes
 //                 the merged findings.jsonl/timeline.jsonl/metrics.json/
 //                 captures.jsonl there (byte-identical at any --jobs)
 //   --shard-bytes N  shard rotation budget in bytes [4 MiB]
 //   --shards N    also rotate every N runs (0 = byte budget only)
-// Throughput-gated benches (parse_options(..., true)) also take:
+// Benches whose runs keep their doctor's tracer ({.trace = true}) also take:
+//   --trace F     write ONE merged Chrome trace-event JSON covering every
+//                 campaign to F (overwrites; the format cannot be appended)
+// Elsewhere --trace exits 2, since there would be no trace to write.
+// Throughput-gated benches ({.throughput_gate = true}) also take:
 //   --bench-json F          append the bench's result series to F
 //   --min-dh-per-wall-s X   fail below X simulated device-hours per
 //                           wall-second (0 = report only)
+struct BenchFlags {
+  bool trace = false;
+  bool throughput_gate = false;
+};
+
 struct BenchOptions {
   std::size_t jobs = 0;
   std::size_t runs = 0;
@@ -56,9 +63,10 @@ struct BenchOptions {
   bool sharded() const { return !out_dir.empty(); }
 };
 
-// Exits 2 on an unknown flag, a missing value or a malformed number.
+// Exits 2 on an unknown flag, a flag this bench does not take, a missing
+// value or a malformed number.
 inline BenchOptions parse_options(int argc, char** argv,
-                                  bool throughput_gate = false) {
+                                  BenchFlags accepts = {}) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -94,7 +102,7 @@ inline BenchOptions parse_options(int argc, char** argv,
       opts.json_path = value();
     } else if (arg == "--metrics") {
       opts.metrics_path = value();
-    } else if (arg == "--trace") {
+    } else if (accepts.trace && arg == "--trace") {
       opts.trace_path = value();
     } else if (arg == "--out-dir") {
       opts.out_dir = value();
@@ -102,19 +110,23 @@ inline BenchOptions parse_options(int argc, char** argv,
       opts.shard_bytes = static_cast<std::size_t>(number());
     } else if (arg == "--shards") {
       opts.shard_runs = static_cast<std::size_t>(number());
-    } else if (throughput_gate && arg == "--bench-json") {
+    } else if (accepts.throughput_gate && arg == "--bench-json") {
       opts.bench_json = value();
-    } else if (throughput_gate && arg == "--min-dh-per-wall-s") {
+    } else if (accepts.throughput_gate && arg == "--min-dh-per-wall-s") {
       opts.min_dh_per_wall_s = parse(0.0);
     } else if (arg == "-h" || arg == "--help") {
       std::printf(
           "usage: %s [--jobs N] [--runs N] [--seed S] [--json FILE]"
-          " [--metrics FILE] [--trace FILE] [--out-dir DIR]"
-          " [--shard-bytes N] [--shards N]%s\n",
-          argv[0],
-          throughput_gate ? " [--bench-json FILE] [--min-dh-per-wall-s X]"
-                          : "");
+          " [--metrics FILE] [--out-dir DIR] [--shard-bytes N]"
+          " [--shards N]%s%s\n",
+          argv[0], accepts.trace ? " [--trace FILE]" : "",
+          accepts.throughput_gate
+              ? " [--bench-json FILE] [--min-dh-per-wall-s X]"
+              : "");
       std::exit(0);
+    } else if (arg == "--trace") {
+      std::fprintf(stderr, "--trace: %s runs record no trace\n", argv[0]);
+      std::exit(2);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       std::exit(2);

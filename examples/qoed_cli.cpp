@@ -609,6 +609,14 @@ int run_cell(const Options& opt) {
   cell::CellScenarioSpec spec;
   const std::string spec_file = opt.get("spec-file", "");
   if (!spec_file.empty()) {
+    // The file is the whole spec: a spec flag beside it would be dropped.
+    for (const auto& [flag, value] : opt.kv) {
+      if (flag != "spec-file" && flag != "timeline" && flag != "findings") {
+        std::printf("cell: --%s cannot be combined with --spec-file\n",
+                    flag.c_str());
+        return 2;
+      }
+    }
     std::string content;
     if (!read_file(spec_file, &content)) {
       std::printf("cell: cannot read %s\n", spec_file.c_str());
@@ -1117,8 +1125,9 @@ void usage() {
       "  merge:    [--out=FILE] [--strict] [--summary [--findings=FILE]\n"
       "            [--shards=DIR]] [--merged] TIMELINE.jsonl...\n"
       "  cell:     [--spec-file=FILE | --devices=N --app=browser|social|video\n"
-      "            --capacity=KBPS --stagger=S --actions=N --grants=N]\n"
-      "            [--throttle=KBPS] [--mechanism=shaping|policing]\n"
+      "            --capacity=KBPS --stagger=S --actions=N --grants=N\n"
+      "            --network=NET --seed=N --throttle=KBPS\n"
+      "            --mechanism=shaping|policing]\n"
       "            [--timeline=FILE] [--findings=FILE]\n"
       "  pop:      [--users=N] [--seed=N] [--days=N] [--mix=S,V,B]\n"
       "            [--diurnal=mobile|flat] [--network=...] [--throttle=KBPS]\n"

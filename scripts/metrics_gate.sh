@@ -7,6 +7,10 @@
 # means the simulation or analysis changed and must be explained (and the
 # baseline regenerated with --update).
 #
+# The merged findings.jsonl, timeline.jsonl and captures.jsonl must also
+# hash to the sha256 sums committed in ci/baseline-artifacts.sha256, so
+# their bytes are held across commits, not only between two jobs counts.
+#
 # Also self-tests the gate's teeth (an injected drift must exit 4) and the
 # closed-loop determinism contract (jobs=1 vs jobs=8 fleet artifacts,
 # captures.jsonl included, must be byte-identical), checks that
@@ -26,6 +30,7 @@ UPDATE=${3:-}
 REPO=$(cd "$(dirname "$0")/.." && pwd)
 SPECS="$REPO/ci/fleet-specs.jsonl"
 BASELINE="$REPO/ci/baseline-metrics.json"
+ARTIFACT_SUMS="$REPO/ci/baseline-artifacts.sha256"
 mkdir -p "$WORK"
 
 run_fleet() { # jobs out_dir
@@ -38,8 +43,16 @@ CURRENT="$WORK/fleet-j8/metrics.json"
 
 if [ "$UPDATE" = "--update" ]; then
   cp "$CURRENT" "$BASELINE"
-  echo "metrics gate: baseline regenerated at $BASELINE"
+  (cd "$WORK/fleet-j8" &&
+     sha256sum findings.jsonl timeline.jsonl captures.jsonl) > "$ARTIFACT_SUMS"
+  echo "metrics gate: baselines regenerated at $BASELINE and $ARTIFACT_SUMS"
   exit 0
+fi
+
+# The merged artifacts keep their committed bytes.
+if ! (cd "$WORK/fleet-j8" && sha256sum --check --quiet "$ARTIFACT_SUMS"); then
+  echo "metrics gate: merged artifacts differ from $ARTIFACT_SUMS"
+  exit 1
 fi
 
 # Policy decisions are jobs-invariant: the same fleet at jobs=1 must leave
@@ -122,9 +135,16 @@ cmp "$PARITY/fleet-findings.jsonl" "$PARITY/cli-findings.jsonl"
 # Single-run flags pass the spec checks and every command checks its own
 # flags: a bad value, a malformed number or an unknown flag (including the
 # flags of the retired in-memory fleet mode and merged-artifact path
-# overrides) exits 2 instead of running something else, and writes nothing.
+# overrides, and a cell spec flag beside a spec file) exits 2 instead of
+# running something else, and writes nothing. The cell spec file itself is
+# valid: it runs alone.
 BAD_POP="$WORK/bad-pop.jsonl"
-rm -rf "$WORK/bad-fleet" "$BAD_POP"
+BAD_CELL="$WORK/bad-cell.jsonl"
+CELL_SPEC="$WORK/cell-spec.json"
+rm -rf "$WORK/bad-fleet" "$BAD_POP" "$BAD_CELL"
+echo '{"network":"3g","seed":1,"devices":[{"app":"browser","actions":1}]}' \
+  > "$CELL_SPEC"
+"$CLI" cell --spec-file="$CELL_SPEC" > "$WORK/cell-spec.log"
 for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
            "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --memory" \
            "fleet --specs=$SPECS --out-dir=$WORK/bad-fleet --jobs=abc" \
@@ -134,7 +154,8 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
            "pop --users=abc --out=$BAD_POP" "pop --userz=3 --out=$BAD_POP" \
            "pop --network=ltee --mechanism=police --out=$BAD_POP" \
            "pop --mix=0.4,x --out=$BAD_POP" "pop --diurnal=flatt --out=$BAD_POP" \
-           "cell --devices=1 --actions=1 --capacity=2Mbps --bogus=1"; do
+           "cell --devices=1 --actions=1 --capacity=2Mbps --bogus=1" \
+           "cell --spec-file=$CELL_SPEC --devices=5 --timeline=$BAD_CELL"; do
   rc=0
   # shellcheck disable=SC2086  # word-split the subcommand and its flag
   "$CLI" $bad < /dev/null > "$WORK/bad-input.log" || rc=$?
@@ -144,13 +165,13 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
     exit 1
   fi
 done
-for wrote in "$WORK/bad-fleet" "$BAD_POP"; do
+for wrote in "$WORK/bad-fleet" "$BAD_POP" "$BAD_CELL"; do
   if [ -e "$wrote" ]; then
     echo "metrics gate: a command with bad flags still wrote $wrote"
     exit 1
   fi
 done
 
-echo "metrics gate OK: jobs-invariant, merge-only rebuilds the same bytes" \
-  "and fails on a missing shard, baseline matched, self-test exits 4," \
-  "CLI matches fleet, bad input exits 2"
+echo "metrics gate OK: jobs-invariant, artifact sums matched, merge-only" \
+  "rebuilds the same bytes and fails on a missing shard, baseline matched," \
+  "self-test exits 4, CLI matches fleet, bad input exits 2"

@@ -1,8 +1,10 @@
 #include "core/export_sink.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -35,74 +37,72 @@ void put_json_summary(std::ostream& os, const Summary& s) {
   os << '}';
 }
 
-void put_jsonl_envelope(std::ostream& os, const Collector& c, const Event& e) {
-  (void)c;
-  os << "{\"t\":";
-  put_json_number(os, e.at.seconds());
-  os << ",\"seq\":" << e.seq << ",\"layer\":\"" << to_string(e.layer)
-     << "\",\"kind\":\"" << to_string(e.kind) << '"';
+// Appends the decimal text of `v`.
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, std::end(buf), v).ptr);
 }
 
-void put_jsonl_behavior(std::ostream& os, const BehaviorRecord& r) {
-  os << ",\"action\":";
-  put_json_string(os, r.action);
-  os << ",\"start\":";
-  put_json_number(os, r.start.seconds());
-  os << ",\"end\":";
-  put_json_number(os, r.end.seconds());
-  os << ",\"timed_out\":" << (r.timed_out ? "true" : "false");
+void append_endpoint(std::string& out, net::IpAddr ip, net::Port port) {
+  out += '"';
+  ip.append_to(out);
+  out += ':';
+  append_uint(out, port);
+  out += '"';
+}
+
+void append_behavior(std::string& out, const BehaviorRecord& r) {
+  out += ",\"action\":";
+  append_json_string(out, r.action);
+  out += ",\"start\":";
+  append_json_number(out, r.start.seconds());
+  out += ",\"end\":";
+  append_json_number(out, r.end.seconds());
+  out += r.timed_out ? ",\"timed_out\":true" : ",\"timed_out\":false";
   if (!r.timed_out) {
-    os << ",\"raw_s\":";
-    put_json_number(os, sim::to_seconds(r.raw_latency()));
+    out += ",\"raw_s\":";
+    append_json_number(out, sim::to_seconds(r.raw_latency()));
   }
   if (!r.metadata.empty()) {
-    os << ",\"metadata\":{";
-    bool first = true;
+    out += ",\"metadata\":{";
+    const char* sep = "";
     for (const auto& [k, v] : r.metadata) {
-      if (!first) os << ',';
-      first = false;
-      put_json_string(os, k);
-      os << ':';
-      put_json_string(os, v);
+      out += sep;
+      sep = ",";
+      append_json_string(out, k);
+      out += ':';
+      append_json_string(out, v);
     }
-    os << '}';
+    out += '}';
   }
 }
 
-void put_jsonl_packet(std::ostream& os, const net::PacketRecord& r) {
-  os << ",\"dir\":\"" << net::to_string(r.direction) << "\",\"src\":";
-  put_json_string(os, r.src_ip.to_string() + ':' + std::to_string(r.src_port));
-  os << ",\"dst\":";
-  put_json_string(os, r.dst_ip.to_string() + ':' + std::to_string(r.dst_port));
-  os << ",\"proto\":\""
-     << (r.protocol == net::Protocol::kUdp ? "udp" : "tcp") << '"';
-  if (r.protocol == net::Protocol::kTcp) {
-    os << ",\"flags\":";
-    put_json_string(os, r.flags.to_string());
-    os << ",\"tcp_seq\":" << r.seq << ",\"tcp_ack\":" << r.ack;
-  } else if (r.dns) {
-    os << ",\"dns\":";
-    put_json_string(os, r.dns->hostname);
-    os << ",\"dns_resp\":" << (r.dns->is_response ? "true" : "false");
-  }
-  os << ",\"len\":" << r.payload_size;
+void append_pdu(std::string& out, const radio::PduRecord& r) {
+  out += ",\"dir\":\"";
+  out += net::to_string(r.dir);
+  out += "\",\"rlc_seq\":";
+  append_uint(out, r.seq);
+  out += ",\"len\":";
+  append_uint(out, r.payload_len);
+  if (r.poll) out += ",\"poll\":true";
+  if (r.retransmission) out += ",\"retx\":true";
 }
 
-void put_jsonl_pdu(std::ostream& os, const radio::PduRecord& r) {
-  os << ",\"dir\":\"" << net::to_string(r.dir) << "\",\"rlc_seq\":" << r.seq
-     << ",\"len\":" << r.payload_len;
-  if (r.poll) os << ",\"poll\":true";
-  if (r.retransmission) os << ",\"retx\":true";
+void append_rrc(std::string& out, const radio::RrcTransitionRecord& r) {
+  out += ",\"from\":\"";
+  out += radio::to_string(r.from);
+  out += "\",\"to\":\"";
+  out += radio::to_string(r.to);
+  out += '"';
 }
 
-void put_jsonl_rrc(std::ostream& os, const radio::RrcTransitionRecord& r) {
-  os << ",\"from\":\"" << radio::to_string(r.from) << "\",\"to\":\""
-     << radio::to_string(r.to) << '"';
-}
-
-void put_jsonl_status(std::ostream& os, const radio::StatusRecord& r) {
-  os << ",\"dir\":\"" << net::to_string(r.data_dir)
-     << "\",\"ack_until\":" << r.ack_until << ",\"nacks\":" << r.nack_count;
+void append_status(std::string& out, const radio::StatusRecord& r) {
+  out += ",\"dir\":\"";
+  out += net::to_string(r.data_dir);
+  out += "\",\"ack_until\":";
+  append_uint(out, r.ack_until);
+  out += ",\"nacks\":";
+  append_uint(out, r.nack_count);
 }
 
 }  // namespace
@@ -272,28 +272,72 @@ void CampaignJsonSink::write(std::ostream& os) const {
   os << "}\n";
 }
 
-void TimelineJsonlSink::write(std::ostream& os) const {
-  for (const Event& e : collector_->timeline()) {
-    put_jsonl_envelope(os, *collector_, e);
+void append_packet_fields(std::string& out, const net::PacketRecord& r) {
+  out += ",\"dir\":\"";
+  out += net::to_string(r.direction);
+  out += "\",\"src\":";
+  append_endpoint(out, r.src_ip, r.src_port);
+  out += ",\"dst\":";
+  append_endpoint(out, r.dst_ip, r.dst_port);
+  if (r.protocol == net::Protocol::kTcp) {
+    out += ",\"proto\":\"tcp\",\"flags\":\"";
+    r.flags.append_to(out);
+    out += "\",\"tcp_seq\":";
+    append_uint(out, r.seq);
+    out += ",\"tcp_ack\":";
+    append_uint(out, r.ack);
+  } else {
+    out += ",\"proto\":\"udp\"";
+    if (r.dns) {
+      out += ",\"dns\":";
+      append_json_string(out, r.dns->hostname);
+      out += r.dns->is_response ? ",\"dns_resp\":true" : ",\"dns_resp\":false";
+    }
+  }
+  out += ",\"len\":";
+  append_uint(out, r.payload_size);
+}
+
+std::string TimelineJsonlSink::to_string() const {
+  const Collector& c = *collector_;
+  std::string out;
+  // About the mean line length; a longer timeline grows the string once.
+  out.reserve(c.timeline().size() * 160);
+  for (const Event& e : c.timeline()) {
+    out += "{\"t\":";
+    append_json_number(out, e.at.seconds());
+    out += ",\"seq\":";
+    append_uint(out, e.seq);
+    out += ",\"layer\":\"";
+    out += core::to_string(e.layer);
+    out += "\",\"kind\":\"";
+    out += core::to_string(e.kind);
+    out += '"';
     switch (e.kind) {
       case EventKind::kBehavior:
-        put_jsonl_behavior(os, collector_->behavior(e));
+        append_behavior(out, c.behavior(e));
         break;
       case EventKind::kPacket:
-        put_jsonl_packet(os, collector_->packet(e));
+        append_packet_fields(out, c.packet(e));
         break;
       case EventKind::kPdu:
-        put_jsonl_pdu(os, collector_->pdu(e));
+        append_pdu(out, c.pdu(e));
         break;
       case EventKind::kRrcTransition:
-        put_jsonl_rrc(os, collector_->rrc_transition(e));
+        append_rrc(out, c.rrc_transition(e));
         break;
       case EventKind::kStatus:
-        put_jsonl_status(os, collector_->status(e));
+        append_status(out, c.status(e));
         break;
     }
-    os << "}\n";
+    out += "}\n";
   }
+  return out;
+}
+
+void TimelineJsonlSink::write(std::ostream& os) const {
+  const std::string text = to_string();
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void TraceEventSink::write(std::ostream& os) const {

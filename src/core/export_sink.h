@@ -40,7 +40,9 @@ class ExportSink {
 
   // Writes the artifact to `path` (binary-safe); false on I/O failure.
   bool write_file(const std::string& path) const;
-  std::string to_string() const;
+  // The artifact as one string. A sink that renders into a string anyway
+  // overrides this to hand that string over instead of copying a stream.
+  virtual std::string to_string() const;
 };
 
 // Human-readable renderings of the collected logs, for eyeballing an
@@ -122,21 +124,28 @@ class CampaignJsonSink final : public ExportSink {
 
 // Merged cross-layer timeline as JSON lines: one object per event, in the
 // spine's capture order, e.g.
-//   {"t":1.002334,"seq":7,"layer":"packet","kind":"packet","dir":"UL",...}
-//   {"t":1.032334,"seq":8,"layer":"radio","kind":"pdu","rlc_seq":12,...}
+//   {"t":1.002334,"seq":7,"layer":"packet","kind":"packet","dir":"uplink",...}
+//   {"t":1.032334,"seq":8,"layer":"radio","kind":"pdu","dir":"uplink",...}
 //   {"t":1.062334,"seq":9,"layer":"ui","kind":"behavior","action":"...",...}
 // Doubles are emitted with round-trip precision, so two bit-identical runs
-// produce byte-identical exports.
+// produce byte-identical exports. The whole timeline is rendered by
+// appending into one string (to_string); write() writes that string.
 class TimelineJsonlSink final : public ExportSink {
  public:
   explicit TimelineJsonlSink(const Collector& collector)
       : collector_(&collector) {}
   std::string_view id() const override { return "timeline.jsonl"; }
   void write(std::ostream& os) const override;
+  std::string to_string() const override;
 
  private:
   const Collector* collector_;
 };
+
+// Appends a packet record's timeline fields, from `,"dir":` through
+// `,"len":N`. The timeline's packet lines and the policy engine's capture
+// slices share them, so the two stay grep-compatible.
+void append_packet_fields(std::string& out, const net::PacketRecord& r);
 
 // Chrome trace-event JSON (Perfetto / chrome://tracing) over one or more
 // tracers. The multi-tracer form renders each (label, tracer) pair as one

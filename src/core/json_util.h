@@ -1,17 +1,20 @@
 // Minimal JSON emission and parsing helpers shared by the exporters
-// (export_sink) and the shard/service layers. Numbers use %.17g
-// so distinct doubles never collapse to the same text (round-trip precision)
-// — two bit-identical results therefore produce byte-identical JSON; strings
-// escape the minimum JSON set. The parser below is the inverse: it reads
-// exactly the JSON this codebase emits (objects, arrays, strings with the
-// escape set above, finite numbers, booleans), which is all the shard merge
-// and the serve protocol ever need to consume.
+// (export_sink) and the shard/service layers. Numbers print as
+// printf("%.17g") would, through std::to_chars, so distinct doubles never
+// collapse to the same text (round-trip precision) — two bit-identical
+// results therefore produce byte-identical JSON; strings escape the minimum
+// JSON set. Both append to a std::string; the put_json_* ostream forms wrap
+// them. The parser below is the inverse: it reads exactly the JSON this
+// codebase emits (objects, arrays, strings with the escape set above, finite
+// numbers, booleans), which is all the shard merge and the serve protocol
+// ever need to consume.
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -19,39 +22,60 @@
 
 namespace qoed::core {
 
-inline void put_json_number(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
+// Appends `v` with 17 significant digits in %g style: the bytes
+// printf("%.17g") writes, "nan" and "inf" included.
+inline void append_json_number(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, std::end(buf), v,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
-inline void put_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
+// Appends `s` as a quoted JSON string: '"', '\', '\n' and '\t' get their
+// short escapes, other bytes below 0x20 "\u00xx", everything else (UTF-8
+// included) passes through.
+inline void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  std::size_t plain = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.substr(plain, i - plain));
+    plain = i + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        out.append("\\\"");
         break;
       case '\\':
-        os << "\\\\";
+        out.append("\\\\");
         break;
       case '\n':
-        os << "\\n";
+        out.append("\\n");
         break;
       case '\t':
-        os << "\\t";
+        out.append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
+      default: {
+        const char hex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
-  os << '"';
+  out.append(s.substr(plain));
+  out.push_back('"');
+}
+
+inline void put_json_number(std::ostream& os, double v) {
+  std::string text;
+  append_json_number(text, v);
+  os << text;
+}
+
+inline void put_json_string(std::ostream& os, std::string_view s) {
+  std::string text;
+  append_json_string(text, s);
+  os << text;
 }
 
 // Cursor-based pull parser over a JSON text. All methods return false on a

@@ -237,6 +237,7 @@ ShardedCampaignSink::ShardedCampaignSink(const CampaignShardConfig& cfg,
     }
     frontier_ = manifest_.committed();
     shard_run_begin_ = frontier_;
+    next_shard_ = manifest_.shards.size();
   } else if (!cfg_.resume) {
     fs::remove(manifest_path(cfg_.out_dir), ec);
   }
@@ -273,11 +274,25 @@ std::string ShardedCampaignSink::pending_path(std::size_t run_index) const {
 void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
   // Serialization happens on the worker, outside the lock.
   std::string metrics_line = encode_metrics_line(run_index, ex);
-  std::string findings = std::move(ex.result.artifacts.findings_jsonl);
-  std::string timeline = std::move(ex.result.artifacts.timeline_jsonl);
-  std::string captures = std::move(ex.result.artifacts.captures_jsonl);
+  std::vector<ShardWrite> closed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    submit_locked(run_index, metrics_line,
+                  std::move(ex.result.artifacts.findings_jsonl),
+                  std::move(ex.result.artifacts.timeline_jsonl),
+                  std::move(ex.result.artifacts.captures_jsonl), &closed);
+  }
+  // The shards this commit closed are merged and written outside the lock,
+  // so the other workers keep committing meanwhile.
+  for (ShardWrite& w : closed) write_shard(std::move(w));
+}
 
-  std::lock_guard<std::mutex> lock(mu_);
+void ShardedCampaignSink::submit_locked(std::size_t run_index,
+                                        std::string& metrics_line,
+                                        std::string&& findings,
+                                        std::string&& timeline,
+                                        std::string&& captures,
+                                        std::vector<ShardWrite>* closed) {
   if (run_index < frontier_) return;  // resume overlap; already durable
   if (run_index != frontier_) {
     Pending p;
@@ -305,7 +320,7 @@ void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
     return;
   }
   commit_locked(run_index, metrics_line, std::move(findings),
-                std::move(timeline), std::move(captures));
+                std::move(timeline), std::move(captures), closed);
   // Drain every spilled/parked successor the new frontier unblocks.
   for (auto it = pending_.find(frontier_); it != pending_.end();
        it = pending_.find(frontier_)) {
@@ -333,7 +348,7 @@ void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
       fs::remove(pending_path(idx), ec);
     }
     commit_locked(idx, p.metrics, std::move(p.findings), std::move(p.timeline),
-                  std::move(p.captures));
+                  std::move(p.captures), closed);
   }
 }
 
@@ -425,7 +440,8 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
                                         const std::string& metrics_line,
                                         std::string&& findings,
                                         std::string&& timeline,
-                                        std::string&& captures) {
+                                        std::string&& captures,
+                                        std::vector<ShardWrite>* closed) {
   ParsedOutcome po;
   if (!fold_metrics_line(metrics_line, &po)) {
     po = ParsedOutcome{};
@@ -467,33 +483,53 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
   const std::size_t runs_in_shard = frontier_ - shard_run_begin_;
   if ((cfg_.shard_bytes > 0 && bytes >= cfg_.shard_bytes) ||
       (cfg_.shard_runs > 0 && runs_in_shard >= cfg_.shard_runs)) {
-    close_shard_locked();
+    take_shard_locked(closed);
   }
 }
 
-void ShardedCampaignSink::close_shard_locked() {
+void ShardedCampaignSink::take_shard_locked(std::vector<ShardWrite>* closed) {
   if (frontier_ == shard_run_begin_ || cfg_.out_dir.empty()) return;
   if (!io_error_.empty()) return;  // don't extend a broken prefix
-  const std::size_t index = manifest_.shards.size();
-  // Artifacts first, manifest last: a crash in between leaves unlisted
-  // files that the next resume simply overwrites.
-  if (!write_file_atomic(shard_path("findings", index), findings_buf_) ||
-      !write_file_atomic(shard_path("timeline", index),
-                         merge_timelines(timeline_entries_)) ||
-      !write_file_atomic(shard_path("metrics", index), metrics_buf_) ||
-      !write_file_atomic(shard_path("captures", index), captures_buf_)) {
-    io_error_ = "shard: cannot write shard " + std::to_string(index) +
-                " under " + cfg_.out_dir;
-    return;
-  }
-  manifest_.shards.push_back({index, shard_run_begin_, frontier_});
-  write_manifest_locked();
-  findings_buf_.clear();
-  metrics_buf_.clear();
-  captures_buf_.clear();
-  timeline_entries_.clear();
+  ShardWrite w;
+  w.info = {next_shard_++, shard_run_begin_, frontier_};
+  w.findings.swap(findings_buf_);
+  w.metrics.swap(metrics_buf_);
+  w.captures.swap(captures_buf_);
+  w.timelines.swap(timeline_entries_);
   timeline_bytes_ = 0;
   shard_run_begin_ = frontier_;
+  closed->push_back(std::move(w));
+}
+
+void ShardedCampaignSink::write_shard(ShardWrite&& w) {
+  // Artifacts first, manifest last: a crash in between leaves unlisted
+  // files that the next resume simply overwrites.
+  const std::size_t index = w.info.index;
+  const bool ok =
+      write_file_atomic(shard_path("findings", index), w.findings) &&
+      write_file_atomic(shard_path("timeline", index),
+                        merge_timelines(w.timelines)) &&
+      write_file_atomic(shard_path("metrics", index), w.metrics) &&
+      write_file_atomic(shard_path("captures", index), w.captures);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!ok) {
+    if (io_error_.empty()) {
+      io_error_ = "shard: cannot write shard " + std::to_string(index) +
+                  " under " + cfg_.out_dir;
+    }
+    return;
+  }
+  // Workers finish their shards in any order; the manifest lists them in
+  // index order, each once every shard before it is written. A failed
+  // shard never arrives here, so nothing after it is listed.
+  written_.emplace(index, w.info);
+  const std::size_t listed = manifest_.shards.size();
+  for (auto it = written_.find(manifest_.shards.size()); it != written_.end();
+       it = written_.find(manifest_.shards.size())) {
+    manifest_.shards.push_back(it->second);
+    written_.erase(it);
+  }
+  if (manifest_.shards.size() > listed) write_manifest_locked();
 }
 
 void ShardedCampaignSink::write_manifest_locked() {
@@ -554,8 +590,13 @@ std::unique_ptr<ShardedCampaignSink> ShardedCampaignSink::replay(
 }
 
 void ShardedCampaignSink::finalize() {
+  std::vector<ShardWrite> closed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    take_shard_locked(&closed);
+  }
+  for (ShardWrite& w : closed) write_shard(std::move(w));
   std::lock_guard<std::mutex> lock(mu_);
-  close_shard_locked();
   if (manifest_.runs == 0) manifest_.runs = frontier_;  // open-ended service
   manifest_.complete =
       io_error_.empty() && pending_.empty() && frontier_ >= manifest_.runs;

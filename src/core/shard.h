@@ -22,7 +22,8 @@
 //
 // Determinism: runs are committed strictly in run-index order regardless of
 // worker completion order (out-of-order payloads spill to pending files, so
-// memory stays O(shard budget)); every fold happens at commit from the
+// memory stays O(jobs x shard budget): each worker holds at most the shard
+// it closed while it writes it); every fold happens at commit from the
 // serialized metrics line, the line resume and the metrics merge replay,
 // and %.17g doubles round-trip exactly — so the merged artifacts and the
 // CampaignResult are byte-identical at any --jobs.
@@ -190,6 +191,13 @@ class ShardedCampaignSink {
     bool spilled = false;  // payload lives in pending file, not here
     std::string metrics, findings, timeline, captures;
   };
+  // A closed shard's contents: taken from the open-shard buffers under the
+  // lock, merged and written by the worker that closed it outside the lock.
+  struct ShardWrite {
+    ShardInfo info;
+    std::string findings, metrics, captures;
+    std::vector<DeviceTimeline> timelines;
+  };
 
   ShardedCampaignSink() = default;  // for replay()
 
@@ -199,10 +207,20 @@ class ShardedCampaignSink {
   // Per-run metadata and outcome totals of one folded line (live commit
   // and resume replay alike).
   void record_outcome(std::size_t run_index, const ParsedOutcome& po);
+  // Commits run_index if it is the frontier, then every parked successor;
+  // parks (spills) it otherwise. Shards the commits close go to *closed.
+  void submit_locked(std::size_t run_index, std::string& metrics_line,
+                     std::string&& findings, std::string&& timeline,
+                     std::string&& captures, std::vector<ShardWrite>* closed);
   void commit_locked(std::size_t run_index, const std::string& metrics_line,
                      std::string&& findings, std::string&& timeline,
-                     std::string&& captures);
-  void close_shard_locked();
+                     std::string&& captures, std::vector<ShardWrite>* closed);
+  // Moves the open shard to *closed under the next index; nothing when it
+  // is empty, there is no out_dir or a shard write has failed.
+  void take_shard_locked(std::vector<ShardWrite>* closed);
+  // Writes a closed shard's four files without the lock, then takes it to
+  // list every shard now written in index order in the manifest.
+  void write_shard(ShardWrite&& w);
   void write_manifest_locked();
   std::string shard_path(const char* kind, std::size_t index) const;
   std::string pending_path(std::size_t run_index) const;
@@ -219,6 +237,10 @@ class ShardedCampaignSink {
   std::string io_error_;
   std::map<std::size_t, Pending> pending_;
   CommitHook hook_;
+  std::size_t next_shard_ = 0;  // index of the next shard taken
+  // Shards written but not yet listed: a shard before them is still being
+  // written by another worker.
+  std::map<std::size_t, ShardInfo> written_;
 
   // Open-shard buffers (bounded by the rotation budget).
   std::string findings_buf_, metrics_buf_, captures_buf_;

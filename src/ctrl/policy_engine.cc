@@ -3,39 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/export_sink.h"
 #include "core/json_util.h"
-#include "net/dns.h"
 #include "obs/tracer.h"
 
 namespace qoed::ctrl {
-namespace {
-
-// Same field layout as the merged-timeline packet lines, so capture slices
-// and timeline.jsonl are grep-compatible.
-void put_capture_packet(std::ostream& os, const net::PacketRecord& r) {
-  os << "{\"t\":";
-  core::put_json_number(os, r.timestamp.seconds());
-  os << ",\"dir\":\"" << net::to_string(r.direction) << "\",\"src\":";
-  core::put_json_string(
-      os, r.src_ip.to_string() + ':' + std::to_string(r.src_port));
-  os << ",\"dst\":";
-  core::put_json_string(
-      os, r.dst_ip.to_string() + ':' + std::to_string(r.dst_port));
-  os << ",\"proto\":\"" << (r.protocol == net::Protocol::kUdp ? "udp" : "tcp")
-     << '"';
-  if (r.protocol == net::Protocol::kTcp) {
-    os << ",\"flags\":";
-    core::put_json_string(os, r.flags.to_string());
-    os << ",\"tcp_seq\":" << r.seq << ",\"tcp_ack\":" << r.ack;
-  } else if (r.dns) {
-    os << ",\"dns\":";
-    core::put_json_string(os, r.dns->hostname);
-    os << ",\"dns_resp\":" << (r.dns->is_response ? "true" : "false");
-  }
-  os << ",\"len\":" << r.payload_size << "}\n";
-}
-
-}  // namespace
 
 PolicyEngine::PolicyEngine(PolicyEngineConfig cfg) : cfg_(std::move(cfg)) {
   states_.resize(cfg_.policy.rules.size());
@@ -196,17 +168,23 @@ void PolicyEngine::do_capture(std::size_t rule_index, sim::TimePoint t,
   if (collector_ != nullptr && collector_->trace() != nullptr) {
     packets = collector_->trace()->ring_window(start, end);
   }
-  std::ostringstream os;
-  os << "{\"capture\":" << capture_count_ << ",\"rule\":" << rule_index
-     << ",\"at\":";
-  core::put_json_number(os, t.seconds());
-  os << ",\"start\":";
-  core::put_json_number(os, start.seconds());
-  os << ",\"end\":";
-  core::put_json_number(os, end.seconds());
-  os << ",\"packets\":" << packets.size() << "}\n";
-  for (const net::PacketRecord& r : packets) put_capture_packet(os, r);
-  captures_jsonl_ += os.str();
+  std::string& out = captures_jsonl_;
+  out += "{\"capture\":" + std::to_string(capture_count_) +
+         ",\"rule\":" + std::to_string(rule_index) + ",\"at\":";
+  core::append_json_number(out, t.seconds());
+  out += ",\"start\":";
+  core::append_json_number(out, start.seconds());
+  out += ",\"end\":";
+  core::append_json_number(out, end.seconds());
+  out += ",\"packets\":" + std::to_string(packets.size()) + "}\n";
+  // Same field layout as the merged-timeline packet lines, so capture
+  // slices and timeline.jsonl are grep-compatible.
+  for (const net::PacketRecord& r : packets) {
+    out += "{\"t\":";
+    core::append_json_number(out, r.timestamp.seconds());
+    core::append_packet_fields(out, r);
+    out += "}\n";
+  }
   ++capture_count_;
   capture_packets_ += packets.size();
 }

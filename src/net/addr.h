@@ -22,6 +22,8 @@ class IpAddr {
   constexpr bool is_unspecified() const { return v_ == 0; }
 
   std::string to_string() const;
+  // Appends the dotted quad ("10.0.0.2") to `out`.
+  void append_to(std::string& out) const;
 
   friend constexpr auto operator<=>(IpAddr, IpAddr) = default;
 

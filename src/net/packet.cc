@@ -1,14 +1,23 @@
 #include "net/packet.h"
 
-#include <cstdio>
+#include <charconv>
+#include <iterator>
 
 namespace qoed::net {
 
 std::string IpAddr::to_string() const {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (v_ >> 24) & 0xff,
-                (v_ >> 16) & 0xff, (v_ >> 8) & 0xff, v_ & 0xff);
-  return buf;
+  std::string s;
+  append_to(s);
+  return s;
+}
+
+void IpAddr::append_to(std::string& out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    char octet[3];
+    out.append(octet,
+               std::to_chars(octet, std::end(octet), (v_ >> shift) & 0xff).ptr);
+    if (shift > 0) out += '.';
+  }
 }
 
 FlowKey FlowKey::canonical() const {
@@ -23,13 +32,18 @@ std::string FlowKey::to_string() const {
 
 std::string TcpFlags::to_string() const {
   std::string s;
-  if (syn) s += 'S';
-  if (fin) s += 'F';
-  if (rst) s += 'R';
-  if (psh) s += 'P';
-  if (ack) s += 'A';
-  if (s.empty()) s = ".";
+  append_to(s);
   return s;
+}
+
+void TcpFlags::append_to(std::string& out) const {
+  const std::size_t start = out.size();
+  if (syn) out += 'S';
+  if (fin) out += 'F';
+  if (rst) out += 'R';
+  if (psh) out += 'P';
+  if (ack) out += 'A';
+  if (out.size() == start) out += '.';
 }
 
 std::uint8_t wire_byte(std::uint64_t uid, std::uint32_t i) {

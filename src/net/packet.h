@@ -28,6 +28,8 @@ struct TcpFlags {
   bool rst = false;
 
   std::string to_string() const;
+  // Appends the set flags as letters in SFRPA order, "." when none is set.
+  void append_to(std::string& out) const;
 };
 
 struct DnsMessage;  // defined in net/dns.h

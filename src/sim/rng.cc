@@ -38,6 +38,12 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::normal(double mean, double stddev) {
+  if (stddev == 0) {
+    // std::normal_distribution requires stddev > 0. Still draw one unit
+    // normal, so the engine advances as it does for any other stddev.
+    std::normal_distribution<double>()(engine_);
+    return mean;
+  }
   std::normal_distribution<double> dist(mean, stddev);
   return dist(engine_);
 }

@@ -293,6 +293,33 @@ TEST(CampaignShard, RotatesAtTinyBudgetAndManifestCoversAllRuns) {
   EXPECT_EQ(expect_begin, 7u);
 }
 
+// Workers write the shards they close outside the sink lock, so shards can
+// finish out of order. A shard that cannot be written ends the listed
+// prefix: the manifest keeps every shard before it and none after, and the
+// campaign throws naming it.
+TEST(CampaignShard, FailedShardWriteEndsTheListedPrefix) {
+  const std::string dir = scratch_dir("write_fails");
+  // A non-empty directory where shard 2's timeline temp file goes: the
+  // sink's stale-file sweep cannot remove it, so that write fails.
+  fs::create_directories(dir + "/timeline-000002.jsonl.tmp/keep");
+  CampaignConfig cfg = sharded_config(dir, 12, 4);
+  cfg.shard.shard_runs = 1;
+  std::string error;
+  try {
+    Campaign(cfg).run(synthetic_factory());
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("cannot write shard 2 "), std::string::npos) << error;
+
+  ShardManifest manifest;
+  ASSERT_TRUE(read_shard_manifest(dir, &manifest));
+  EXPECT_FALSE(manifest.complete);
+  ASSERT_EQ(manifest.shards.size(), 2u);
+  EXPECT_EQ(manifest.shards[0].run_end, 1u);
+  EXPECT_EQ(manifest.shards[1].run_end, 2u);
+}
+
 // Simulated kill: a sink is dropped without finalize() after closing some
 // shards; a resume sink picks up at the durable frontier and the final
 // artifacts are byte-identical to an uninterrupted run.

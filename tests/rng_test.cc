@@ -110,6 +110,20 @@ TEST(RngTest, ClippedNormalStaysInRange) {
   }
 }
 
+// A zero stddev (a jitter switched off) returns the mean and still consumes
+// one unit normal's draws, so the stream after it is the same as after any
+// other stddev. std::normal_distribution itself requires stddev > 0: a
+// _GLIBCXX_ASSERTIONS build aborts if the zero reaches it.
+TEST(RngTest, ZeroStddevNormalReturnsMeanAndAdvancesLikeAnyOther) {
+  Rng zero(31), unit(31);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+    unit.normal(0.0, 1.0);
+    EXPECT_EQ(zero.uniform(), unit.uniform());
+  }
+  EXPECT_EQ(zero.clipped_normal(0.004, 0.0, 0.0, 1.0), 0.004);
+}
+
 TEST(RngTest, SeedAccessor) {
   Rng r(123);
   EXPECT_EQ(r.seed(), 123u);
