@@ -1,8 +1,6 @@
 // Shared helpers for the experiment benches.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,27 +75,23 @@ inline BenchOptions parse_options(int argc, char** argv,
       }
       return argv[++i];
     };
-    // A complete, finite, non-negative number of `out`'s type: no sign,
-    // space or suffix.
-    auto parse = [&](auto out) {
+    // Reads the value into *out as a non-negative number of its type,
+    // written the way JSON writes it (core::parse_json_number): no space,
+    // suffix, "+" or leading zero.
+    auto parse = [&](auto* out) {
       const std::string_view text = value();
-      const char* const end = text.data() + text.size();
-      const auto [stop, ec] = std::from_chars(text.data(), end, out);
-      if (ec != std::errc() || stop != end || text.front() == '-' ||
-          !std::isfinite(static_cast<double>(out))) {
+      if (!core::parse_json_number(text, out) || text.front() == '-') {
         std::fprintf(stderr, "invalid number for %s: '%s'\n", arg.c_str(),
                      std::string(text).c_str());
         std::exit(2);
       }
-      return out;
     };
-    auto number = [&] { return parse(std::uint64_t{0}); };
     if (arg == "--jobs") {
-      opts.jobs = static_cast<std::size_t>(number());
+      parse(&opts.jobs);
     } else if (arg == "--runs") {
-      opts.runs = static_cast<std::size_t>(number());
+      parse(&opts.runs);
     } else if (arg == "--seed") {
-      opts.seed = number();
+      parse(&opts.seed);
     } else if (arg == "--json") {
       opts.json_path = value();
     } else if (arg == "--metrics") {
@@ -107,13 +101,13 @@ inline BenchOptions parse_options(int argc, char** argv,
     } else if (arg == "--out-dir") {
       opts.out_dir = value();
     } else if (arg == "--shard-bytes") {
-      opts.shard_bytes = static_cast<std::size_t>(number());
+      parse(&opts.shard_bytes);
     } else if (arg == "--shards") {
-      opts.shard_runs = static_cast<std::size_t>(number());
+      parse(&opts.shard_runs);
     } else if (accepts.throughput_gate && arg == "--bench-json") {
       opts.bench_json = value();
     } else if (accepts.throughput_gate && arg == "--min-dh-per-wall-s") {
-      opts.min_dh_per_wall_s = parse(0.0);
+      parse(&opts.min_dh_per_wall_s);
     } else if (arg == "-h" || arg == "--help") {
       std::printf(
           "usage: %s [--jobs N] [--runs N] [--seed S] [--json FILE]"

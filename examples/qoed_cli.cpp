@@ -87,8 +87,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -123,19 +121,11 @@ namespace {
 
 using namespace qoed;
 
-// A complete non-negative integer.
-bool parse_count(std::string_view text, std::uint64_t* out) {
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && stop == end;
-}
-
-// A complete non-negative finite number.
+// A flag's number is written the way JSON writes it
+// (core::parse_json_number): a count is an unsigned integer, so "007",
+// "1e3" and "-1" are not counts, and a number is finite and non-negative.
 bool parse_number(std::string_view text, double* out) {
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && stop == end && std::isfinite(*out) &&
-         *out >= 0;
+  return core::parse_json_number(text, out) && *out >= 0;
 }
 
 struct Options {
@@ -150,7 +140,7 @@ struct Options {
   // The value of a count or number flag, whose syntax check_flags vetted.
   std::uint64_t count(const std::string& key, std::uint64_t def) const {
     auto it = kv.find(key);
-    if (it != kv.end()) parse_count(it->second, &def);
+    if (it != kv.end()) core::parse_json_number(it->second, &def);
     return def;
   }
   double number(const std::string& key, double def) const {
@@ -180,27 +170,20 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-bool run_sink(const core::ExportSink& sink, const std::string& path) {
-  if (!sink.write_file(path)) {
-    std::printf("FAILED to write %s\n", path.c_str());
-    return false;
-  }
-  std::printf("wrote %s to %s\n", std::string(sink.id()).c_str(),
-              path.c_str());
-  return true;
-}
-
-// Writes `content` to `path` and reports it as "wrote <what> to <path>".
-bool write_text(const std::string& path, const std::string& content,
+// Writes `content` to `path` (core::write_file_atomic) and reports it as
+// "wrote <what> to <path>".
+bool write_text(const std::string& path, std::string_view content,
                 const std::string& what) {
-  std::ofstream os(path, std::ios::binary);
-  os.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!os) {
+  if (!core::write_file_atomic(path, content)) {
     std::printf("FAILED to write %s\n", path.c_str());
     return false;
   }
   std::printf("wrote %s to %s\n", what.c_str(), path.c_str());
   return true;
+}
+
+bool run_sink(const core::ExportSink& sink, const std::string& path) {
+  return write_text(path, sink.to_string(), std::string(sink.id()));
 }
 
 // What a flag takes: any text, a non-negative integer, a non-negative
@@ -730,9 +713,10 @@ int run_pop(const Options& opt) {
     gen.write_jsonl(std::cout, begin, end);
     return 0;
   }
-  std::ofstream os(out, std::ios::binary);
-  const std::size_t n = gen.write_jsonl(os, begin, end);
-  if (!os) {
+  std::size_t n = 0;
+  if (!core::write_file_atomic(out, [&](std::ostream& os) {
+        n = gen.write_jsonl(os, begin, end);
+      })) {
     std::printf("FAILED to write %s\n", out.c_str());
     return 1;
   }
@@ -1073,34 +1057,28 @@ int run_top(const Options& opt) {
     bool ok = false;
     std::string_view metrics_json;
     std::string key;
-    if (!p.enter_object()) {
+    bool parsed = p.enter_object();
+    while (parsed && p.next_key(&key)) {
+      if (key == "ok") {
+        parsed = p.read_bool(&ok);
+      } else if (key == "committed") {
+        parsed = p.read_number(&committed);
+      } else if (key == "metrics") {
+        parsed = p.raw_value(&metrics_json);
+      } else {
+        parsed = p.skip_value();
+      }
+    }
+    if (!parsed || !p.at_end()) {
       std::printf("top: malformed stats reply\n");
       return 1;
-    }
-    while (p.next_key(&key)) {
-      bool field_ok = true;
-      if (key == "ok") {
-        field_ok = p.read_bool(&ok);
-      } else if (key == "committed") {
-        double c = 0;
-        field_ok = p.read_number(&c);
-        committed = static_cast<std::size_t>(c);
-      } else if (key == "metrics") {
-        field_ok = p.raw_value(&metrics_json);
-      } else {
-        field_ok = p.skip_value();
-      }
-      if (!field_ok) {
-        std::printf("top: malformed stats reply\n");
-        return 1;
-      }
     }
     if (!ok) {
       std::printf("top: serve rejected stats: %s\n", reply.c_str());
       return 1;
     }
     std::string error2;
-    if (!reg.merge_from_json(std::string(metrics_json), &error2)) {
+    if (!reg.merge_from_json(metrics_json, &error2)) {
       std::printf("top: %s\n", error2.c_str());
       return 1;
     }
@@ -1190,7 +1168,7 @@ bool check_flags(const Options& opt, const Command& cmd, std::string* error) {
     }
     std::uint64_t n = 0;
     double v = 0;
-    if ((spec->value == kCount && !parse_count(value, &n)) ||
+    if ((spec->value == kCount && !core::parse_json_number(value, &n)) ||
         (spec->value == kNumber && !parse_number(value, &v))) {
       *error = "invalid value for --" + flag + ": \"" + value + "\"";
       return false;

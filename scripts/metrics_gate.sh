@@ -16,8 +16,11 @@
 # captures.jsonl included, must be byte-identical), checks that
 # `fleet --merge-only` over a copy of the shards rebuilds the same merged
 # bytes beside them and fails when a manifest-listed shard is missing, that
-# a `qoed_cli post` single run leaves the same artifacts as the fleet run
-# of the same spec, and that bad flags to any command exit 2.
+# 300 one-run shards merge under a 256-descriptor limit to the bytes of the
+# same fleet cut into few shards, that a `qoed_cli post` single run leaves
+# the same artifacts as the fleet run of the same spec, that bad flags to
+# any command and malformed spec lines exit 2, and that an output that
+# cannot be written leaves no temp file.
 #
 # usage: metrics_gate.sh path/to/qoed_cli [workdir] [--update]
 set -euo pipefail
@@ -88,6 +91,32 @@ if [ "$rc" -eq 0 ] || [ -e "$MISSING/timeline.jsonl" ]; then
   echo "metrics gate: merge over a missing timeline shard: expected a failure" \
     "and no timeline.jsonl, got exit $rc"
   cat "$MISSING/merge.log"
+  exit 1
+fi
+
+# The final timeline merge holds a bounded number of shards open: 300
+# one-run shards merge under a 256-descriptor limit (in passes through temp
+# files, none left behind) to the bytes the same fleet writes cut into a
+# few shards.
+FANIN="$WORK/fan-in"
+rm -rf "$FANIN"
+mkdir -p "$FANIN/one-run" "$FANIN/few" "$FANIN/remerge"
+for i in $(seq 1 300); do
+  echo "{\"scenario\":\"post\",\"network\":\"wifi\",\"reps\":0,\"seed\":$i,\"arrival\":$((i % 7))}"
+done > "$FANIN/specs.jsonl"
+"$CLI" fleet --specs="$FANIN/specs.jsonl" --out-dir="$FANIN/one-run" \
+  --jobs=4 --shard-runs=1 > "$FANIN/one-run.log"
+"$CLI" fleet --specs="$FANIN/specs.jsonl" --out-dir="$FANIN/few" --jobs=4 \
+  > "$FANIN/few.log"
+cp "$FANIN/one-run/MANIFEST.json" "$FANIN/one-run"/*-[0-9]*.jsonl \
+  "$FANIN/remerge/"
+(ulimit -n 256 && "$CLI" fleet --merge-only --out-dir="$FANIN/remerge") \
+  > "$FANIN/remerge.log"
+for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
+  cmp "$FANIN/few/$f" "$FANIN/remerge/$f"
+done
+if [ -n "$(find "$FANIN/remerge" -name '*.tmp')" ]; then
+  echo "metrics gate: the fan-in merge left a temp file behind"
   exit 1
 fi
 
@@ -165,13 +194,63 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
     exit 1
   fi
 done
+# Spec lines go through the one JSON reader: a negative count, seed or
+# throttle, a number JSON does not write, an integer with a fraction or
+# exponent, and a missing comma are refused by line and key (exit 2)
+# before anything runs. Under `timeout`, since a count read past its range
+# used to run forever.
+BAD_SPECS="$WORK/bad-specs"
+rm -rf "$BAD_SPECS"
+mkdir -p "$BAD_SPECS"
+n=0
+for spec in '{"scenario":"video","videos":-1}' \
+            '{"scenario":"post","reps":1e300}' \
+            '{"scenario":"pageload","pages":0x10}' \
+            '{"scenario":"pageload","pages":1,"seed":-1}' \
+            '{"scenario":"video","videos":1,"throttle":-300}' \
+            '{"scenario":"pageload","pages":9 "seed":4}'; do
+  n=$((n + 1))
+  echo "$spec" > "$BAD_SPECS/$n.jsonl"
+  rc=0
+  timeout 30 "$CLI" fleet --specs="$BAD_SPECS/$n.jsonl" \
+    --out-dir="$WORK/bad-fleet" > "$WORK/bad-input.log" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q ':1: spec: .*"' "$WORK/bad-input.log"; then
+    echo "metrics gate: fleet spec $spec: expected exit 2 naming line and" \
+      "key, got $rc"
+    cat "$WORK/bad-input.log"
+    exit 1
+  fi
+done
+echo '{"seed":1,"grants":-1,"devices":[{"app":"browser","actions":1}]}' \
+  > "$BAD_SPECS/cell.json"
+rc=0
+timeout 30 "$CLI" cell --spec-file="$BAD_SPECS/cell.json" \
+  --timeline="$BAD_CELL" > "$WORK/bad-input.log" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "metrics gate: cell spec with \"grants\":-1: expected exit 2, got $rc"
+  cat "$WORK/bad-input.log"
+  exit 1
+fi
 for wrote in "$WORK/bad-fleet" "$BAD_POP" "$BAD_CELL"; do
   if [ -e "$wrote" ]; then
-    echo "metrics gate: a command with bad flags still wrote $wrote"
+    echo "metrics gate: a command with bad input still wrote $wrote"
     exit 1
   fi
 done
 
+# Every output goes through the one atomic writer: a merge whose --out is a
+# directory fails (exit 1) and leaves no temp file beside it.
+mkdir -p "$WORK/out-is-dir"
+rc=0
+"$CLI" merge --out="$WORK/out-is-dir" "$PARITY/run-0.jsonl" \
+  > "$WORK/out-is-dir.log" || rc=$?
+if [ "$rc" -ne 1 ] || [ -e "$WORK/out-is-dir.tmp" ]; then
+  echo "metrics gate: merge --out onto a directory: expected exit 1 and no" \
+    "temp file, got exit $rc"
+  exit 1
+fi
+
 echo "metrics gate OK: jobs-invariant, artifact sums matched, merge-only" \
-  "rebuilds the same bytes and fails on a missing shard, baseline matched," \
-  "self-test exits 4, CLI matches fleet, bad input exits 2"
+  "rebuilds the same bytes and fails on a missing shard, 300 shards merge" \
+  "under 256 descriptors, baseline matched, self-test exits 4, CLI matches" \
+  "fleet, bad input exits 2, a failed write leaves no temp file"

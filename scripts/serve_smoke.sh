@@ -23,10 +23,16 @@ EOF
 mkdir -p "$WORK/batch"
 "$CLI" fleet --specs="$SPECS" --out-dir="$WORK/batch" --jobs=2
 
-# Each spec line becomes a submit command by splicing in the cmd key.
+# Each spec line becomes a submit command by splicing in the cmd key. One
+# malformed submit (a negative video count) goes in mid-session: it is
+# refused by key, takes no run id, and the session keeps serving.
+BAD_SUBMIT='{"cmd":"submit","scenario":"video","videos":-1}'
 make_client() {
+  local n=0
   while IFS= read -r spec; do
     printf '{"cmd":"submit",%s\n' "${spec#\{}"
+    n=$((n + 1))
+    if [ "$n" -eq 2 ]; then printf '%s\n' "$BAD_SUBMIT"; fi
   done < "$SPECS"
   printf '{"cmd":"status"}\n{"cmd":"drain"}\n{"cmd":"shutdown"}\n'
 }
@@ -40,6 +46,13 @@ for jobs in 1 4; do
   runs=$(grep -c '"event":"run"' "$WORK/serve-j$jobs.log")
   [ "$runs" -eq 4 ] || { echo "expected 4 run events, got $runs"; exit 1; }
   grep -q '"shutdown":true,"runs":4' "$WORK/serve-j$jobs.log"
+  # ...the malformed submit got the one refusal, naming its key...
+  if [ "$(grep -c '"ok":false' "$WORK/serve-j$jobs.log")" -ne 1 ] ||
+     ! grep -q '^{"ok":false,"error":".*\\"videos\\"' "$WORK/serve-j$jobs.log"
+  then
+    echo "expected one ok:false ack naming \"videos\""
+    exit 1
+  fi
   # ...and the merged artifacts match the batch fleet byte-for-byte.
   for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
     cmp "$WORK/batch/$f" "$dir/$f"
@@ -51,4 +64,4 @@ done
 cmp "$WORK/serve-j1.events" "$WORK/serve-j4.events"
 
 echo "serve smoke OK: serve(jobs=1,4) == batch fleet, artifacts byte-identical," \
-  "events jobs-invariant"
+  "events jobs-invariant, a malformed submit refused by key"

@@ -1,6 +1,6 @@
 #include "cell/cell_run.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -22,12 +22,7 @@ namespace qoed::cell {
 
 namespace {
 
-bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
-  for (const char* a : allowed) {
-    if (v == a) return true;
-  }
-  return false;
-}
+using svc::one_of;
 
 // Everything one simulated handset owns for the duration of the run. Only
 // the unique_ptr matching `spec->app` is set.
@@ -46,22 +41,35 @@ struct DeviceRun {
   std::optional<sim::Rng> pick;
 };
 
-// The enum and device-list checks parse_json and run_cell_scenario share.
+// The enum, range and device-list checks parse_json and run_cell_scenario
+// share.
 bool check(const CellScenarioSpec& spec, std::string* error) {
   const auto fail = [error](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
   };
+  const auto negative = [&fail](const char* key) {
+    return fail(std::string("cell spec: \"") + key +
+                "\" must be finite and non-negative");
+  };
+  const auto bad = [](double v) { return !(v >= 0) || std::isinf(v); };
   if (!one_of(spec.network, {"3g", "3g-simplified", "lte"})) {
     return fail("cell spec: unknown network \"" + spec.network + "\"");
   }
   if (!one_of(spec.mechanism, {"shaping", "policing"})) {
     return fail("cell spec: unknown mechanism \"" + spec.mechanism + "\"");
   }
+  if (bad(spec.capacity_kbps)) return negative("capacity_kbps");
+  if (spec.throttle_kbps < 0) return negative("throttle");
+  if (spec.max_active_grants < 0) return negative("grants");
+  if (spec.promotion_penalty_ms < 0) return negative("promo_ms");
   for (const auto& d : spec.devices) {
     if (!one_of(d.app, {"browser", "social", "video"})) {
       return fail("cell spec: unknown app \"" + d.app + "\"");
     }
+    if (bad(d.arrival_s)) return negative("arrival");
+    if (d.actions < 0) return negative("actions");
+    if (d.think_s < 0) return negative("think");
   }
   if (spec.devices.empty()) return fail("cell spec: no devices");
   return true;
@@ -161,8 +169,7 @@ core::RunResult run_cell_scenario(const CellScenarioSpec& spec) {
   // capture by reference; everything they touch outlives bed.loop().run().
   for (DeviceRun& r : runs) {
     const sim::TimePoint arrival{sim::sec_f(r.spec->arrival_s)};
-    const std::size_t actions =
-        static_cast<std::size_t>(std::max(r.spec->actions, 0L));
+    const auto actions = static_cast<std::size_t>(r.spec->actions);
     if (r.spec->app == "browser") {
       r.browser_driver = std::make_unique<core::BrowserDriver>(
           r.doctor->controller(), *r.browser);
@@ -283,26 +290,22 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    double num = 0;
     if (key == "network") {
       parsed = p.read_string(&out->network);
     } else if (key == "seed") {
-      parsed = p.read_uint64(&out->seed);
+      parsed = p.read_number(&out->seed);
     } else if (key == "use_cell") {
       parsed = p.read_bool(&out->use_cell);
     } else if (key == "capacity_kbps") {
       parsed = p.read_number(&out->capacity_kbps);
     } else if (key == "throttle") {
-      parsed = p.read_number(&num);
-      out->throttle_kbps = static_cast<long>(num);
+      parsed = p.read_number(&out->throttle_kbps);
     } else if (key == "mechanism") {
       parsed = p.read_string(&out->mechanism);
     } else if (key == "grants") {
-      parsed = p.read_number(&num);
-      out->max_active_grants = static_cast<int>(num);
+      parsed = p.read_number(&out->max_active_grants);
     } else if (key == "promo_ms") {
-      parsed = p.read_number(&num);
-      out->promotion_penalty_ms = static_cast<long>(num);
+      parsed = p.read_number(&out->promotion_penalty_ms);
     } else if (key == "devices") {
       if (!p.enter_array()) return fail("cell spec: devices not an array");
       while (p.array_next()) {
@@ -313,22 +316,19 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
         std::string dkey;
         while (p.next_key(&dkey)) {
           bool dparsed = true;
-          double dnum = 0;
           if (dkey == "app") {
             dparsed = p.read_string(&d.app);
           } else if (dkey == "arrival") {
             dparsed = p.read_number(&d.arrival_s);
           } else if (dkey == "actions") {
-            dparsed = p.read_number(&dnum);
-            d.actions = static_cast<long>(dnum);
+            dparsed = p.read_number(&d.actions);
           } else if (dkey == "think") {
-            dparsed = p.read_number(&dnum);
-            d.think_s = static_cast<long>(dnum);
+            dparsed = p.read_number(&d.think_s);
           } else {
             return fail("cell spec: unknown device key \"" + dkey + "\"");
           }
           if (!dparsed) {
-            return fail("cell spec: malformed device value for \"" + dkey +
+            return fail("cell spec: invalid device value for \"" + dkey +
                         "\"");
           }
         }
@@ -338,8 +338,11 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
       return fail("cell spec: unknown key \"" + key + "\"");
     }
     if (!parsed) {
-      return fail("cell spec: malformed value for \"" + key + "\"");
+      return fail("cell spec: invalid value for \"" + key + "\"");
     }
+  }
+  if (!p.at_end()) {
+    return fail("cell spec: malformed JSON after \"" + key + "\"");
   }
   return check(*out, error);
 }

@@ -60,9 +60,12 @@ struct CellScenarioSpec {
                                   double stagger_s = 1.0);
 
   // Parses one spec from a JSON object line (canonical form below; missing
-  // keys keep defaults). False with *error set on malformed JSON, an
-  // unknown key (named in the error), an invalid enum value or an empty
-  // device list.
+  // keys keep defaults). False with *error naming the key on malformed JSON
+  // (text after the object included), an unknown key, a seed, throttle,
+  // grant limit, promotion penalty, action count or think time that is not
+  // a JSON integer of its field's type, or any value run_cell_scenario
+  // rejects: an invalid enum value, a negative count or penalty, a negative
+  // or non-finite arrival or capacity, or an empty device list.
   static bool parse_json(std::string_view json, CellScenarioSpec* out,
                          std::string* error);
 

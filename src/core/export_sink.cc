@@ -1,7 +1,7 @@
 #include "core/export_sink.h"
 
 #include <charconv>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -107,27 +107,28 @@ void append_status(std::string& out, const radio::StatusRecord& r) {
 
 }  // namespace
 
-bool ExportSink::write_file(const std::string& path) const {
-  // Crash-safe export: write the full payload to a sibling temp file, then
-  // atomically rename it over the destination. A crash mid-write leaves the
-  // previous file (or nothing) at `path`, never a truncated export.
+bool write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& fill) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    write(os);
-    os.flush();
-    if (!os) {
-      os.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+  if (!os) return false;
+  fill(os);
+  os.close();
+  std::error_code ec;
+  if (os) std::filesystem::rename(tmp, path, ec);
+  if (os && !ec) return true;
+  std::filesystem::remove(tmp, ec);
+  return false;
+}
+
+bool write_file_atomic(const std::string& path, std::string_view content) {
+  return write_file_atomic(path, [content](std::ostream& os) {
+    os.write(content.data(), static_cast<std::streamsize>(content.size()));
+  });
+}
+
+bool ExportSink::write_file(const std::string& path) const {
+  return write_file_atomic(path, [this](std::ostream& os) { write(os); });
 }
 
 std::string ExportSink::to_string() const {

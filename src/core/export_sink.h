@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/behavior_log.h"
@@ -29,6 +31,15 @@
 
 namespace qoed::core {
 
+// The one atomic file writer (shards, manifests, merged artifacts, every
+// ExportSink and the CLI's outputs): `fill` writes the content to
+// `<path>.tmp`, which is renamed over `path`, so a reader never observes a
+// partial file. False on failure — the stream left failed, or the file not
+// writable or renamable — with the temp file removed and `path` as it was.
+bool write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& fill);
+bool write_file_atomic(const std::string& path, std::string_view content);
+
 class ExportSink {
  public:
   virtual ~ExportSink() = default;
@@ -38,7 +49,8 @@ class ExportSink {
   virtual std::string_view id() const = 0;
   virtual void write(std::ostream& os) const = 0;
 
-  // Writes the artifact to `path` (binary-safe); false on I/O failure.
+  // Writes the artifact to `path` through write_file_atomic; false on I/O
+  // failure, or when write() leaves the stream failed.
   bool write_file(const std::string& path) const;
   // The artifact as one string. A sink that renders into a string anyway
   // overrides this to hand that string over instead of copying a stream.

@@ -1,19 +1,19 @@
-// Minimal JSON emission and parsing helpers shared by the exporters
-// (export_sink) and the shard/service layers. Numbers print as
+// The one JSON writer and the one JSON reader. The writer prints numbers as
 // printf("%.17g") would, through std::to_chars, so distinct doubles never
-// collapse to the same text (round-trip precision) — two bit-identical
-// results therefore produce byte-identical JSON; strings escape the minimum
-// JSON set. Both append to a std::string; the put_json_* ostream forms wrap
-// them. The parser below is the inverse: it reads exactly the JSON this
-// codebase emits (objects, arrays, strings with the escape set above, finite
-// numbers, booleans), which is all the shard merge and the serve protocol
-// ever need to consume.
+// collapse to the same text and bit-identical results give byte-identical
+// JSON; strings escape the minimum JSON set. Both append to a std::string;
+// the put_json_* ostream forms wrap them. The reader has one number grammar
+// (json_number_length), converted by std::from_chars straight into the
+// target type, for JsonLiteParser, the timeline merge-key scanner and every
+// number in a flag or environment variable (parse_json_number). The parser
+// reads exactly the JSON this codebase emits: objects, arrays, strings with
+// the escape set above, numbers (with the writer's nan/inf spellings) and
+// booleans.
 #pragma once
 
-#include <cctype>
 #include <charconv>
-#include <cstdint>
-#include <cstdlib>
+#include <concepts>
+#include <initializer_list>
 #include <iterator>
 #include <ostream>
 #include <string>
@@ -78,10 +78,75 @@ inline void put_json_string(std::ostream& os, std::string_view s) {
   os << text;
 }
 
+constexpr bool json_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+// True when a scalar token may end at v[i]: the end of the text,
+// whitespace, ',', '}' or ']'.
+constexpr bool json_token_end(std::string_view v, std::size_t i) {
+  return i == v.size() || json_space(v[i]) || v[i] == ',' || v[i] == '}' ||
+         v[i] == ']';
+}
+
+// Length of the complete JSON number at the head of v, 0 if there is none:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? ending where a token
+// ends. So "+1", "0x10", "01", ".5", "1." and "nan" are not numbers.
+// *integer: no fraction or exponent.
+constexpr std::size_t json_number_length(std::string_view v, bool* integer) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < v.size() && v[i] >= '0' && v[i] <= '9') ++i;
+    return i > from;
+  };
+  *integer = true;
+  if (i < v.size() && v[i] == '-') ++i;
+  if (i < v.size() && v[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return 0;
+  }
+  if (i < v.size() && v[i] == '.') {
+    ++i;
+    *integer = false;
+    if (!digits()) return 0;
+  }
+  if (i < v.size() && (v[i] == 'e' || v[i] == 'E')) {
+    ++i;
+    *integer = false;
+    if (i < v.size() && (v[i] == '+' || v[i] == '-')) ++i;
+    if (!digits()) return 0;
+  }
+  return json_token_end(v, i) ? i : 0;
+}
+
+// The JSON number at the head of v read into T: the length read, or 0 when
+// there is none or it does not fit T — for an integral T also when it has
+// a fraction or exponent, or a sign and T is unsigned. A double is finite.
+template <typename T>
+std::size_t read_json_number(std::string_view v, T* out) {
+  bool integer = false;
+  const std::size_t n = json_number_length(v, &integer);
+  if (n == 0 || (std::integral<T> && !integer)) return 0;
+  return std::from_chars(v.data(), v.data() + n, *out).ec == std::errc() ? n
+                                                                         : 0;
+}
+
+// `text` is exactly one JSON number read into T: how a command-line flag or
+// an environment variable writes a number.
+template <typename T>
+bool parse_json_number(std::string_view text, T* out) {
+  const std::size_t n = read_json_number(text, out);
+  return n > 0 && n == text.size();
+}
+
 // Cursor-based pull parser over a JSON text. All methods return false on a
-// grammar mismatch and leave the cursor in an unspecified position; callers
-// treat any false as "malformed input". Keys and values must be consumed in
-// document order — this is a streaming reader, not a DOM.
+// grammar mismatch and leave the cursor in an unspecified position (the
+// number reads consume nothing on a mismatch); callers treat any false as
+// "malformed input". Keys and values must be consumed in document order —
+// this is a streaming reader, not a DOM. A decoder ends with at_end(), so a
+// document cut short or followed by more text fails.
 //
 //   JsonLiteParser p(line);
 //   std::string key;
@@ -89,48 +154,26 @@ inline void put_json_string(std::ostream& os, std::string_view s) {
 //   while (p.next_key(&key)) {
 //     if (key == "t") p.read_number(&t); else p.skip_value();
 //   }
+//   if (!p.at_end()) ...;
 class JsonLiteParser {
  public:
   explicit JsonLiteParser(std::string_view text) : text_(text) {}
 
   // Consumes '{'. The matching next_key loop ends (returns false) at '}'.
-  bool enter_object() {
-    skip_ws();
-    if (!consume('{')) return false;
-    stack_.push_back(true);
-    return true;
-  }
+  bool enter_object() { return enter('{'); }
 
   // Advances to the next "key": inside the current object; false at the
   // closing '}' (which it consumes) or on malformed input.
   bool next_key(std::string* key) {
-    skip_ws();
-    if (consume('}')) {
-      if (!stack_.empty()) stack_.pop_back();
-      return false;
-    }
-    if (!separator()) return false;
-    if (!read_string(key)) return false;
+    if (leave('}') || !separator() || !read_string(key)) return false;
     skip_ws();
     return consume(':');
   }
 
   // Consumes '['. array_next returns false at ']' (consuming it); call it
   // before reading each element.
-  bool enter_array() {
-    skip_ws();
-    if (!consume('[')) return false;
-    stack_.push_back(true);
-    return true;
-  }
-  bool array_next() {
-    skip_ws();
-    if (consume(']')) {
-      if (!stack_.empty()) stack_.pop_back();
-      return false;
-    }
-    return separator();
-  }
+  bool enter_array() { return enter('['); }
+  bool array_next() { return !leave(']') && separator(); }
 
   bool read_string(std::string* out) {
     skip_ws();
@@ -155,18 +198,15 @@ class JsonLiteParser {
         case 'b': out->push_back('\b'); break;
         case 'f': out->push_back('\f'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
           // Our emitter only writes \u00XX for control bytes; decode the
           // low byte and ignore anything outside latin-1 (never produced).
+          const char* const hex = text_.data() + pos_;
+          unsigned code = 0;
+          if (text_.size() - pos_ < 4 ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            return false;
+          }
+          pos_ += 4;
           out->push_back(static_cast<char>(code & 0xff));
           break;
         }
@@ -176,43 +216,30 @@ class JsonLiteParser {
     return false;
   }
 
-  bool read_number(double* out) {
+  // A number read into T (read_json_number), so an integer is read exactly
+  // and a fraction, exponent or out-of-range value is refused, never cast.
+  // A double also takes the spellings append_json_number gives non-finite
+  // values ("nan", "-nan", "inf", "-inf"), so every double the writer emits
+  // reads back bit-identical. Consumes nothing on a mismatch.
+  template <typename T>
+  bool read_number(T* out) {
     skip_ws();
-    const char* start = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    *out = v;
-    return true;
-  }
-
-  // Exact unsigned-64 parse; use for seeds/ids, which exceed the 2^53
-  // mantissa a double round-trips.
-  bool read_uint64(std::uint64_t* out) {
-    skip_ws();
-    const char* start = text_.data() + pos_;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 10);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    *out = static_cast<std::uint64_t>(v);
-    return true;
+    const std::string_view rest = text_.substr(pos_);
+    std::size_t n = read_json_number(rest, out);
+    if (std::floating_point<T> && n == 0) {
+      n = word_length(rest, {"nan", "-nan", "inf", "-inf"});
+      std::from_chars(rest.data(), rest.data() + n, *out);  // none if n is 0
+    }
+    pos_ += n;
+    return n > 0;
   }
 
   bool read_bool(bool* out) {
     skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      *out = true;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      *out = false;
-      return true;
-    }
-    return false;
+    const std::size_t n = word_length(text_.substr(pos_), {"true", "false"});
+    if (n > 0) *out = n == 4;
+    pos_ += n;
+    return n > 0;
   }
 
   // Returns the raw text of the next value (balanced object/array, string,
@@ -261,22 +288,44 @@ class JsonLiteParser {
       }
       return false;
     }
-    // Scalar token: number / true / false / null.
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '+' || text_[pos_] == '-' || text_[pos_] == '.')) {
-      ++pos_;
+    // Scalar token: a number read_number takes, true, false or null.
+    const std::string_view rest = text_.substr(pos_);
+    bool integer = false;
+    std::size_t n = json_number_length(rest, &integer);
+    if (n == 0) {
+      n = word_length(rest,
+                      {"nan", "-nan", "inf", "-inf", "true", "false", "null"});
     }
-    return pos_ > start;
+    pos_ += n;
+    return n > 0;
   }
 
  private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+  // Length of the word of `words` at the head of v that ends where a token
+  // ends, 0 if none does.
+  static std::size_t word_length(std::string_view v,
+                                 std::initializer_list<std::string_view> words) {
+    for (const std::string_view w : words) {
+      if (v.starts_with(w) && json_token_end(v, w.size())) return w.size();
     }
+    return 0;
+  }
+
+  void skip_ws() {
+    while (pos_ < text_.size() && json_space(text_[pos_])) ++pos_;
+  }
+  bool enter(char open) {
+    skip_ws();
+    if (!consume(open)) return false;
+    stack_.push_back(true);
+    return true;
+  }
+  // Consumes `close`, leaving the innermost container.
+  bool leave(char close) {
+    skip_ws();
+    if (!consume(close)) return false;
+    if (!stack_.empty()) stack_.pop_back();
+    return true;
   }
   bool consume(char c) {
     if (pos_ < text_.size() && text_[pos_] == c) {

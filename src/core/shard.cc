@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,19 +30,6 @@ std::string manifest_path(const std::string& out_dir) {
 
 }  // namespace
 
-bool write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(content.data(), static_cast<std::streamsize>(content.size()));
-    if (!os) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  return !ec;
-}
-
 bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
                          std::string* error) {
   const auto fail = [error](const char* msg) {
@@ -62,11 +50,9 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
     if (key == "campaign") {
       parsed = p.read_string(&out->campaign);
     } else if (key == "master_seed") {
-      parsed = p.read_uint64(&out->master_seed);
+      parsed = p.read_number(&out->master_seed);
     } else if (key == "runs") {
-      std::uint64_t v = 0;
-      parsed = p.read_uint64(&v);
-      out->runs = static_cast<std::size_t>(v);
+      parsed = p.read_number(&out->runs);
     } else if (key == "complete") {
       parsed = p.read_bool(&out->complete);
     } else if (key == "shards") {
@@ -76,15 +62,11 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
         ShardInfo info;
         std::string skey;
         while (parsed && p.next_key(&skey)) {
-          std::uint64_t v = 0;
-          parsed = p.read_uint64(&v);
-          if (skey == "index") {
-            info.index = static_cast<std::size_t>(v);
-          } else if (skey == "run_begin") {
-            info.run_begin = static_cast<std::size_t>(v);
-          } else if (skey == "run_end") {
-            info.run_end = static_cast<std::size_t>(v);
-          }
+          std::size_t* const field = skey == "index"       ? &info.index
+                                     : skey == "run_begin" ? &info.run_begin
+                                     : skey == "run_end"   ? &info.run_end
+                                                           : nullptr;
+          parsed = field != nullptr ? p.read_number(field) : p.skip_value();
         }
         out->shards.push_back(info);
       }
@@ -93,7 +75,7 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
     }
     if (!parsed) return fail("manifest: malformed value");
   }
-  return true;
+  return p.at_end() || fail("manifest: malformed JSON");
 }
 
 void stamp_findings(std::string_view member, std::string_view findings_jsonl,
@@ -357,20 +339,16 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
   JsonLiteParser p(line);
   if (!p.enter_object()) return false;
   std::string key;
-  std::uint64_t u = 0;
   while (p.next_key(&key)) {
     bool parsed = true;
     if (key == "run") {
-      parsed = p.read_uint64(&u);
-      out->run = static_cast<std::size_t>(u);
+      parsed = p.read_number(&out->run);
     } else if (key == "attempts") {
-      parsed = p.read_uint64(&u);
-      out->attempts = static_cast<std::size_t>(u);
+      parsed = p.read_number(&out->attempts);
     } else if (key == "resched") {
-      parsed = p.read_uint64(&u);
-      out->reschedules = static_cast<std::size_t>(u);
+      parsed = p.read_number(&out->reschedules);
     } else if (key == "seed") {
-      parsed = p.read_uint64(&out->seed);
+      parsed = p.read_number(&out->seed);
     } else if (key == "ok") {
       parsed = p.read_bool(&out->ok);
     } else if (key == "error") {
@@ -560,7 +538,8 @@ bool ShardedCampaignSink::replay_closed_shards(std::string* error) {
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       ParsedOutcome po;
-      if (!fold_metrics_line(line, &po)) {
+      if (!fold_metrics_line(line, &po) || po.run < info.run_begin ||
+          po.run >= info.run_end) {
         *error = "malformed metrics line in " + path;
         return false;
       }
@@ -707,6 +686,23 @@ void concat_shards(const std::string& out_dir, const char* kind,
   }
 }
 
+// k-way merges the sorted timeline files at `paths` into os; false when one
+// cannot be opened or read.
+bool merge_timeline_files(std::span<const std::string> paths,
+                          std::ostream& os) {
+  std::vector<std::ifstream> files;
+  files.reserve(paths.size());
+  std::vector<std::istream*> streams;
+  for (const std::string& path : paths) {
+    files.emplace_back(path, std::ios::binary);
+    if (!files.back()) return false;
+    streams.push_back(&files.back());
+  }
+  merge_sorted_timeline_streams(streams, os);
+  return std::none_of(files.begin(), files.end(),
+                      [](const std::ifstream& f) { return f.bad(); });
+}
+
 }  // namespace
 
 void ShardFindingsMergeSink::write(std::ostream& os) const {
@@ -719,23 +715,29 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
     os.setstate(std::ios::failbit);
     return;
   }
-  std::vector<std::ifstream> files;
-  files.reserve(manifest.shards.size());
-  std::vector<std::istream*> streams;
-  streams.reserve(manifest.shards.size());
+  std::vector<std::string> paths;
   for (const ShardInfo& info : manifest.shards) {
-    files.emplace_back(shard_file(out_dir_, "timeline", info.index),
-                       std::ios::binary);
-    if (!files.back()) {
-      os.setstate(std::ios::failbit);
-      return;
+    paths.push_back(shard_file(out_dir_, "timeline", info.index));
+  }
+  std::vector<std::string> temps;
+  bool ok = true;
+  while (ok && paths.size() > kTimelineMergeFanIn) {
+    std::vector<std::string> next;
+    for (std::size_t i = 0; ok && i < paths.size(); i += kTimelineMergeFanIn) {
+      const auto group = std::span(paths).subspan(
+          i, std::min(kTimelineMergeFanIn, paths.size() - i));
+      temps.push_back(out_dir_ + "/timeline-pass-" +
+                      std::to_string(temps.size()) + ".tmp");
+      next.push_back(temps.back());
+      ok = write_file_atomic(temps.back(), [group](std::ostream& out) {
+        if (!merge_timeline_files(group, out)) out.setstate(std::ios::failbit);
+      });
     }
-    streams.push_back(&files.back());
+    paths = std::move(next);
   }
-  merge_sorted_timeline_streams(streams, os);
-  for (const std::ifstream& f : files) {
-    if (f.bad()) os.setstate(std::ios::failbit);
-  }
+  if (!ok || !merge_timeline_files(paths, os)) os.setstate(std::ios::failbit);
+  std::error_code ec;
+  for (const std::string& temp : temps) fs::remove(temp, ec);
 }
 
 void ShardMetricsMergeSink::write(std::ostream& os) const {

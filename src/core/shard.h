@@ -46,11 +46,6 @@
 
 namespace qoed::core {
 
-// Atomic write shared by shards, manifests and merged artifacts: the
-// content lands under a temporary name and is renamed into place, so a
-// reader never observes a partial file. False on I/O failure.
-bool write_file_atomic(const std::string& path, const std::string& content);
-
 struct ShardInfo {
   std::size_t index = 0;
   std::size_t run_begin = 0;  // first run committed to this shard
@@ -276,6 +271,13 @@ class ShardFindingsMergeSink final : public ExportSink {
  private:
   std::string out_dir_;
 };
+
+// Timeline shards one merge pass holds open. More shards merge in passes:
+// each run of this many consecutive files becomes one sorted temp file
+// beside the shards, in their place in the input order (the merge's last
+// tie-break), so the bytes are those of one pass; the temps are removed.
+// Above every fleetbench workload's shard count, which stay one pass.
+inline constexpr std::size_t kTimelineMergeFanIn = 128;
 
 class ShardTimelineMergeSink final : public ExportSink {
  public:

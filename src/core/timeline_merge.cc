@@ -1,7 +1,6 @@
 #include "core/timeline_merge.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -25,11 +24,8 @@ namespace {
 // scanner never copies a line: it finds the first `"key":` of each member
 // it needs in one pass over the line's quote characters (the first
 // occurrence of that needle anywhere in the line, as a substring search
-// would find it) and reads the value in place.
-
-bool json_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
+// would find it) and reads the value in place, through json_util.h's
+// number grammar.
 
 std::string_view skip_space(std::string_view v) {
   std::size_t i = 0;
@@ -60,61 +56,11 @@ void find_members(std::string_view line,
   }
 }
 
-// Length of the complete JSON number at the head of v, 0 if there is none:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? ending at the end of the
-// text, whitespace, ',', '}' or ']'. So "+1", "0x10", "01", ".5", "1." and
-// "nan" are not numbers. *integer: no sign, fraction or exponent.
-std::size_t json_number_length(std::string_view v, bool* integer) {
-  std::size_t i = 0;
-  const auto digits = [&] {
-    const std::size_t from = i;
-    while (i < v.size() && v[i] >= '0' && v[i] <= '9') ++i;
-    return i > from;
-  };
-  *integer = true;
-  if (i < v.size() && v[i] == '-') {
-    ++i;
-    *integer = false;
-  }
-  if (i < v.size() && v[i] == '0') {
-    ++i;
-  } else if (!digits()) {
-    return 0;
-  }
-  if (i < v.size() && v[i] == '.') {
-    ++i;
-    *integer = false;
-    if (!digits()) return 0;
-  }
-  if (i < v.size() && (v[i] == 'e' || v[i] == 'E')) {
-    ++i;
-    *integer = false;
-    if (i < v.size() && (v[i] == '+' || v[i] == '-')) ++i;
-    if (!digits()) return 0;
-  }
-  if (i < v.size() && !json_space(v[i]) && v[i] != ',' && v[i] != '}' &&
-      v[i] != ']') {
-    return 0;
-  }
-  return i;
-}
-
-// A complete JSON number that fits a finite double.
-bool json_double(std::string_view v, double* out) {
-  v = skip_space(v);
-  bool integer = false;
-  const std::size_t n = json_number_length(v, &integer);
-  return n > 0 &&
-         std::from_chars(v.data(), v.data() + n, *out).ec == std::errc();
-}
-
-// An unsigned 64-bit JSON integer.
-bool json_uint64(std::string_view v, std::uint64_t* out) {
-  v = skip_space(v);
-  bool integer = false;
-  const std::size_t n = json_number_length(v, &integer);
-  return n > 0 && integer &&
-         std::from_chars(v.data(), v.data() + n, *out).ec == std::errc();
+// The member value `v` as a complete JSON number of T's type
+// (read_json_number): a finite double, or an unsigned 64-bit integer.
+template <typename T>
+bool json_number(std::string_view v, T* out) {
+  return read_json_number(skip_space(v), out) > 0;
 }
 
 // A JSON string, viewed in place; only a string holding an escape is
@@ -150,9 +96,9 @@ bool scan_key(std::string_view line, bool with_device, std::string* decoded,
   static constexpr std::string_view kMembers[] = {"t", "seq", "device"};
   std::string_view v[3];
   find_members(line, std::span(kMembers, with_device ? 3 : 2), v);
-  if (!json_double(v[0], &key->t)) return false;
+  if (!json_number(v[0], &key->t)) return false;
   if (with_device && !json_string(v[2], decoded, &key->device)) return false;
-  if (!json_uint64(v[1], &key->seq)) key->seq = 0;
+  if (!json_number(v[1], &key->seq)) key->seq = 0;
   return true;
 }
 
@@ -314,7 +260,7 @@ bool group_label(std::string_view line, std::string* out) {
     return true;
   }
   std::uint64_t run = 0;
-  if (!json_uint64(member(line, "run"), &run)) return false;
+  if (!json_number(member(line, "run"), &run)) return false;
   *out = "run-" + std::to_string(run);
   return true;
 }
@@ -360,7 +306,7 @@ MergedSummary summarize_merged(std::string_view timeline_jsonl,
     Acc& acc = groups[label];
     ++acc.findings;
     double total = 0;
-    if (json_double(member(line, "total_s"), &total)) {
+    if (json_number(member(line, "total_s"), &total)) {
       acc.total_s.push_back(total);
     }
   });

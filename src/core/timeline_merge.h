@@ -13,10 +13,11 @@
 //
 // Every merge reads a line's key from its JSON text without copying the
 // line: the value after the first `"t":`, `"seq":` and (stream merge only;
-// merge_timelines keys on the input's label) `"device":` substring. "t"
-// must be a complete JSON number (not "+1", "0x10" or "2.5x") that fits a
-// finite double; "seq" orders as 0 unless it is an unsigned 64-bit
-// integer; "device" is a JSON string, compared decoded.
+// merge_timelines keys on the input's label) `"device":` substring, read
+// through the one number grammar of core/json_util.h. "t" must be a
+// complete JSON number (not "+1", "0x10" or "2.5x") that fits a finite
+// double; "seq" orders as 0 unless it is an unsigned 64-bit integer;
+// "device" is a JSON string, compared decoded.
 //
 // Robustness: real exports get truncated by crashes and corrupted in
 // transit. merge_timelines_checked quarantines malformed lines (not a JSON
@@ -105,6 +106,7 @@ void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 // campaign's lines carry the run stamp first, then the member's label).
 // Lines without a usable "t" or a "device" string are dropped (same
 // contract as merge_timelines). Returns the number of lines written.
+// ShardTimelineMergeSink hands one call at most kTimelineMergeFanIn files.
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out);
 

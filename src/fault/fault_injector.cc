@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/behavior_log.h"
 #include "core/collector.h"
+#include "core/json_util.h"
 #include "core/qoe_doctor.h"
 #include "core/report.h"
 #include "device/device.h"
@@ -388,8 +390,11 @@ std::unique_ptr<FaultInjector> injector_from_env(std::uint64_t seed_hint) {
   const char* plan_text = std::getenv("QOED_FAULT_PLAN");
   if (plan_text == nullptr || plan_text[0] == '\0') return nullptr;
   std::uint64_t base = 1;
-  if (const char* seed_text = std::getenv("QOED_FAULT_SEED")) {
-    base = std::strtoull(seed_text, nullptr, 10);
+  const char* seed_text = std::getenv("QOED_FAULT_SEED");
+  if (seed_text != nullptr && !core::parse_json_number(seed_text, &base)) {
+    throw std::invalid_argument(
+        "QOED_FAULT_SEED: not an unsigned 64-bit integer: \"" +
+        std::string(seed_text) + "\"");
   }
   const std::uint64_t seed =
       sim::Rng(base).fork("fault/run/" + std::to_string(seed_hint)).seed();

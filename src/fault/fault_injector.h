@@ -106,9 +106,10 @@ class FaultInjector {
 // Builds (without installing) an injector from the QOED_FAULT_PLAN /
 // QOED_FAULT_SEED environment variables (the CI fault-matrix hook): returns
 // null when QOED_FAULT_PLAN is unset or empty, throws std::invalid_argument
-// on a malformed plan. The injector seed is forked from the env seed
-// (default 1) and `seed_hint`, so per-run callers can pass their run seed
-// and get distinct-but-reproducible fault streams.
+// on a malformed plan or a QOED_FAULT_SEED that is not an unsigned 64-bit
+// JSON integer. The injector seed is forked from the env seed (default 1)
+// and `seed_hint`, so per-run callers can pass their run seed and get
+// distinct-but-reproducible fault streams.
 std::unique_ptr<FaultInjector> injector_from_env(std::uint64_t seed_hint = 0);
 
 }  // namespace qoed::fault

@@ -88,16 +88,14 @@ const MetricsRegistry::Histogram* MetricsRegistry::find_histogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
+void MetricsRegistry::merge_gauge(const std::string& name, double value) {
+  const auto [it, fresh] = gauges_.try_emplace(name, value);
+  if (!fresh) it->second = std::max(it->second, value);
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, v] : other.counters_) add_counter(name, v);
-  for (const auto& [name, v] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      gauges_.emplace(name, v);
-    } else {
-      it->second = std::max(it->second, v);
-    }
-  }
+  for (const auto& [name, v] : other.gauges_) merge_gauge(name, v);
   for (const auto& [name, h] : other.histograms_) {
     Histogram& mine = histogram(name, h.bounds);
     assert(mine.bounds == h.bounds && "histogram bound mismatch in merge");
@@ -182,12 +180,7 @@ bool MetricsRegistry::merge_from_json(std::string_view snapshot_json,
         if (is_counter) {
           add_counter(name, v);
         } else {
-          auto it = gauges_.find(name);
-          if (it == gauges_.end()) {
-            gauges_.emplace(name, v);
-          } else {
-            it->second = std::max(it->second, v);
-          }
+          merge_gauge(name, v);
         }
       }
     } else if (section == "histograms") {
@@ -200,29 +193,28 @@ bool MetricsRegistry::merge_from_json(std::string_view snapshot_json,
         std::uint64_t count = 0;
         std::int64_t sum = 0;
         std::string key;
-        double v = 0;
-        while (p.next_key(&key)) {
-          if (key == "bounds" || key == "counts") {
-            const bool is_bounds = key == "bounds";
-            if (!p.enter_array()) return fail("histogram: expected array");
-            while (p.array_next()) {
-              if (!p.read_number(&v)) return fail("histogram: bad number");
-              if (is_bounds) {
-                bounds.push_back(std::llround(v));
-              } else {
-                counts.push_back(
-                    static_cast<std::uint64_t>(std::llround(v)));
-              }
-            }
-          } else if (key == "count") {
-            if (!p.read_number(&v)) return fail("histogram: bad count");
-            count = static_cast<std::uint64_t>(std::llround(v));
-          } else if (key == "sum") {
-            if (!p.read_number(&v)) return fail("histogram: bad sum");
-            sum = std::llround(v);
-          } else if (!p.skip_value()) {
-            return fail("histogram: malformed value");
+        // Bounds, counts, count and sum are integers, read exactly.
+        const auto read_array = [&p](auto* values) {
+          if (!p.enter_array()) return false;
+          while (p.array_next()) {
+            if (!p.read_number(&values->emplace_back())) return false;
           }
+          return true;
+        };
+        while (p.next_key(&key)) {
+          bool parsed = true;
+          if (key == "bounds") {
+            parsed = read_array(&bounds);
+          } else if (key == "counts") {
+            parsed = read_array(&counts);
+          } else if (key == "count") {
+            parsed = p.read_number(&count);
+          } else if (key == "sum") {
+            parsed = p.read_number(&sum);
+          } else {
+            parsed = p.skip_value();
+          }
+          if (!parsed) return fail("histogram: malformed value");
         }
         if (counts.size() != bounds.size() + 1) {
           return fail("histogram: counts/bounds size mismatch");
@@ -241,7 +233,7 @@ bool MetricsRegistry::merge_from_json(std::string_view snapshot_json,
       return fail("registry snapshot: malformed value");
     }
   }
-  return true;
+  return p.at_end() || fail("registry snapshot: malformed JSON");
 }
 
 double histogram_quantile(const MetricsRegistry::Histogram& h, double q) {

@@ -102,6 +102,9 @@ class MetricsRegistry {
                        std::string* error = nullptr);
 
  private:
+  // A merged gauge keeps the maximum of the merged values.
+  void merge_gauge(const std::string& name, double value);
+
   std::map<std::string, double, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;

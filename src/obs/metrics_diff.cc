@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+
+#include "core/json_util.h"
 
 namespace qoed::obs {
 namespace {
@@ -170,18 +171,11 @@ std::vector<std::pair<std::string, double>> parse_tolerances(
                                   item + "'");
     }
     const std::string tol_text = item.substr(eq + 1);
-    double tol = 0;
-    if (tol_text == "inf") {
-      tol = std::numeric_limits<double>::infinity();
-    } else {
-      char* end = nullptr;
-      tol = std::strtod(tol_text.c_str(), &end);
-      if (tol_text.empty() || end != tol_text.c_str() + tol_text.size() ||
-          tol < 0) {
-        throw std::invalid_argument("tolerances: bad tolerance '" + tol_text +
-                                    "' for prefix '" + item.substr(0, eq) +
-                                    "'");
-      }
+    double tol = std::numeric_limits<double>::infinity();
+    if (tol_text != "inf" &&
+        (!core::parse_json_number(tol_text, &tol) || tol < 0)) {
+      throw std::invalid_argument("tolerances: bad tolerance '" + tol_text +
+                                  "' for prefix '" + item.substr(0, eq) + "'");
     }
     out.emplace_back(item.substr(0, eq), tol);
   }

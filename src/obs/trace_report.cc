@@ -123,6 +123,7 @@ bool analyze_trace(const std::string& chrome_json, TraceReport* out,
       }
     }
   }
+  if (!p.at_end()) return fail(error, "trace: malformed JSON");
   if (!saw_events) return fail(error, "trace: no traceEvents array");
 
   // Spans still open at end-of-trace (a crashed run) are reported as

@@ -1,5 +1,7 @@
 #include "svc/run_spec.h"
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,16 +18,10 @@
 
 namespace qoed::svc {
 
-namespace {
-
-bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
-  for (const char* a : allowed) {
-    if (v == a) return true;
-  }
-  return false;
+bool one_of(std::string_view v,
+            std::initializer_list<std::string_view> allowed) {
+  return std::find(allowed.begin(), allowed.end(), v) != allowed.end();
 }
-
-}  // namespace
 
 Instruments::Instruments(core::QoeDoctor& doctor, sim::EventLoop& loop,
                          std::unique_ptr<fault::FaultInjector> faults,
@@ -236,41 +232,39 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
   core::JsonLiteParser p(json);
   if (!p.enter_object()) return fail("spec: expected a JSON object");
   *out = ScenarioSpec{};
+  // Counts and the throttle are non-negative integers; arrival is a finite
+  // non-negative number.
+  const auto count = [&p](long* v) { return p.read_number(v) && *v >= 0; };
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    double num = 0;
     if (key == "scenario") {
       parsed = p.read_string(&out->scenario);
     } else if (key == "network") {
       parsed = p.read_string(&out->network);
     } else if (key == "seed") {
-      parsed = p.read_uint64(&out->seed);
+      parsed = p.read_number(&out->seed);
     } else if (key == "pages") {
-      parsed = p.read_number(&num);
-      out->pages = static_cast<long>(num);
+      parsed = count(&out->pages);
     } else if (key == "think") {
-      parsed = p.read_number(&num);
-      out->think_s = static_cast<long>(num);
+      parsed = count(&out->think_s);
     } else if (key == "kind") {
       parsed = p.read_string(&out->kind);
     } else if (key == "reps") {
-      parsed = p.read_number(&num);
-      out->reps = static_cast<long>(num);
+      parsed = count(&out->reps);
     } else if (key == "videos") {
-      parsed = p.read_number(&num);
-      out->videos = static_cast<long>(num);
+      parsed = count(&out->videos);
     } else if (key == "throttle") {
-      parsed = p.read_number(&num);
-      out->throttle_kbps = static_cast<long>(num);
+      parsed = count(&out->throttle_kbps);
     } else if (key == "mechanism") {
       parsed = p.read_string(&out->mechanism);
     } else if (key == "arrival") {
-      parsed = p.read_number(&out->arrival_s);
+      parsed = p.read_number(&out->arrival_s) &&
+               std::isfinite(out->arrival_s) && out->arrival_s >= 0;
     } else if (key == "fault_plan") {
       parsed = p.read_string(&out->fault_plan);
     } else if (key == "fault_seed") {
-      parsed = p.read_uint64(&out->fault_seed);
+      parsed = p.read_number(&out->fault_seed);
     } else if (key == "policy") {
       parsed = p.read_string(&out->policy);
     } else if (key == "cmd" || key == "id") {
@@ -278,8 +272,9 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
     } else {
       return fail("spec: unknown key \"" + key + "\"");
     }
-    if (!parsed) return fail("spec: malformed value for \"" + key + "\"");
+    if (!parsed) return fail("spec: invalid value for \"" + key + "\"");
   }
+  if (!p.at_end()) return fail("spec: malformed JSON after \"" + key + "\"");
   if (!one_of(out->scenario, {"pageload", "post", "video"})) {
     return fail("spec: unknown scenario \"" + out->scenario + "\"");
   }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,6 +26,10 @@
 #include "fault/fault_injector.h"
 
 namespace qoed::svc {
+
+// True when `v` is one of `allowed`: the enum checks of both spec kinds.
+bool one_of(std::string_view v,
+            std::initializer_list<std::string_view> allowed);
 
 struct ScenarioSpec {
   std::string scenario = "pageload";  // pageload | post | video
@@ -63,10 +68,13 @@ struct ScenarioSpec {
 
   // Parses one spec from a JSON object line; missing keys keep their
   // defaults and the serve protocol's "cmd" and "id" are skipped. False on
-  // malformed JSON, an unknown key (a misspelt "throttle" must not silently
-  // run unthrottled), an unknown scenario/network/kind/mechanism value or a
-  // fault plan or policy that does not parse, with a reason naming it in
-  // *error. qoed_cli's single-run flags go through the same checks.
+  // malformed JSON (text after the object included), an unknown key (a
+  // misspelt "throttle" must not silently run unthrottled), a count,
+  // throttle or seed that is not a non-negative JSON integer, an arrival
+  // that is negative or not finite, an unknown scenario/network/kind/
+  // mechanism value or a fault plan or policy that does not parse, with a
+  // reason naming it in *error. qoed_cli's single-run flags go through the
+  // same checks.
   static bool parse_json(std::string_view json, ScenarioSpec* out,
                          std::string* error);
 

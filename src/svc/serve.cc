@@ -135,6 +135,12 @@ void ServeEngine::reply(const std::string& line) {
   out_.flush();
 }
 
+void ServeEngine::reply_error(const std::string& error) {
+  std::string line = "{\"ok\":false,\"error\":";
+  core::append_json_string(line, error);
+  reply(line + '}');
+}
+
 void ServeEngine::wait_drained() {
   std::unique_lock<std::mutex> lock(progress_mu_);
   progress_cv_.wait(lock, [this] {
@@ -166,17 +172,11 @@ int ServeEngine::shutdown_now(bool ack) {
       !core::write_merged_artifacts(cfg_.shard.out_dir, &error)) {
     rc = 1;
   }
-  if (ack) {
-    std::ostringstream os;
-    if (rc == 0) {
-      os << "{\"ok\":true,\"shutdown\":true,\"runs\":"
-         << committed_.load(std::memory_order_acquire) << '}';
-    } else {
-      os << "{\"ok\":false,\"error\":";
-      core::put_json_string(os, error);
-      os << '}';
-    }
-    reply(os.str());
+  if (ack && rc != 0) {
+    reply_error(error);
+  } else if (ack) {
+    reply("{\"ok\":true,\"shutdown\":true,\"runs\":" +
+          std::to_string(committed_.load(std::memory_order_acquire)) + '}');
   }
   return rc;
 }
@@ -194,8 +194,9 @@ void ServeEngine::handle_line(const std::string& line, bool* shutdown) {
         parsed = p.skip_value();
       }
     }
-    if (!parsed) {
-      reply("{\"ok\":false,\"error\":\"malformed command line\"}");
+    if (!parsed || !p.at_end()) {
+      reply_error(key.empty() ? "malformed command line"
+                              : "malformed command line at \"" + key + "\"");
       return;
     }
   }
@@ -203,11 +204,7 @@ void ServeEngine::handle_line(const std::string& line, bool* shutdown) {
     ScenarioSpec spec;
     std::string error;
     if (!ScenarioSpec::parse_json(line, &spec, &error)) {
-      std::ostringstream os;
-      os << "{\"ok\":false,\"error\":";
-      core::put_json_string(os, error);
-      os << '}';
-      reply(os.str());
+      reply_error(error);
       return;
     }
     // The ack is written under out_mu_ around the enqueue so this run's
@@ -261,11 +258,7 @@ void ServeEngine::handle_line(const std::string& line, bool* shutdown) {
     *shutdown = true;
     return;
   }
-  std::ostringstream os;
-  os << "{\"ok\":false,\"error\":";
-  core::put_json_string(os, "unknown cmd \"" + cmd + "\"");
-  os << '}';
-  reply(os.str());
+  reply_error("unknown cmd \"" + cmd + "\"");
 }
 
 int ServeEngine::run() {

@@ -73,6 +73,7 @@ class ServeEngine {
   void worker_main();
   void handle_line(const std::string& line, bool* shutdown);
   void reply(const std::string& line);
+  void reply_error(const std::string& error);  // {"ok":false,"error":...}
   void wait_drained();
   int shutdown_now(bool ack);
 

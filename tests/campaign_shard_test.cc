@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -22,6 +23,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/export_sink.h"
@@ -572,6 +575,71 @@ TEST(CampaignShard, WriteMergedArtifactsNamesTheFileItCannotWrite) {
                            "captures.jsonl"}) {
     EXPECT_TRUE(fs::is_regular_file(dir + "/" + name)) << name;
   }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
+// More timeline shards than one merge pass holds open: the passes through
+// temp files give the bytes of one k-way merge over every shard, full-key
+// ties across shards included (they leave in shard order), and leave no
+// temp file behind.
+TEST(CampaignShard, TimelineMergeOverTheFanInEqualsOnePass) {
+  const std::string dir = scratch_dir("fan_in");
+  fs::create_directories(dir);
+  const std::size_t shards = 2 * kTimelineMergeFanIn + 44;
+  std::ostringstream manifest;
+  manifest << "{\"campaign\":\"c\",\"master_seed\":1,\"runs\":" << shards
+           << ",\"complete\":true,\"shards\":[";
+  std::vector<std::string> texts;
+  sim::Rng rng(99);
+  for (std::size_t i = 0; i < shards; ++i) {
+    manifest << (i ? "," : "") << "{\"index\":" << i << ",\"run_begin\":" << i
+             << ",\"run_end\":" << i + 1 << '}';
+    // Few distinct (t, device, seq) keys, so most lines tie across shards.
+    std::vector<std::tuple<double, std::string, int>> keys;
+    for (int k = 0; k < 6; ++k) {
+      keys.emplace_back(0.5 * static_cast<double>(rng.uniform_int(1, 4)),
+                        rng.bernoulli(0.5) ? "a" : "b",
+                        static_cast<int>(rng.uniform_int(0, 1)));
+    }
+    std::sort(keys.begin(), keys.end());
+    std::ostringstream text;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const auto& [t, device, seq] = keys[k];
+      text << "{\"device\":\"" << device << "\",\"t\":" << t
+           << ",\"seq\":" << seq << ",\"shard\":" << i << ",\"line\":" << k
+           << "}\n";
+    }
+    texts.push_back(text.str());
+    char name[32];
+    std::snprintf(name, sizeof name, "/timeline-%06zu.jsonl", i);
+    std::ofstream(dir + name, std::ios::binary) << texts.back();
+  }
+  manifest << "]}";
+  std::ofstream(dir + "/MANIFEST.json", std::ios::binary) << manifest.str();
+
+  std::vector<std::istringstream> streams;
+  streams.reserve(texts.size());
+  std::vector<std::istream*> inputs;
+  for (const std::string& text : texts) {
+    inputs.push_back(&streams.emplace_back(text));
+  }
+  std::ostringstream one_pass;
+  EXPECT_EQ(merge_sorted_timeline_streams(inputs, one_pass), 6 * shards);
+  EXPECT_EQ(ShardTimelineMergeSink(dir).to_string(), one_pass.str());
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
+// A shard whose target path is a directory fails to write, and the one
+// atomic writer removes the temp file it wrote first.
+TEST(CampaignShard, FailedShardWriteLeavesNoTempFile) {
+  const std::string dir = scratch_dir("write_target_is_dir");
+  fs::create_directories(dir + "/timeline-000000.jsonl/keep");
+  CampaignConfig cfg = sharded_config(dir, 2, 1);
+  EXPECT_THROW(Campaign(cfg).run(synthetic_factory()), std::runtime_error);
   for (const auto& entry : fs::directory_iterator(dir)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }

@@ -157,6 +157,33 @@ TEST(Serve, RejectsMalformedInput) {
   EXPECT_EQ(count_containing(lines, "\"shutdown\":true,\"runs\":0"), 1u);
 }
 
+// A submit that fails the spec reader is refused naming its key and takes
+// no id, and the session keeps serving: the next valid submit runs as id 0.
+TEST(Serve, MalformedSubmitNamesTheKeyAndTakesNoId) {
+  const std::string dir = scratch_dir("malformed_submit");
+  std::istringstream in(
+      "{\"cmd\":\"submit\",\"scenario\":\"video\",\"videos\":-1}\n"
+      "{\"cmd\":\"submit\",\"scenario\":\"post\",\"reps\":1e300}\n"
+      "{\"cmd\":\"submit\",\"pages\":0x10}\n"
+      "{\"cmd\":\"submit\",\"pages\":9 \"seed\":4}\n" +
+      submit_line(31) + "{\"cmd\":\"drain\"}\n{\"cmd\":\"shutdown\"}\n");
+  std::ostringstream out;
+  ServeEngine engine(in, out, serve_config(dir));
+  EXPECT_EQ(engine.run(), 0);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_GE(lines.size(), 5u);
+  const char* const keys[] = {"videos", "reps", "pages", "pages"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lines[i].rfind("{\"ok\":false,\"error\":", 0), 0u) << lines[i];
+    EXPECT_NE(lines[i].find(std::string("\\\"") + keys[i] + "\\\""),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[4], "{\"ok\":true,\"id\":0}");
+  EXPECT_EQ(count_containing(lines, "\"event\":\"run\",\"id\":0"), 1u);
+  EXPECT_EQ(count_containing(lines, "\"shutdown\":true,\"runs\":1"), 1u);
+}
+
 // The determinism contract: serve commits runs through the same sink and
 // seeds runs from the spec itself, so a serve session and a batch fleet
 // over the same spec list, configured from one CampaignConfig, leave
