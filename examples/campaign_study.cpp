@@ -6,17 +6,22 @@
 //
 //   ./build/examples/campaign_study [runs] [jobs]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "apps/web_server.h"
 #include "core/export_sink.h"
+#include "core/json_util.h"
 #include "core/qoe_doctor.h"
 
 int main(int argc, char** argv) {
   using namespace qoed;
-  const std::size_t runs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 12;
-  const std::size_t jobs = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
+  std::size_t runs = 12;
+  std::size_t jobs = 0;
+  if (argc > 3 || (argc > 1 && !core::parse_json_number(argv[1], &runs)) ||
+      (argc > 2 && !core::parse_json_number(argv[2], &jobs))) {
+    std::fprintf(stderr, "usage: campaign_study [runs] [jobs]\n");
+    return 2;
+  }
 
   core::CampaignConfig cfg;
   cfg.name = "page_load_study";

@@ -186,6 +186,21 @@ bool run_sink(const core::ExportSink& sink, const std::string& path) {
   return write_text(path, sink.to_string(), std::string(sink.id()));
 }
 
+// Reads count flag `key` straight into *out, its field's type (unchanged
+// when the flag is absent); false, after naming the flag, when the value
+// does not fit that type.
+template <typename T>
+bool read_count(const Options& opt, const char* command,
+                const std::string& key, T* out) {
+  const auto it = opt.kv.find(key);
+  if (it == opt.kv.end() || core::parse_json_number(it->second, out)) {
+    return true;
+  }
+  std::printf("%s: invalid value for --%s: \"%s\"\n", command, key.c_str(),
+              it->second.c_str());
+  return false;
+}
+
 // What a flag takes: any text, a non-negative integer, a non-negative
 // finite number, or a ScenarioSpec field (its spec JSON key is the flag
 // with '_' for '-'), which ScenarioSpec::parse_json checks.
@@ -611,18 +626,23 @@ int run_cell(const Options& opt) {
       return 2;
     }
   } else {
-    spec = cell::CellScenarioSpec::uniform(
-        opt.get("app", "browser"), static_cast<int>(opt.count("devices", 4)),
-        opt.number("stagger", 1));
+    int devices = 4;
+    long actions = 3;
+    if (!read_count(opt, "cell", "devices", &devices) ||
+        !read_count(opt, "cell", "actions", &actions)) {
+      return 2;
+    }
+    spec = cell::CellScenarioSpec::uniform(opt.get("app", "browser"), devices,
+                                           opt.number("stagger", 1));
     spec.network = opt.get("network", "3g");
     spec.seed = opt.count("seed", 1);
     spec.capacity_kbps = opt.number("capacity", 2000);
-    spec.throttle_kbps = static_cast<long>(opt.count("throttle", 0));
     spec.mechanism = opt.get("mechanism", "shaping");
-    spec.max_active_grants = static_cast<int>(opt.count("grants", 0));
-    for (auto& d : spec.devices) {
-      d.actions = static_cast<long>(opt.count("actions", 3));
+    if (!read_count(opt, "cell", "throttle", &spec.throttle_kbps) ||
+        !read_count(opt, "cell", "grants", &spec.max_active_grants)) {
+      return 2;
     }
+    for (auto& d : spec.devices) d.actions = actions;
   }
 
   core::RunResult result;
@@ -688,7 +708,7 @@ int run_pop(const Options& opt) {
   pop::PopulationConfig cfg;
   cfg.seed = opt.count("seed", cfg.seed);
   cfg.users = opt.count("users", cfg.users);
-  cfg.days = static_cast<int>(opt.count("days", cfg.days));
+  if (!read_count(opt, "pop", "days", &cfg.days)) return 2;
   cfg.network = carried.network;
   cfg.throttle_kbps = carried.throttle_kbps;
   cfg.mechanism = carried.mechanism;

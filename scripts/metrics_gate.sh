@@ -164,8 +164,9 @@ cmp "$PARITY/fleet-findings.jsonl" "$PARITY/cli-findings.jsonl"
 # Single-run flags pass the spec checks and every command checks its own
 # flags: a bad value, a malformed number or an unknown flag (including the
 # flags of the retired in-memory fleet mode and merged-artifact path
-# overrides, and a cell spec flag beside a spec file) exits 2 instead of
-# running something else, and writes nothing. The cell spec file itself is
+# overrides, a cell spec flag beside a spec file, and a count too large for
+# its field, which used to be truncated) exits 2 instead of running
+# something else, and writes nothing. The cell spec file itself is
 # valid: it runs alone.
 BAD_POP="$WORK/bad-pop.jsonl"
 BAD_CELL="$WORK/bad-cell.jsonl"
@@ -184,7 +185,9 @@ for bad in "pageload --network=ltee" "video --throttle_kbps=200" \
            "pop --network=ltee --mechanism=police --out=$BAD_POP" \
            "pop --mix=0.4,x --out=$BAD_POP" "pop --diurnal=flatt --out=$BAD_POP" \
            "cell --devices=1 --actions=1 --capacity=2Mbps --bogus=1" \
-           "cell --spec-file=$CELL_SPEC --devices=5 --timeline=$BAD_CELL"; do
+           "cell --spec-file=$CELL_SPEC --devices=5 --timeline=$BAD_CELL" \
+           "cell --devices=4294967297 --actions=0 --timeline=$BAD_CELL" \
+           "pop --days=4294967297 --out=$BAD_POP"; do
   rc=0
   # shellcheck disable=SC2086  # word-split the subcommand and its flag
   "$CLI" $bad < /dev/null > "$WORK/bad-input.log" || rc=$?

@@ -164,7 +164,8 @@ CampaignResult Campaign::run(const RunFn& fn) {
 
   // Every run commits through the sink: it orders and folds, and with an
   // out_dir also writes the shards. Resume skips the durable prefix.
-  ShardedCampaignSink sink(cfg_.shard, cfg_.name, cfg_.master_seed, runs);
+  ShardedCampaignSink sink(cfg_.shard, cfg_.name, cfg_.master_seed, runs,
+                           jobs);
   const std::size_t start = sink.committed();
 
   std::atomic<std::size_t> next{start};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -189,8 +190,12 @@ void ShardedCampaignSink::Welford::add(double v) {
 ShardedCampaignSink::ShardedCampaignSink(const CampaignShardConfig& cfg,
                                          std::string campaign,
                                          std::uint64_t master_seed,
-                                         std::size_t planned_runs)
-    : cfg_(cfg) {
+                                         std::size_t planned_runs,
+                                         std::size_t jobs)
+    : cfg_(cfg),
+      park_budget_(jobs > 0 && cfg.shard_bytes > SIZE_MAX / jobs
+                       ? SIZE_MAX
+                       : jobs * cfg.shard_bytes) {
   manifest_.campaign = std::move(campaign);
   manifest_.master_seed = master_seed;
   manifest_.runs = planned_runs;
@@ -278,9 +283,14 @@ void ShardedCampaignSink::submit_locked(std::size_t run_index,
   if (run_index < frontier_) return;  // resume overlap; already durable
   if (run_index != frontier_) {
     Pending p;
-    if (!cfg_.out_dir.empty()) {
-      // Spill out-of-order completions so memory stays O(shard budget)
-      // even when one slow run stalls the frontier.
+    const std::size_t bytes = metrics_line.size() + findings.size() +
+                              timeline.size() + captures.size();
+    const bool fits = parked_bytes_ <= park_budget_ &&
+                      bytes <= park_budget_ - parked_bytes_;
+    if (!cfg_.out_dir.empty() && !fits) {
+      // Spill the out-of-order completions past the park budget, so memory
+      // stays O(jobs x shard budget) even when one slow run stalls the
+      // frontier.
       std::ofstream os(pending_path(run_index),
                        std::ios::binary | std::ios::trunc);
       os << metrics_line.size() << ' ' << findings.size() << ' '
@@ -292,7 +302,8 @@ void ShardedCampaignSink::submit_locked(std::size_t run_index,
       os.write(captures.data(), static_cast<std::streamsize>(captures.size()));
       p.spilled = static_cast<bool>(os);
     }
-    if (!p.spilled) {  // no out_dir, or disk trouble: keep the run in memory
+    if (!p.spilled) {  // parked in memory (also on disk trouble)
+      parked_bytes_ += bytes;
       p.metrics = std::move(metrics_line);
       p.findings = std::move(findings);
       p.timeline = std::move(timeline);
@@ -328,6 +339,9 @@ void ShardedCampaignSink::submit_locked(std::size_t run_index,
       }
       std::error_code ec;
       fs::remove(pending_path(idx), ec);
+    } else {
+      parked_bytes_ -= p.metrics.size() + p.findings.size() +
+                       p.timeline.size() + p.captures.size();
     }
     commit_locked(idx, p.metrics, std::move(p.findings), std::move(p.timeline),
                   std::move(p.captures), closed);
@@ -486,7 +500,9 @@ void ShardedCampaignSink::write_shard(ShardWrite&& w) {
   const bool ok =
       write_file_atomic(shard_path("findings", index), w.findings) &&
       write_file_atomic(shard_path("timeline", index),
-                        merge_timelines(w.timelines)) &&
+                        [&w](std::ostream& os) {
+                          merge_timelines(w.timelines, os);
+                        }) &&
       write_file_atomic(shard_path("metrics", index), w.metrics) &&
       write_file_atomic(shard_path("captures", index), w.captures);
   std::lock_guard<std::mutex> lock(mu_);

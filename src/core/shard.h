@@ -8,7 +8,10 @@
 // resume continues from:
 //   findings-NNNNNN.jsonl   stamped {"run":N,...} findings, run-index order
 //   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
-//                           the (t, device, seq) merge key
+//                           the (t, device, seq) merge key: the closing
+//                           worker merges the runs' timelines straight into
+//                           the file (merge_timelines to a stream), outside
+//                           the sink lock
 //   metrics-NNNNNN.jsonl    one per-run line: outcome, samples, registry
 //   captures-NNNNNN.jsonl   stamped {"run":N,...} policy capture slices
 //   MANIFEST.json           shard index + durable commit frontier
@@ -21,12 +24,17 @@
 //   captures.jsonl  = concatenation of captures shards (run-index order)
 //
 // Determinism: runs are committed strictly in run-index order regardless of
-// worker completion order (out-of-order payloads spill to pending files, so
-// memory stays O(jobs x shard budget): each worker holds at most the shard
-// it closed while it writes it); every fold happens at commit from the
+// worker completion order; every fold happens at commit from the
 // serialized metrics line, the line resume and the metrics merge replay,
 // and %.17g doubles round-trip exactly — so the merged artifacts and the
 // CampaignResult are byte-identical at any --jobs.
+//
+// Memory: a run that arrives ahead of the commit frontier waits in memory
+// while the parked runs fit jobs x shard_bytes, and past that spills to a
+// pending file (spilling every one made fleet-video-throttled write and
+// read back 49-56 of its 128 runs under the sink lock). Memory stays
+// O(jobs x shard budget): those parked runs, plus at most the shard each
+// worker closed while it writes it.
 #pragma once
 
 #include <cstddef>
@@ -103,14 +111,19 @@ class ShardedCampaignSink {
   };
   using CommitHook = std::function<void(const Commit&)>;
 
-  // Creates out_dir if needed. With cfg.resume and a matching manifest,
+  // Creates out_dir if needed. `jobs`, the number of workers submitting,
+  // sizes the park budget: up to jobs x cfg.shard_bytes bytes of runs that
+  // arrive ahead of the commit frontier wait in memory, and runs past it
+  // spill to pending files (all of them when shard_bytes is 0). With
+  // cfg.resume and a matching manifest,
   // replays the closed shards into the aggregates and continues at the
   // durable frontier; a manifest disagreeing on (campaign, master_seed,
   // runs), or a listed metrics shard that is missing, unreadable or holds
   // a malformed line, throws std::runtime_error. Without resume, stale
   // manifest and pending files in out_dir are removed.
   ShardedCampaignSink(const CampaignShardConfig& cfg, std::string campaign,
-                      std::uint64_t master_seed, std::size_t planned_runs);
+                      std::uint64_t master_seed, std::size_t planned_runs,
+                      std::size_t jobs = 1);
 
   // Folds the manifest-listed metrics shards of out_dir through the resume
   // replay, leaving the directory untouched: what metrics.json and
@@ -203,7 +216,8 @@ class ShardedCampaignSink {
   // and resume replay alike).
   void record_outcome(std::size_t run_index, const ParsedOutcome& po);
   // Commits run_index if it is the frontier, then every parked successor;
-  // parks (spills) it otherwise. Shards the commits close go to *closed.
+  // parks it otherwise, in memory or past the park budget in a pending
+  // file. Shards the commits close go to *closed.
   void submit_locked(std::size_t run_index, std::string& metrics_line,
                      std::string&& findings, std::string&& timeline,
                      std::string&& captures, std::vector<ShardWrite>* closed);
@@ -231,6 +245,10 @@ class ShardedCampaignSink {
   // finalize() rethrows it on the caller's thread (workers must not throw).
   std::string io_error_;
   std::map<std::size_t, Pending> pending_;
+  // Bytes of the pending_ runs held in memory, kept within park_budget_
+  // when sharding to disk.
+  std::size_t park_budget_ = 0;
+  std::size_t parked_bytes_ = 0;
   CommitHook hook_;
   std::size_t next_shard_ = 0;  // index of the next shard taken
   // Shards written but not yet listed: a shard before them is still being

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <istream>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <span>
-#include <sstream>
 #include <string_view>
 #include <tuple>
 
@@ -20,12 +21,11 @@ namespace {
 
 // ---- key scanner ----
 //
-// Every merge orders lines by a key read straight from the JSON text. The
-// scanner never copies a line: it finds the first `"key":` of each member
-// it needs in one pass over the line's quote characters (the first
-// occurrence of that needle anywhere in the line, as a substring search
-// would find it) and reads the value in place, through json_util.h's
-// number grammar.
+// The definition of a line's merge key: the scanner never copies a line,
+// it finds the first `"key":` of each member it needs in one pass over the
+// line's quote characters (the first occurrence of that needle anywhere in
+// the line, as a substring search would find it) and reads the value in
+// place, through json_util.h's number grammar.
 
 std::string_view skip_space(std::string_view v) {
   std::size_t i = 0;
@@ -80,86 +80,191 @@ bool json_string(std::string_view v, std::string* decoded,
   return true;
 }
 
-// A line's merge key. seq is 0 unless the line's seq is an unsigned 64-bit
-// integer; device views the line, or *decoded for an escaped label.
-struct LineKey {
-  double t = 0;
-  std::uint64_t seq = 0;
-  std::string_view device;
-};
+}  // namespace
 
-// False when the line's "t" is missing or not a complete JSON number that
-// fits a finite double, or (with_device) it has no "device" string: such a
-// line is not merged.
-bool scan_key(std::string_view line, bool with_device, std::string* decoded,
-              LineKey* key) {
+bool scan_timeline_key(std::string_view line, bool with_device,
+                       std::string* decoded, TimelineKey* key) {
   static constexpr std::string_view kMembers[] = {"t", "seq", "device"};
   std::string_view v[3];
   find_members(line, std::span(kMembers, with_device ? 3 : 2), v);
   if (!json_number(v[0], &key->t)) return false;
+  key->device = {};
   if (with_device && !json_string(v[2], decoded, &key->device)) return false;
   if (!json_number(v[1], &key->seq)) key->seq = 0;
   return true;
 }
 
-// One input of the stream merge: a reused line buffer and its key.
-struct StreamReader {
-  std::istream* in = nullptr;
-  std::string line;
-  std::string decoded;
-  LineKey key;
-
-  // Moves to the next mergeable line; false at the end of the input.
-  bool advance() {
-    while (std::getline(*in, line)) {
-      if (!line.empty() && scan_key(line, true, &decoded, &key)) return true;
+// The prefix holds no quote the scan could take for an earlier needle: a
+// label without '"' or '\' cannot hold `t":`, `seq":` or `device":`, so the
+// first occurrence of each is the prefix's own, read by the same grammar.
+bool prefix_timeline_key(std::string_view line, bool with_device,
+                         TimelineKey* key) {
+  static constexpr std::string_view kDevice = "\"device\":\"";
+  static constexpr std::string_view kT = "\"t\":";
+  static constexpr std::string_view kSeq = ",\"seq\":";
+  if (!line.starts_with('{')) return false;
+  std::string_view rest = line.substr(1);
+  bool labelled = false;
+  while (rest.starts_with(kDevice)) {
+    const std::size_t end = rest.find_first_of("\"\\", kDevice.size());
+    if (end == std::string_view::npos || rest[end] != '"' ||
+        end + 1 == rest.size() || rest[end + 1] != ',') {
+      return false;
     }
-    return false;
+    if (!labelled) {
+      key->device = rest.substr(kDevice.size(), end - kDevice.size());
+      labelled = true;
+    }
+    rest.remove_prefix(end + 2);
   }
+  if ((with_device && !labelled) || !rest.starts_with(kT)) return false;
+  rest.remove_prefix(kT.size());
+  const std::size_t n = read_json_number(rest, &key->t);
+  if (n == 0 || !rest.substr(n).starts_with(kSeq)) return false;
+  if (!json_number(rest.substr(n + kSeq.size()), &key->seq)) key->seq = 0;
+  if (!with_device) key->device = {};
+  return true;
+}
+
+namespace {
+
+// Output is handed to a stream in chunks of about this many bytes.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+// Merges inputs that are each already sorted. `before(a, b)`: input a's
+// current line leaves before input b's (a total order, the input index
+// last); `emit(i)` writes input i's current line and moves to its next,
+// false once it has none. The leading input keeps emitting while it stays
+// ahead of the runner-up, so the heap moves only when the lead changes.
+template <typename Before, typename Emit>
+void merge_sorted_inputs(std::vector<std::size_t> live, const Before& before,
+                         const Emit& emit) {
+  const auto later = [&before](std::size_t a, std::size_t b) {
+    return before(b, a);
+  };
+  std::make_heap(live.begin(), live.end(), later);
+  while (!live.empty()) {
+    std::pop_heap(live.begin(), live.end(), later);
+    const std::size_t lead = live.back();
+    live.pop_back();
+    bool more = false;
+    do {
+      more = emit(lead);
+    } while (more && (live.empty() || before(lead, live.front())));
+    if (more) {
+      live.push_back(lead);
+      std::push_heap(live.begin(), live.end(), later);
+    }
+  }
+}
+
+// One input of the stream merge: its stream read in blocks into a reused
+// buffer, each line viewed in place, and the current line's key.
+class BlockReader {
+ public:
+  explicit BlockReader(std::istream* in) : in_(in), eof_(in == nullptr) {}
+
+  std::string_view line;  // the current line, without its '\n'
+  TimelineKey key;
+
+  // Moves to the next mergeable line; false at the end of the input, or
+  // once it goes bad: the block being read then is lost, and so is a line
+  // the last whole block left unfinished.
+  bool advance() {
+    for (;;) {
+      const char* const from = buf_.data() + begin_;
+      const void* const nl = std::memchr(from, '\n', end_ - begin_);
+      if (nl != nullptr) {
+        const std::size_t len = static_cast<const char*>(nl) - from;
+        line = std::string_view(from, len);
+        begin_ += len + 1;
+      } else if (!eof_) {
+        refill();
+        continue;
+      } else if (begin_ < end_ && !in_->bad()) {
+        line = std::string_view(from, end_ - begin_);  // no final '\n'
+        begin_ = end_;
+      } else {
+        return false;
+      }
+      if (!line.empty() && read_timeline_key(line, true, &decoded_, &key)) {
+        return true;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlockBytes = std::size_t{256} << 10;
+
+  // Moves the unread tail to the front, grows the buffer when that tail (a
+  // line not yet ended) fills more than half of it, and reads behind it.
+  void refill() {
+    const std::size_t tail = end_ - begin_;
+    if (begin_ > 0) std::memmove(buf_.data(), buf_.data() + begin_, tail);
+    begin_ = 0;
+    end_ = tail;
+    if (buf_.size() < kBlockBytes) {
+      buf_.resize(kBlockBytes);
+    } else if (tail > buf_.size() / 2) {
+      buf_.resize(2 * buf_.size());
+    }
+    in_->read(buf_.data() + end_,
+              static_cast<std::streamsize>(buf_.size() - end_));
+    end_ += static_cast<std::size_t>(in_->gcount());
+    eof_ = !*in_;
+  }
+
+  std::istream* in_;
+  bool eof_;
+  std::string buf_;
+  std::size_t begin_ = 0, end_ = 0;  // unread bytes: buf_[begin_, end_)
+  std::string decoded_;
 };
 
 }  // namespace
 
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out) {
-  std::vector<StreamReader> readers(inputs.size());
-  std::vector<std::size_t> heap;
-  heap.reserve(inputs.size());
+  std::vector<BlockReader> readers;
+  readers.reserve(inputs.size());
+  std::vector<std::size_t> live;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    readers[i].in = inputs[i];
-    if (inputs[i] != nullptr && readers[i].advance()) heap.push_back(i);
+    readers.emplace_back(inputs[i]);
+    if (readers.back().advance()) live.push_back(i);
   }
-  // Max-heap on "comes later", so the front is the next line to write;
-  // equal keys leave in input order.
-  const auto later = [&readers](std::size_t a, std::size_t b) {
-    const LineKey& x = readers[a].key;
-    const LineKey& y = readers[b].key;
-    return std::tie(x.t, x.device, x.seq, a) >
+  const auto before = [&readers](std::size_t a, std::size_t b) {
+    const TimelineKey& x = readers[a].key;
+    const TimelineKey& y = readers[b].key;
+    return std::tie(x.t, x.device, x.seq, a) <
            std::tie(y.t, y.device, y.seq, b);
   };
-  std::make_heap(heap.begin(), heap.end(), later);
+  std::string chunk;
+  chunk.reserve(kChunkBytes);
   std::size_t written = 0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    StreamReader& r = readers[heap.back()];
-    out.write(r.line.data(), static_cast<std::streamsize>(r.line.size()));
-    out.put('\n');
+  merge_sorted_inputs(std::move(live), before, [&](std::size_t i) {
+    BlockReader& r = readers[i];
+    chunk.append(r.line);
+    chunk.push_back('\n');
     ++written;
-    if (r.advance()) {
-      std::push_heap(heap.begin(), heap.end(), later);
-    } else {
-      heap.pop_back();
+    if (chunk.size() >= kChunkBytes) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      chunk.clear();
     }
-  }
+    return r.advance();
+  });
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
   return written;
 }
 
-TimelineMergeResult merge_timelines_checked(
-    const std::vector<DeviceTimeline>& inputs) {
-  TimelineMergeResult result;
-  result.inputs.reserve(inputs.size());
+namespace {
 
-  // Labels rank in string order (equal labels share a rank), so the sort
+// merge_timelines_checked into `out`; with a `sink`, `out` is a reused
+// chunk buffer written to it whenever it passes kChunkBytes, and at the
+// end. Returns the per-input stats.
+std::vector<TimelineMergeStats> merge_checked(
+    const std::vector<DeviceTimeline>& inputs, std::string& out,
+    std::ostream* sink) {
+  // Labels rank in string order (equal labels share a rank), so the merge
   // compares integers; each input's stamp is rendered once.
   std::vector<std::size_t> by_label(inputs.size());
   std::iota(by_label.begin(), by_label.end(), std::size_t{0});
@@ -176,27 +281,27 @@ TimelineMergeResult merge_timelines_checked(
   std::vector<std::string> stamps;
   stamps.reserve(inputs.size());
   for (const DeviceTimeline& input : inputs) {
-    std::ostringstream os;
-    os << "{\"device\":";
-    put_json_string(os, input.device);
-    stamps.push_back(os.str());
+    std::string stamp = "{\"device\":";
+    append_json_string(stamp, input.device);
+    stamps.push_back(std::move(stamp));
   }
 
   struct Entry {
     double t;
     std::uint64_t seq;
-    std::uint32_t rank;
-    std::uint32_t input;
-    std::size_t order;      // position across all inputs: the last tie-break
     std::string_view body;  // the line, without its opening '{'
   };
-  std::vector<Entry> entries;
+  // Each input's usable lines, keyed once and put in (t, seq) order.
+  std::vector<std::vector<Entry>> entries(inputs.size());
+  std::vector<TimelineMergeStats> stats(inputs.size());
+  std::vector<std::size_t> live;
   std::size_t bytes = 0;
-  for (std::uint32_t i = 0; i < inputs.size(); ++i) {
-    TimelineMergeStats stats;
-    stats.device = inputs[i].device;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    TimelineMergeStats& s = stats[i];
+    s.device = inputs[i].device;
+    std::vector<Entry>& lines = entries[i];
     double prev_t = 0;
-    bool have_prev = false;
+    bool sorted = true;
     std::string_view rest = inputs[i].jsonl;
     while (!rest.empty()) {
       const auto nl = rest.find('\n');
@@ -204,42 +309,78 @@ TimelineMergeResult merge_timelines_checked(
       rest = nl == std::string_view::npos ? std::string_view{}
                                           : rest.substr(nl + 1);
       if (line.empty()) continue;  // blank lines are not corruption
-      ++stats.lines;
+      ++s.lines;
       // Quarantine rules: a usable line is a JSON object (braces on both
       // ends) carrying a usable "t". Anything else is counted, not merged.
-      LineKey key;
+      TimelineKey key;
       if (line.front() != '{' || line.back() != '}' ||
-          !scan_key(line, false, nullptr, &key)) {
-        ++stats.malformed;
+          !read_timeline_key(line, false, nullptr, &key)) {
+        ++s.malformed;
         continue;
       }
-      if (have_prev && key.t < prev_t) ++stats.out_of_order;
+      if (!lines.empty()) {
+        if (key.t < prev_t) ++s.out_of_order;
+        const Entry& last = lines.back();
+        sorted = sorted &&
+                 std::tie(last.t, last.seq) <= std::tie(key.t, key.seq);
+      }
       prev_t = std::max(prev_t, key.t);
-      have_prev = true;
-      entries.push_back(
-          {key.t, key.seq, rank[i], i, entries.size(), line.substr(1)});
+      lines.push_back({key.t, key.seq, line.substr(1)});
       bytes += stamps[i].size() + line.size() + 1;
     }
-    result.inputs.push_back(std::move(stats));
+    // Stable, so lines whose (t, seq) ties keep their input order.
+    if (!sorted) {
+      std::stable_sort(lines.begin(), lines.end(),
+                       [](const Entry& a, const Entry& b) {
+                         return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
+                       });
+    }
+    if (!lines.empty()) live.push_back(i);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::tie(a.t, a.rank, a.seq, a.order) <
-                     std::tie(b.t, b.rank, b.seq, b.order);
-            });
-  std::string& out = result.jsonl;
-  out.reserve(bytes);
-  for (const Entry& e : entries) {
-    out += stamps[e.input];
+
+  out.reserve(sink != nullptr ? kChunkBytes : bytes);
+  std::vector<std::size_t> next(inputs.size(), 0);
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const Entry& x = entries[a][next[a]];
+    const Entry& y = entries[b][next[b]];
+    return std::tie(x.t, rank[a], x.seq, a) < std::tie(y.t, rank[b], y.seq, b);
+  };
+  merge_sorted_inputs(std::move(live), before, [&](std::size_t i) {
+    const Entry& e = entries[i][next[i]];
+    out += stamps[i];
     if (e.body != "}") out += ',';
     out += e.body;
     out += '\n';
+    if (sink != nullptr && out.size() >= kChunkBytes) {
+      sink->write(out.data(), static_cast<std::streamsize>(out.size()));
+      out.clear();
+    }
+    return ++next[i] < entries[i].size();
+  });
+  if (sink != nullptr) {
+    sink->write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
   }
+  return stats;
+}
+
+}  // namespace
+
+TimelineMergeResult merge_timelines_checked(
+    const std::vector<DeviceTimeline>& inputs) {
+  TimelineMergeResult result;
+  result.inputs = merge_checked(inputs, result.jsonl, nullptr);
   return result;
 }
 
 std::string merge_timelines(const std::vector<DeviceTimeline>& inputs) {
   return merge_timelines_checked(inputs).jsonl;
+}
+
+void merge_timelines(const std::vector<DeviceTimeline>& inputs,
+                     std::ostream& out) {
+  std::string chunk;
+  merge_checked(inputs, chunk, &out);
 }
 
 namespace {

@@ -73,8 +73,12 @@ ServeEngine::ServeEngine(std::istream& in, std::ostream& out,
                          core::CampaignConfig cfg)
     : in_(in), out_(out), cfg_(std::move(cfg)) {
   require_open_ended(cfg_);
+  // jobs as in Campaign::run: 0 = hardware concurrency.
+  if (cfg_.jobs == 0) {
+    cfg_.jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
   sink_ = std::make_unique<core::ShardedCampaignSink>(
-      cfg_.shard, cfg_.name, cfg_.master_seed, /*planned_runs=*/0);
+      cfg_.shard, cfg_.name, cfg_.master_seed, /*planned_runs=*/0, cfg_.jobs);
   sink_->set_commit_hook([this](const core::ShardedCampaignSink::Commit& c) {
     const std::string events = format_commit(c);
     {
@@ -262,13 +266,8 @@ void ServeEngine::handle_line(const std::string& line, bool* shutdown) {
 }
 
 int ServeEngine::run() {
-  // jobs as in Campaign::run: 0 = hardware concurrency.
-  const std::size_t jobs =
-      cfg_.jobs != 0
-          ? cfg_.jobs
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  workers_.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
+  workers_.reserve(cfg_.jobs);
+  for (std::size_t i = 0; i < cfg_.jobs; ++i) {
     workers_.emplace_back([this] { worker_main(); });
   }
   std::string line;

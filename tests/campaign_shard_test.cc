@@ -64,6 +64,16 @@ RunResult synthetic_run(std::uint64_t seed) {
   return out;
 }
 
+// Run i of a campaign with master seed `master` as Campaign::run submits
+// it: one clean attempt of synthetic_run.
+RunExecution synthetic_exec(std::uint64_t master, std::size_t i) {
+  RunExecution ex;
+  ex.last_seed = Campaign::run_seed(master, i);
+  ex.result = synthetic_run(ex.last_seed);
+  ex.attempts = 1;
+  return ex;
+}
+
 // A run with a timeline but NO findings (like a scenario without a
 // diagnosis engine attached).
 RunResult bare_run(std::uint64_t seed) {
@@ -150,8 +160,10 @@ void expect_same_fold(const CampaignResult& a, const CampaignResult& b) {
 // The commit frontier under the worst completion order: at jobs=8, run i
 // waits until run i+1 has spilled its pending file, so runs reach the sink
 // in reverse index order and every run but run 0 (submitted last) spills.
-// With 200-byte shards every commit also rotates. Merged bytes and the
-// fold equal a jobs=1 campaign writing one unbounded shard.
+// With 1-byte shards every commit rotates, and the park budget (jobs x
+// shard bytes = 8 bytes) holds no run in memory, so each parked run takes
+// the spill path. Merged bytes and the fold equal a jobs=1 campaign
+// writing one unbounded shard.
 TEST(CampaignShard, SpillingJobs8MatchesUnboundedJobs1) {
   constexpr std::size_t kRuns = 8;
   const std::string one_dir = scratch_dir("unbounded");
@@ -161,7 +173,7 @@ TEST(CampaignShard, SpillingJobs8MatchesUnboundedJobs1) {
 
   const std::string spill_dir = scratch_dir("spill");
   CampaignConfig spill = sharded_config(spill_dir, kRuns, kRuns);
-  spill.shard.shard_bytes = 200;
+  spill.shard.shard_bytes = 1;
   std::atomic<bool> reversed{true};
   const CampaignResult spill_result =
       Campaign(spill).run([&](std::uint64_t seed, const RunSpec& spec) {
@@ -198,6 +210,68 @@ TEST(CampaignShard, SpillingJobs8MatchesUnboundedJobs1) {
             ShardCapturesMergeSink(spill_dir).to_string());
   EXPECT_EQ(a.metrics, MetricsJsonSink(one_result.registry).to_string());
   expect_same_fold(one_result, spill_result);
+}
+
+// Number of pending-* spill files in dir.
+std::size_t pending_files(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    n += entry.path().filename().string().rfind("pending-", 0) == 0;
+  }
+  return n;
+}
+
+// Runs that arrive ahead of the frontier wait in memory while they fit the
+// park budget (jobs x shard bytes) and spill past it. Submitted in reverse
+// index order, a budget that holds them all leaves no pending file, one
+// that holds about two spills the rest; both publish the artifacts (and
+// manifest) of in-order submission.
+TEST(CampaignShard, ParkedRunsStayInMemoryWithinTheBudget) {
+  const std::uint64_t master = 4242;
+  const std::size_t runs = 8;
+  const auto run_sink = [&](const std::string& dir, std::size_t shard_bytes,
+                            std::size_t jobs, bool reversed) {
+    CampaignShardConfig cfg;
+    cfg.out_dir = dir;
+    cfg.shard_bytes = shard_bytes;
+    ShardedCampaignSink sink(cfg, "park-test", master, runs, jobs);
+    std::size_t most_pending = 0;
+    for (std::size_t n = 0; n < runs; ++n) {
+      const std::size_t i = reversed ? runs - 1 - n : n;
+      sink.submit(i, synthetic_exec(master, i));
+      most_pending = std::max(most_pending, pending_files(dir));
+    }
+    sink.finalize();
+    EXPECT_EQ(pending_files(dir), 0u);
+    return most_pending;
+  };
+  const std::string in_order = scratch_dir("park_in_order");
+  EXPECT_EQ(run_sink(in_order, 1000, 2, false), 0u);
+
+  // 4 x 4 MiB holds every parked run.
+  const std::string roomy = scratch_dir("park_roomy");
+  EXPECT_EQ(run_sink(roomy, 4u << 20, 4, true), 0u);
+  // 2 x 1000 bytes holds about two of the seven parked runs (each is
+  // several hundred bytes).
+  const std::string tight = scratch_dir("park_tight");
+  const std::size_t spilled = run_sink(tight, 1000, 2, true);
+  EXPECT_GT(spilled, 0u);
+  EXPECT_LT(spilled, runs - 1);
+
+  const Artifacts want = merged_artifacts(in_order);
+  for (const std::string& dir : {roomy, tight}) {
+    const Artifacts got = merged_artifacts(dir);
+    EXPECT_EQ(got.findings, want.findings) << dir;
+    EXPECT_EQ(got.timeline, want.timeline) << dir;
+    EXPECT_EQ(got.metrics, want.metrics) << dir;
+  }
+  const auto manifest = [](const std::string& dir) {
+    std::ifstream in(dir + "/MANIFEST.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(manifest(tight), manifest(in_order));
 }
 
 // Without an out_dir the sink only orders and folds; the CampaignResult
@@ -329,13 +403,6 @@ TEST(CampaignShard, FailedShardWriteEndsTheListedPrefix) {
 TEST(CampaignShard, SinkLevelResumeAfterKill) {
   const std::uint64_t master = 4242;
   const std::size_t runs = 6;
-  auto make_exec = [&](std::size_t i) {
-    RunExecution ex;
-    ex.last_seed = Campaign::run_seed(master, i);
-    ex.result = synthetic_run(ex.last_seed);
-    ex.attempts = 1;
-    return ex;
-  };
 
   const std::string clean_dir = scratch_dir("kill_clean");
   CampaignShardConfig clean_cfg;
@@ -343,7 +410,9 @@ TEST(CampaignShard, SinkLevelResumeAfterKill) {
   clean_cfg.shard_runs = 2;
   {
     ShardedCampaignSink sink(clean_cfg, "kill-test", master, runs);
-    for (std::size_t i = 0; i < runs; ++i) sink.submit(i, make_exec(i));
+    for (std::size_t i = 0; i < runs; ++i) {
+      sink.submit(i, synthetic_exec(master, i));
+    }
     sink.finalize();
   }
 
@@ -355,7 +424,9 @@ TEST(CampaignShard, SinkLevelResumeAfterKill) {
     // closed and durable, run 4 sits in the open buffer and dies with the
     // process (no finalize()).
     ShardedCampaignSink sink(cfg, "kill-test", master, runs);
-    for (std::size_t i = 0; i < 5; ++i) sink.submit(i, make_exec(i));
+    for (std::size_t i = 0; i < 5; ++i) {
+      sink.submit(i, synthetic_exec(master, i));
+    }
   }
   ShardManifest partial;
   ASSERT_TRUE(read_shard_manifest(dir, &partial));
@@ -369,8 +440,10 @@ TEST(CampaignShard, SinkLevelResumeAfterKill) {
     EXPECT_EQ(sink.committed(), 4u);
     // Resubmitting committed work (resume overlap) is dropped, not folded
     // twice.
-    sink.submit(1, make_exec(1));
-    for (std::size_t i = 4; i < runs; ++i) sink.submit(i, make_exec(i));
+    sink.submit(1, synthetic_exec(master, 1));
+    for (std::size_t i = 4; i < runs; ++i) {
+      sink.submit(i, synthetic_exec(master, i));
+    }
     sink.finalize();
 
     CampaignResult folded;
