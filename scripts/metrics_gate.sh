@@ -15,7 +15,8 @@
 # closed-loop determinism contract (jobs=1 vs jobs=8 fleet artifacts,
 # captures.jsonl included, must be byte-identical), checks that
 # `fleet --merge-only` over a copy of the shards rebuilds the same merged
-# bytes beside them and fails when a manifest-listed shard is missing, that
+# bytes beside them (also pinned to one CPU, so the final merge runs on one
+# thread) and fails when a manifest-listed shard is missing, that
 # 300 one-run shards merge under a 256-descriptor limit to the bytes of the
 # same fleet cut into few shards, that a `qoed_cli post` single run leaves
 # the same artifacts as the fleet run of the same spec, that bad flags to
@@ -76,6 +77,19 @@ cp "$WORK/fleet-j8/MANIFEST.json" "$WORK/fleet-j8"/*-[0-9]*.jsonl "$REMERGE/"
 "$CLI" fleet --merge-only --out-dir="$REMERGE" > "$WORK/remerge.log"
 for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
   cmp "$WORK/fleet-j8/$f" "$REMERGE/$f"
+done
+
+# The final timeline merge runs on as many threads as the process's CPU
+# affinity mask holds: pinned to one CPU, the merge-only rebuild must give
+# the same bytes as the campaign's own merge.
+ONE_CPU="$WORK/remerge-one-cpu"
+rm -rf "$ONE_CPU"
+mkdir -p "$ONE_CPU"
+cp "$WORK/fleet-j8/MANIFEST.json" "$WORK/fleet-j8"/*-[0-9]*.jsonl "$ONE_CPU/"
+taskset -c 0 "$CLI" fleet --merge-only --out-dir="$ONE_CPU" \
+  > "$WORK/remerge-one-cpu.log"
+for f in findings.jsonl timeline.jsonl metrics.json captures.jsonl; do
+  cmp "$WORK/fleet-j8/$f" "$ONE_CPU/$f"
 done
 
 # A manifest-listed timeline shard that is missing fails the merge: non-zero
@@ -254,6 +268,7 @@ if [ "$rc" -ne 1 ] || [ -e "$WORK/out-is-dir.tmp" ]; then
 fi
 
 echo "metrics gate OK: jobs-invariant, artifact sums matched, merge-only" \
-  "rebuilds the same bytes and fails on a missing shard, 300 shards merge" \
+  "rebuilds the same bytes (also on one CPU) and fails on a missing shard," \
+  "300 shards merge" \
   "under 256 descriptors, baseline matched, self-test exits 4, CLI matches" \
   "fleet, bad input exits 2, a failed write leaves no temp file"

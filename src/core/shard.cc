@@ -702,23 +702,6 @@ void concat_shards(const std::string& out_dir, const char* kind,
   }
 }
 
-// k-way merges the sorted timeline files at `paths` into os; false when one
-// cannot be opened or read.
-bool merge_timeline_files(std::span<const std::string> paths,
-                          std::ostream& os) {
-  std::vector<std::ifstream> files;
-  files.reserve(paths.size());
-  std::vector<std::istream*> streams;
-  for (const std::string& path : paths) {
-    files.emplace_back(path, std::ios::binary);
-    if (!files.back()) return false;
-    streams.push_back(&files.back());
-  }
-  merge_sorted_timeline_streams(streams, os);
-  return std::none_of(files.begin(), files.end(),
-                      [](const std::ifstream& f) { return f.bad(); });
-}
-
 }  // namespace
 
 void ShardFindingsMergeSink::write(std::ostream& os) const {
@@ -735,6 +718,14 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
   for (const ShardInfo& info : manifest.shards) {
     paths.push_back(shard_file(out_dir_, "timeline", info.index));
   }
+  const std::size_t threads = timeline_merge_threads();
+  const auto merge = [threads](std::span<const std::string> files,
+                               std::ostream& out) {
+    if (!merge_sorted_timeline_files(files, out, threads,
+                                     kTimelinePartitionBytes)) {
+      out.setstate(std::ios::failbit);
+    }
+  };
   std::vector<std::string> temps;
   bool ok = true;
   while (ok && paths.size() > kTimelineMergeFanIn) {
@@ -745,13 +736,17 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
       temps.push_back(out_dir_ + "/timeline-pass-" +
                       std::to_string(temps.size()) + ".tmp");
       next.push_back(temps.back());
-      ok = write_file_atomic(temps.back(), [group](std::ostream& out) {
-        if (!merge_timeline_files(group, out)) out.setstate(std::ios::failbit);
+      ok = write_file_atomic(temps.back(), [&](std::ostream& out) {
+        merge(group, out);
       });
     }
     paths = std::move(next);
   }
-  if (!ok || !merge_timeline_files(paths, os)) os.setstate(std::ios::failbit);
+  if (ok) {
+    merge(paths, os);
+  } else {
+    os.setstate(std::ios::failbit);
+  }
   std::error_code ec;
   for (const std::string& temp : temps) fs::remove(temp, ec);
 }

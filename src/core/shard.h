@@ -19,7 +19,9 @@
 // publishes the merged set beside the shards, from an external merge:
 //   findings.jsonl  = concatenation of findings shards (run-index order)
 //   timeline.jsonl  = k-way merge of the per-shard (t, device, seq)-sorted
-//                     timeline shards (core::merge_sorted_timeline_streams)
+//                     timeline shards, cut into key-range partitions that
+//                     every CPU of the affinity mask merges, written in
+//                     order (core::merge_sorted_timeline_files)
 //   metrics.json    = the sink's fold replayed over the metrics shards
 //   captures.jsonl  = concatenation of captures shards (run-index order)
 //
@@ -295,6 +297,8 @@ class ShardFindingsMergeSink final : public ExportSink {
 // beside the shards, in their place in the input order (the merge's last
 // tie-break), so the bytes are those of one pass; the temps are removed.
 // Above every fleetbench workload's shard count, which stay one pass.
+// Every pass is a merge_sorted_timeline_files on timeline_merge_threads()
+// threads, at kTimelinePartitionBytes partitions.
 inline constexpr std::size_t kTimelineMergeFanIn = 128;
 
 class ShardTimelineMergeSink final : public ExportSink {

@@ -1,16 +1,27 @@
 #include "core/timeline_merge.h"
 
+#include <fcntl.h>
+#include <sched.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <ostream>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <tuple>
 
 #include "core/json_util.h"
@@ -158,14 +169,43 @@ void merge_sorted_inputs(std::vector<std::size_t> live, const Before& before,
   }
 }
 
-// One input of the stream merge: its stream read in blocks into a reused
-// buffer, each line viewed in place, and the current line's key.
+// Reads n bytes of `fd` at `at`; false on an error or a short file.
+bool read_fully(int fd, char* dst, std::size_t n, std::uint64_t at) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, dst, n, static_cast<off_t>(at));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    dst += got;
+    n -= static_cast<std::size_t>(got);
+    at += static_cast<std::uint64_t>(got);
+  }
+  return true;
+}
+
+// One input of a stream merge: an istream, or a byte range of a file read
+// with pread, read in blocks into a buffer that is reused when the reader
+// is opened again; each line is viewed in place, with its key.
 class BlockReader {
  public:
-  explicit BlockReader(std::istream* in) : in_(in), eof_(in == nullptr) {}
-
   std::string_view line;  // the current line, without its '\n'
   TimelineKey key;
+
+  void open(std::istream* in) {
+    in_ = in;
+    block_ = kBlockBytes;
+    restart(in == nullptr);
+  }
+  // The bytes [from, to) of `fd`, in blocks no larger than the range.
+  void open(int fd, std::uint64_t from, std::uint64_t to) {
+    in_ = nullptr;
+    fd_ = fd;
+    pos_ = from;
+    stop_ = to;
+    block_ = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kBlockBytes, to - from));
+    restart(from == to);
+  }
+  bool failed() const { return failed_; }
 
   // Moves to the next mergeable line; false at the end of the input, or
   // once it goes bad: the block being read then is lost, and so is a line
@@ -181,7 +221,7 @@ class BlockReader {
       } else if (!eof_) {
         refill();
         continue;
-      } else if (begin_ < end_ && !in_->bad()) {
+      } else if (begin_ < end_ && !failed_) {
         line = std::string_view(from, end_ - begin_);  // no final '\n'
         begin_ = end_;
       } else {
@@ -196,64 +236,510 @@ class BlockReader {
  private:
   static constexpr std::size_t kBlockBytes = std::size_t{256} << 10;
 
-  // Moves the unread tail to the front, grows the buffer when that tail (a
-  // line not yet ended) fills more than half of it, and reads behind it.
+  void restart(bool empty) {
+    eof_ = empty;
+    failed_ = false;
+    begin_ = end_ = 0;
+  }
+
+  // Moves the unread tail to the front, grows the buffer to a block, or to
+  // twice that tail (a line not yet ended), and reads behind it.
   void refill() {
     const std::size_t tail = end_ - begin_;
     if (begin_ > 0) std::memmove(buf_.data(), buf_.data() + begin_, tail);
     begin_ = 0;
     end_ = tail;
-    if (buf_.size() < kBlockBytes) {
-      buf_.resize(kBlockBytes);
-    } else if (tail > buf_.size() / 2) {
-      buf_.resize(2 * buf_.size());
+    if (buf_.size() < std::max(block_, 2 * tail)) {
+      buf_.resize(std::max(block_, 2 * tail));
     }
-    in_->read(buf_.data() + end_,
-              static_cast<std::streamsize>(buf_.size() - end_));
-    end_ += static_cast<std::size_t>(in_->gcount());
-    eof_ = !*in_;
+    const std::size_t room = buf_.size() - end_;
+    if (in_ != nullptr) {
+      in_->read(buf_.data() + end_, static_cast<std::streamsize>(room));
+      end_ += static_cast<std::size_t>(in_->gcount());
+      eof_ = !*in_;
+      failed_ = in_->bad();
+      return;
+    }
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(room, stop_ - pos_));
+    failed_ = !read_fully(fd_, buf_.data() + end_, n, pos_);
+    if (!failed_) {
+      end_ += n;
+      pos_ += n;
+    }
+    eof_ = failed_ || pos_ == stop_;
   }
 
-  std::istream* in_;
-  bool eof_;
+  std::istream* in_ = nullptr;
+  int fd_ = -1;
+  std::uint64_t pos_ = 0, stop_ = 0;  // the file range still to read
+  std::size_t block_ = kBlockBytes;
+  bool eof_ = true;
+  bool failed_ = false;
   std::string buf_;
   std::size_t begin_ = 0, end_ = 0;  // unread bytes: buf_[begin_, end_)
   std::string decoded_;
 };
 
+// Merges the opened readers' lines by (t, device, seq, position in
+// `readers`) into `out`; with `os`, `out` is a chunk written to it whenever
+// it reaches kChunkBytes, and at the end. Returns the lines merged.
+std::size_t merge_readers(std::span<BlockReader* const> readers,
+                          std::string& out, std::ostream* os) {
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    if (readers[i]->advance()) live.push_back(i);
+  }
+  const auto before = [readers](std::size_t a, std::size_t b) {
+    const TimelineKey& x = readers[a]->key;
+    const TimelineKey& y = readers[b]->key;
+    return std::tie(x.t, x.device, x.seq, a) <
+           std::tie(y.t, y.device, y.seq, b);
+  };
+  std::size_t written = 0;
+  merge_sorted_inputs(std::move(live), before, [&](std::size_t i) {
+    BlockReader& r = *readers[i];
+    out.append(r.line);
+    out.push_back('\n');
+    ++written;
+    if (os != nullptr && out.size() >= kChunkBytes) {
+      os->write(out.data(), static_cast<std::streamsize>(out.size()));
+      out.clear();
+    }
+    return r.advance();
+  });
+  if (os != nullptr) {
+    os->write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+  }
+  return written;
+}
+
 }  // namespace
 
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out) {
-  std::vector<BlockReader> readers;
-  readers.reserve(inputs.size());
-  std::vector<std::size_t> live;
+  std::vector<BlockReader> readers(inputs.size());
+  std::vector<BlockReader*> open;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    readers.emplace_back(inputs[i]);
-    if (readers.back().advance()) live.push_back(i);
+    readers[i].open(inputs[i]);
+    open.push_back(&readers[i]);
   }
-  const auto before = [&readers](std::size_t a, std::size_t b) {
-    const TimelineKey& x = readers[a].key;
-    const TimelineKey& y = readers[b].key;
-    return std::tie(x.t, x.device, x.seq, a) <
-           std::tie(y.t, y.device, y.seq, b);
-  };
   std::string chunk;
   chunk.reserve(kChunkBytes);
-  std::size_t written = 0;
-  merge_sorted_inputs(std::move(live), before, [&](std::size_t i) {
-    BlockReader& r = readers[i];
-    chunk.append(r.line);
-    chunk.push_back('\n');
-    ++written;
-    if (chunk.size() >= kChunkBytes) {
-      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-      chunk.clear();
+  return merge_readers(open, chunk, &out);
+}
+
+namespace {
+
+// ---- the partitioned merge of sorted files ----
+
+// A line's merge key with its input, owning the label: a sampled line's,
+// or the key a partition starts at.
+struct FullKey {
+  double t = 0;
+  std::string device;
+  std::uint64_t seq = 0;
+  std::size_t input = 0;
+};
+
+bool key_less(const FullKey& a, const FullKey& b) {
+  return std::tie(a.t, a.device, a.seq, a.input) <
+         std::tie(b.t, b.device, b.seq, b.input);
+}
+
+// Whether input `input`'s line keyed `k` leaves before `b`.
+bool leaves_before(const TimelineKey& k, std::size_t input, const FullKey& b) {
+  const std::string_view device = b.device;
+  return std::tie(k.t, k.device, k.seq, input) <
+         std::tie(b.t, device, b.seq, b.input);
+}
+
+// A keyed line of one file: its key, and its bytes [start, end), '\n'
+// included.
+struct Sample {
+  FullKey key;
+  std::uint64_t start = 0, end = 0;
+};
+
+// One read of a file window [from, to) for the partition search, and what
+// it shows about where the partition starting at `b` starts: keyed lines
+// that leave before `b`, then the first that does not. Only whole lines
+// are keyed.
+class WindowProbe {
+ public:
+  std::uint64_t first = 0;  // the first line start at or after `from`
+  std::uint64_t next = 0;   // the line start after the last line scanned
+  bool below = false;       // a keyed line before `b` was scanned
+  bool found = false;       // a keyed line not before `b`: its bytes
+  std::uint64_t start = 0, end = 0;  // [start, end) and its key, which
+  TimelineKey key;  // views this probe's buffers until its next read
+
+  // Reads at least `bytes` from `from` (more when no whole line fits) and
+  // scans its lines up to the first keyed one not before `b`. False on a
+  // read error.
+  bool read(int fd, std::uint64_t from, std::uint64_t to, std::size_t bytes,
+            std::size_t input, const FullKey& b) {
+    for (;; bytes *= 2) {
+      // The byte before `from` shows whether a line starts there.
+      const std::uint64_t at = from == 0 ? 0 : from - 1;
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(bytes, to - at));
+      if (buf_.size() < n) buf_.resize(n);
+      if (!read_fully(fd, buf_.data(), n, at)) return false;
+      const std::string_view v(buf_.data(), n);
+      const bool to_end = at + n == to;
+      std::size_t pos = 0;
+      if (from != 0) {
+        pos = v.find('\n');
+        if (pos == std::string_view::npos && !to_end) continue;
+        pos = pos == std::string_view::npos ? n : pos + 1;
+      }
+      first = next = at + pos;
+      below = found = false;
+      while (pos < n) {
+        std::size_t nl = v.find('\n', pos);
+        if (nl == std::string_view::npos) {
+          if (!to_end) break;  // the line goes on past the window
+          nl = n;
+        }
+        const std::string_view line = v.substr(pos, nl - pos);
+        pos = std::min(nl + 1, n);
+        if (!line.empty() &&
+            read_timeline_key(line, true, &decoded_, &key)) {
+          if (!leaves_before(key, input, b)) {
+            found = true;
+            start = at + (line.data() - v.data());
+            end = at + pos;
+            return true;
+          }
+          below = true;
+        }
+        next = at + pos;
+      }
+      if (next > first || to_end) return true;
     }
-    return r.advance();
-  });
-  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-  return written;
+  }
+
+ private:
+  std::string buf_, decoded_;
+};
+
+// Bytes a search reads at a time; a range this long is searched in one.
+constexpr std::size_t kWindowBytes = 1024;
+
+// The first keyed line of input `input` (the file `fd`) in [lo, hi), line
+// starts, that does not leave before `b`, halving the range: in a sorted
+// file every keyed line before it leaves before `b`, and a file out of
+// order gets some line in [lo, hi). Left as it is when there is none, so
+// `line` holds on entry what is at hi. False on a read error.
+bool first_not_before(WindowProbe& probe, int fd, std::size_t input,
+                      const FullKey& b, std::uint64_t lo, std::uint64_t hi,
+                      Sample* line) {
+  const auto keep = [&] {
+    *line = {{probe.key.t, std::string(probe.key.device), probe.key.seq,
+              input},
+             probe.start,
+             probe.end};
+  };
+  while (hi - lo > kWindowBytes) {
+    if (!probe.read(fd, lo + (hi - lo) / 2, hi, kWindowBytes, input, b)) {
+      return false;
+    }
+    if (!probe.found) {
+      lo = probe.next;
+      continue;
+    }
+    keep();
+    if (probe.below) return true;
+    hi = probe.first;
+  }
+  if (lo < hi) {
+    const auto bytes = static_cast<std::size_t>(hi - lo + 1);
+    if (!probe.read(fd, lo, hi, bytes, input, b)) return false;
+    if (probe.found) keep();
+  }
+  return true;
+}
+
+// Where each partition after the first starts in input `input` (the file
+// `fd` of `size` bytes, sampled in `samples`): partition j + 1 starts at
+// the first keyed line not before starts[j], written to *out[j * stride].
+// Partitions are taken in order, and while the line the last one started
+// at is not before the next start, that one starts there too (in a sorted
+// file): a run's lines fill a short stretch of time, so most starts need
+// no read. Each search begins where the last one ended, so the starts of
+// a file out of order never move backwards either. False on a read error.
+bool find_starts(int fd, std::uint64_t size, std::size_t input,
+                 const std::vector<Sample>& samples,
+                 const std::vector<const FullKey*>& starts, std::uint64_t* out,
+                 std::size_t stride) {
+  WindowProbe probe;
+  // The first keyed line at or after the last start; none when it starts
+  // at `size`.
+  Sample at;
+  std::uint64_t lo = 0, last = 0;
+  std::size_t i = 0;  // the first sample not before the last start
+  for (std::size_t j = 0; j < starts.size(); ++j) {
+    const FullKey& b = *starts[j];
+    if (j == 0 || (at.start < size && key_less(at.key, b))) {
+      while (i < samples.size() && key_less(samples[i].key, b)) ++i;
+      if (j > 0) lo = at.end;
+      if (i > 0) lo = std::max(lo, samples[i - 1].end);
+      const std::uint64_t hi = i < samples.size() ? samples[i].start : size;
+      at = i < samples.size() ? samples[i] : Sample{{}, size, size};
+      if (!first_not_before(probe, fd, input, b, std::min(lo, hi), hi,
+                            &at)) {
+        return false;
+      }
+    }
+    last = std::max(last, at.start);
+    out[j * stride] = last;
+  }
+  return true;
+}
+
+// The input files, open for pread; closed on destruction.
+class InputFiles {
+ public:
+  InputFiles() = default;
+  InputFiles(const InputFiles&) = delete;
+  InputFiles& operator=(const InputFiles&) = delete;
+  ~InputFiles() {
+    for (const int f : fd) ::close(f);
+  }
+  // False when `path` cannot be opened or is not a regular file.
+  bool add(const std::string& path) {
+    const int f = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (f < 0) return false;
+    fd.push_back(f);
+    struct stat st {};
+    if (::fstat(f, &st) != 0 || !S_ISREG(st.st_mode)) return false;
+    size.push_back(static_cast<std::uint64_t>(st.st_size));
+    return true;
+  }
+
+  std::vector<int> fd;
+  std::vector<std::uint64_t> size;
+};
+
+// Runs body(i) for each i in [0, threads), on that many threads, the
+// caller's among them; false when a body threw (it cannot leave a thread).
+template <typename Body>
+bool on_threads(std::size_t threads, const Body& body) {
+  std::atomic<bool> threw{false};
+  const auto run = [&](std::size_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      threw = true;
+    }
+  };
+  {
+    std::vector<std::jthread> pool;  // joined on the way out
+    for (std::size_t i = 1; i < threads; ++i) pool.emplace_back(run, i);
+    if (threads > 0) run(0);
+  }
+  return !threw;
+}
+
+// Cuts the files into partitions of about partition_bytes of input:
+// (*off)[j * n + s] is where partition j starts in file s, and the last row
+// holds the file sizes. Samples a keyed line about every partition_bytes /
+// 16 bytes of each file, starts a partition at a sampled key after about
+// every partition_bytes of samples in key order, and finds those starts in
+// every file. False on a read error.
+bool cut_partitions(const InputFiles& files, std::size_t threads,
+                    std::uint64_t partition_bytes,
+                    std::vector<std::uint64_t>* off) {
+  const std::size_t n = files.fd.size();
+  const std::uint64_t total =
+      std::accumulate(files.size.begin(), files.size.end(), std::uint64_t{0});
+  off->assign(n, 0);
+  if (total > partition_bytes) {  // else one partition: nothing to find
+    threads = std::min(threads, n);
+    // Each sample stands for the bytes up to the next in its file.
+    const std::uint64_t spacing =
+        std::max<std::uint64_t>(partition_bytes / 16, 1);
+    std::vector<std::vector<Sample>> samples(n);
+    std::atomic<bool> failed{false};
+    // No keyed line leaves before this key: a read finds the first one.
+    const FullKey any{-std::numeric_limits<double>::infinity(), {}, 0, 0};
+    bool ran = on_threads(threads, [&](std::size_t first) {
+      WindowProbe probe;
+      for (std::size_t s = first; s < n && !failed; s += threads) {
+        for (std::uint64_t at = 0; at < files.size[s];) {
+          if (!probe.read(files.fd[s], at, files.size[s], kWindowBytes, s,
+                          any)) {
+            failed = true;
+            break;
+          }
+          if (!probe.found) break;  // only keyless lines from `at` on
+          const TimelineKey& k = probe.key;
+          samples[s].push_back({{k.t, std::string(k.device), k.seq, s},
+                                probe.start,
+                                probe.end});
+          at = std::max(at + spacing, probe.end);
+        }
+      }
+    });
+    if (!ran || failed) return false;
+
+    std::vector<const Sample*> by_key;
+    for (const std::vector<Sample>& mine : samples) {
+      for (const Sample& sample : mine) by_key.push_back(&sample);
+    }
+    std::sort(by_key.begin(), by_key.end(),
+              [](const Sample* a, const Sample* b) {
+                return key_less(a->key, b->key);
+              });
+    std::vector<const FullKey*> starts;  // of partitions 1, 2, ...
+    std::uint64_t acc = 0;
+    for (const Sample* sample : by_key) {
+      const std::vector<Sample>& mine = samples[sample->key.input];
+      if (acc >= partition_bytes &&
+          (starts.empty() || key_less(*starts.back(), sample->key))) {
+        starts.push_back(&sample->key);
+        acc = 0;
+      }
+      acc += (sample == &mine.back() ? files.size[sample->key.input]
+                                     : (sample + 1)->start) -
+             sample->start;
+    }
+
+    off->resize((starts.size() + 1) * n);
+    ran = on_threads(threads, [&](std::size_t first) {
+      for (std::size_t s = first; s < n && !failed; s += threads) {
+        if (!find_starts(files.fd[s], files.size[s], s, samples[s], starts,
+                         &(*off)[n + s], n)) {
+          failed = true;
+        }
+      }
+    });
+    if (!ran || failed) return false;
+  }
+  off->insert(off->end(), files.size.begin(), files.size.end());
+  return true;
+}
+
+}  // namespace
+
+bool merge_sorted_timeline_files(std::span<const std::string> paths,
+                                 std::ostream& out, std::size_t threads,
+                                 std::size_t partition_bytes) {
+  InputFiles files;
+  for (const std::string& path : paths) {
+    if (!files.add(path)) return false;
+  }
+  threads = std::max<std::size_t>(threads, 1);
+  std::vector<std::uint64_t> off;
+  if (!cut_partitions(files, threads,
+                      std::max<std::size_t>(partition_bytes, 1), &off)) {
+    return false;
+  }
+  const std::size_t n = paths.size();
+  const std::size_t parts = n == 0 ? 0 : off.size() / n - 1;
+
+  // Workers take the partitions in order; partition j is merged into
+  // buffers[j % slots] once partition j - slots is written, and the caller
+  // writes them in order, so at most threads + 1 partitions are held.
+  const std::size_t workers = std::min(threads, parts);
+  const std::size_t slots = workers + 1;
+  std::vector<std::string> buffers(slots);
+  std::vector<char> merged(slots, 0);  // buffers[k] holds a partition
+  std::size_t claimed = 0, written = 0;
+  bool stop = false, failed = false;
+  std::mutex mu;
+  std::condition_variable cv;
+  const auto merge_partitions = [&] {
+    std::vector<BlockReader> readers(n);
+    std::vector<BlockReader*> open;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] {
+        return stop || claimed == parts || claimed < written + slots;
+      });
+      if (stop || claimed == parts) return;
+      const std::size_t j = claimed++, k = j % slots;
+      // This thread's own while it merges: appending to a slot of
+      // `buffers` would write to a cache line the other slots share.
+      std::string buf = std::move(buffers[k]);
+      lock.unlock();
+      buf.clear();
+      open.clear();
+      std::uint64_t bytes = 0;
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::uint64_t from = off[j * n + s], to = off[(j + 1) * n + s];
+        if (from == to) continue;
+        // Readers are reused in the order of the files a partition reads,
+        // so their blocks grow to the ranges of the few files it reads
+        // most of, not to every file's.
+        BlockReader& r = readers[open.size()];
+        r.open(files.fd[s], from, to);
+        open.push_back(&r);
+        bytes += to - from + 1;  // a last line without '\n' gains one
+      }
+      if (buf.capacity() < bytes) {  // a quarter to spare, not double
+        buf = std::string();
+        buf.reserve(static_cast<std::size_t>(bytes + bytes / 4));
+      }
+      merge_readers(open, buf, nullptr);
+      const bool ok =
+          std::none_of(open.begin(), open.end(),
+                       [](const BlockReader* r) { return r->failed(); });
+      lock.lock();
+      buffers[k] = std::move(buf);
+      if (!ok) failed = stop = true;
+      merged[k] = 1;
+      cv.notify_all();
+    }
+  };
+  // Stops the workers; also when a worker or the caller throws, so no one
+  // waits for a partition that will not come.
+  const auto halt = [&](bool fail) {
+    const std::lock_guard<std::mutex> lock(mu);
+    failed = failed || fail;
+    stop = true;
+    cv.notify_all();
+  };
+  const auto work = [&] {
+    try {
+      merge_partitions();
+    } catch (...) {  // an allocation failed: so does the artifact
+      halt(true);
+    }
+  };
+  std::vector<std::jthread> pool;
+  try {
+    for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(work);
+    std::unique_lock<std::mutex> lock(mu);
+    while (written < parts && !stop) {
+      const std::size_t k = written % slots;
+      cv.wait(lock, [&] { return stop || merged[k]; });
+      if (stop) break;
+      lock.unlock();
+      out.write(buffers[k].data(),
+                static_cast<std::streamsize>(buffers[k].size()));
+      lock.lock();
+      merged[k] = 0;
+      ++written;
+      stop = !out;
+      cv.notify_all();
+    }
+  } catch (...) {
+    halt(true);
+    throw;  // `pool` joins the workers on the way out
+  }
+  halt(false);
+  pool.clear();  // joins them
+  return !failed && static_cast<bool>(out);
+}
+
+std::size_t timeline_merge_threads() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return static_cast<std::size_t>(std::max(CPU_COUNT(&set), 1));
 }
 
 namespace {

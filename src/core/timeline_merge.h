@@ -23,7 +23,7 @@
 // escape>",` members, then `"t":<number>,"seq":` — and are keyed straight
 // from that prefix, which gives the scan's key without scanning.
 //
-// Both merges merge rather than sort. merge_timelines_checked keys each
+// Every merge merges rather than sorts. merge_timelines_checked keys each
 // input once, sorts an input only when it is not already in (t, seq) order
 // (a run's own timeline is; a cell run's merged timeline is not, its lines
 // carry member-local seq values), then k-way merges the inputs by
@@ -35,7 +35,11 @@
 // Over a 128-user video fleet's 88 shards (9.0 M lines, 1.44 GB), keying
 // the lines takes 0.8–1.1 s against 2.5 s for the scan alone, and the
 // final merge 1.7–2.2 s of CPU to /dev/null against 3.7–4.1 s for the
-// scan, sort and getline merges (DESIGN.md §5g).
+// scan, sort and getline merges (DESIGN.md §5g). The final merge of a
+// campaign's shard files (merge_sorted_timeline_files) cuts them into
+// key-range partitions that every CPU merges with the same kernel, written
+// in order: the same bytes as one pass in about a third of its wall time
+// on four CPUs.
 //
 // Robustness: real exports get truncated by crashes and corrupted in
 // transit. merge_timelines_checked quarantines malformed lines (not a JSON
@@ -48,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,9 +162,45 @@ void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 // contract as merge_timelines). An input that goes bad() ends at the last
 // complete line of its last whole read block (the caller checks each
 // stream and fails the artifact). A last line without '\n' is merged.
-// Returns the number of lines written. ShardTimelineMergeSink hands one
-// call at most kTimelineMergeFanIn files.
+// Returns the number of lines written.
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out);
+
+// The same merge over the sorted files at `paths`, on `threads` threads
+// (ShardTimelineMergeSink hands it at most kTimelineMergeFanIn files and
+// timeline_merge_threads()). It reads a key about every partition_bytes /
+// 16 bytes of each file and starts a partition at a sampled key after
+// about every partition_bytes of input, so the partitions' number follows
+// the input bytes, never the thread count. Each partition's start in every
+// file is found by halving over line starts (pread, one descriptor per
+// file); taken in order, a start that falls before the line the previous
+// one found needs no read (a run's lines fill a short stretch of time, so
+// most shards hold nothing between two starts), and the starts never move
+// backwards. The threads merge the partitions' byte ranges with the stream
+// merge's kernel into reused read blocks and buffers, and the caller
+// writes the partitions to `out` in order, holding at most threads + 1 of
+// them: memory is about (threads + 1) x 1.25 partition_bytes plus each
+// thread's read blocks. Determinism: the order (t, device, seq, input) is
+// total and every line goes to the partition its key falls in, so over
+// sorted files the bytes equal one merge_sorted_timeline_streams pass at
+// any thread count and partition size; a file out of order still gives
+// each of its lines once, in the same bytes at any thread count. False,
+// with `out` holding at most a prefix, when a file cannot be opened or
+// read (or is not a regular file), an allocation fails in a thread or
+// `out` fails; a thread that cannot be started throws std::system_error,
+// after the others are joined.
+bool merge_sorted_timeline_files(std::span<const std::string> paths,
+                                 std::ostream& out, std::size_t threads,
+                                 std::size_t partition_bytes);
+
+// Input bytes per partition of the final merge: small enough that the
+// buffers held stay small and a thread's output stays near its cache,
+// large enough that cutting the partitions stays a small share of the
+// merge.
+inline constexpr std::size_t kTimelinePartitionBytes = std::size_t{4} << 20;
+
+// The CPUs in the process's affinity mask (what `nproc` prints), at least
+// 1: the final merge's thread count.
+std::size_t timeline_merge_threads();
 
 }  // namespace qoed::core

@@ -25,6 +25,12 @@ void RlcChainTracker::attach(core::Collector& collector) {
 }
 
 void RlcChainTracker::sync() {
+  fold();
+  rebuild(ul_);
+  rebuild(dl_);
+}
+
+void RlcChainTracker::fold() {
   if (trace_ != nullptr) {
     const auto& records = *trace_;
     for (; consumed_pkts_ < records.size(); ++consumed_pkts_) {
@@ -53,8 +59,6 @@ void RlcChainTracker::sync() {
   }
   ul_.stream.sync();
   dl_.stream.sync();
-  rebuild(ul_);
-  rebuild(dl_);
 }
 
 void RlcChainTracker::rebuild(DirState& d) {
@@ -167,7 +171,7 @@ void RlcChainTracker::on_event(const core::Collector& collector,
   (void)event;
   // Fold everything unconsumed rather than just this event's record: other
   // layers may have appended to the stores since our last callback.
-  sync();
+  fold();
 }
 
 void RlcChainTracker::on_events(const core::Collector& collector,
@@ -176,7 +180,7 @@ void RlcChainTracker::on_events(const core::Collector& collector,
   (void)events;
   (void)count;
   // A merged backlog (late cellular attach): one fold covers all of it.
-  sync();
+  fold();
 }
 
 void RlcChainTracker::on_layers_cleared(const core::Collector& collector,
@@ -188,7 +192,7 @@ void RlcChainTracker::on_layers_cleared(const core::Collector& collector,
   trace_ = collector.trace() != nullptr ? &collector.trace()->records()
                                         : nullptr;
   log_ = collector.qxdm();
-  sync();
+  fold();
 }
 
 }  // namespace qoed::diag

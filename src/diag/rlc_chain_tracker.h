@@ -65,14 +65,17 @@ class RlcChainTracker : public core::CollectorSink {
   // or PDU advances the fold as it arrives.
   void attach(core::Collector& collector);
 
-  // Folds in records appended to the borrowed stores since the last sync.
+  // Folds in records appended to the borrowed stores since the last sync
+  // and brings the window index up to date; window() answers as of the
+  // last sync. Events only fold, so the index is rebuilt once per query
+  // rather than once per packet or PDU.
   void sync();
 
   // Drops all derived state; the next sync() re-folds the borrowed stores
   // from the start.
   void reset();
 
-  // --- window queries (valid through the last synced record) ---
+  // --- window queries (valid as of the last sync()) ---
   // RLC evidence for packets/PDU records with timestamp in [start, end].
   WindowStats window(net::Direction dir, sim::TimePoint start,
                      sim::TimePoint end) const;
@@ -88,7 +91,7 @@ class RlcChainTracker : public core::CollectorSink {
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "rlc.") const;
 
-  // CollectorSink: packet/radio events -> sync (batched backlogs fold
+  // CollectorSink: packet/radio events -> fold (batched backlogs fold
   // once); packet- or radio-layer clear -> reset and re-resolve stores.
   void on_event(const core::Collector& collector,
                 const core::Event& event) override;
@@ -104,7 +107,8 @@ class RlcChainTracker : public core::CollectorSink {
     core::RlcStream stream;
     // SoA checkpoint arrays over the stream's packets: pkt_at holds the
     // packet timestamps, cum_* are N+1 prefix sums (cum[0] = 0), rebuilt
-    // from the stream's dirty floor after each sync.
+    // by sync() from the lowest index the stream rewound since the last
+    // one (its dirty floor keeps the minimum across folds).
     std::vector<sim::TimePoint> pkt_at;
     std::vector<std::uint32_t> cum_mapped;
     std::vector<std::uint64_t> cum_bytes;
@@ -113,6 +117,8 @@ class RlcChainTracker : public core::CollectorSink {
     bool time_ordered = true;  // pkt_at nondecreasing (binary search valid)
   };
 
+  // Feeds the unconsumed records to the streams; the index waits for sync.
+  void fold();
   void rebuild(DirState& d);
   const DirState& dir_state(net::Direction dir) const {
     return dir == net::Direction::kUplink ? ul_ : dl_;

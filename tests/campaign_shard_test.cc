@@ -730,6 +730,20 @@ TEST(CampaignShard, WriteMergedArtifactsFailsOnAMissingListedShard) {
   EXPECT_FALSE(fs::exists(dir + "/timeline.jsonl.tmp"));
 }
 
+// A listed timeline shard that opens but cannot be read (here a
+// directory) fails the partitioned merge too: write_file publishes nothing
+// and leaves no temp file.
+TEST(CampaignShard, UnreadableListedTimelineShardFailsTheMerge) {
+  const std::string dir = published_campaign("publish_unreadable");
+  ASSERT_TRUE(fs::remove(dir + "/timeline-000001.jsonl"));
+  ASSERT_TRUE(fs::create_directory(dir + "/timeline-000001.jsonl"));
+  EXPECT_FALSE(ShardTimelineMergeSink(dir).write_file(dir + "/timeline.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/timeline.jsonl"));
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
 // A metrics line cut short (a torn write, a truncated copy) fails every
 // reader of the metrics shards alike: the metrics.json merge, the outcome
 // reader and a resume.

@@ -2,7 +2,8 @@
 // the (t, device, seq) interleaving order, the device stamp, the key each
 // line is read by (the canonical-prefix read held to the substring scan),
 // the input-order determinism guarantee, and both merges held to a
-// reference global stable sort.
+// reference global stable sort; and of merge_sorted_timeline_files, held
+// to one stream pass at every thread count and partition size.
 #include "core/timeline_merge.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -784,6 +787,196 @@ TEST(TimelineStreamMergeTest, InputThatGoesBadEndsAtACompleteLine) {
   EXPECT_LE(end, fail_at);
   expect_same_text(merged,
                    reference_stream_merge({good, failing.substr(0, end)}));
+}
+
+// --- merge_sorted_timeline_files: key-range partitions on threads ---
+
+// Writes `texts` as files in a fresh directory; returns their paths.
+std::vector<std::string> write_files(const std::string& name,
+                                     const std::vector<std::string>& texts) {
+  const std::string dir = ::testing::TempDir() + "qoed_tlfiles_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    paths.push_back(dir + "/" + std::to_string(i) + ".jsonl");
+    std::ofstream(paths.back(), std::ios::binary) << texts[i];
+  }
+  return paths;
+}
+
+std::string file_merge(const std::vector<std::string>& paths,
+                       std::size_t threads, std::size_t partition_bytes) {
+  std::ostringstream out;
+  EXPECT_TRUE(merge_sorted_timeline_files(paths, out, threads,
+                                          partition_bytes));
+  return out.str();
+}
+
+// Partition sizes from a single line up to one partition for the lines
+// these tests write.
+constexpr std::size_t kPartitionSizes[] = {1, 90, 700, 5000, 1 << 20};
+
+// Holds the partitioned merge to one stream pass over the same texts, at
+// 1, 2, 3 and 8 threads and every partition size.
+void expect_partitions_equal_one_pass(const std::string& name,
+                                      const std::vector<std::string>& texts) {
+  const std::vector<std::string> paths = write_files(name, texts);
+  const std::string want = stream_merge(texts);
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    for (const std::size_t bytes : kPartitionSizes) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << bytes << "-byte partitions");
+      expect_same_text(file_merge(paths, threads, bytes), want);
+    }
+  }
+}
+
+// A shard as a merge takes it: its keyed lines sorted by their key (the
+// scan's, so by decoded label), in every shape the key reader meets, with
+// few distinct keys so lines tie within and across shards. Canonical lines
+// carry a plain, escaped or cell (two "device" members) stamp; the rest
+// put a member before "t" and take the scan. Blank and keyless lines fall
+// anywhere, and the last line may lack its '\n'.
+std::string mixed_shard(sim::Rng& rng, int shard, int lines, bool last_nl) {
+  static const char* const kLabels[] = {"run-1", "run-10", "run-2",
+                                        R"(dev\"1)", R"(dev\\x)",
+                                        R"(dév)", "dev#"};
+  struct Line {
+    double t;
+    std::string device;
+    std::uint64_t seq;
+    std::string text;
+  };
+  std::vector<Line> keyed;
+  for (int i = 0; i < lines; ++i) {
+    const std::string label = kLabels[rng.uniform_int(0, 6)];
+    std::string t;
+    append_json_number(t, 0.25 * static_cast<double>(rng.uniform_int(0, 12)));
+    const std::string seq = std::to_string(rng.uniform_int(0, 2));
+    const std::string tail = ",\"shard\":" + std::to_string(shard) +
+                             ",\"line\":" + std::to_string(i) + "}";
+    std::string text;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // a cell shard line: run stamp, then the member's label
+        text = "{\"device\":\"" + label + "\",\"device\":\"dev-000" +
+               std::to_string(rng.uniform_int(0, 9)) + "\",\"t\":" + t +
+               ",\"seq\":" + seq + tail;
+        break;
+      case 1:  // not the canonical prefix: keyed by the scan
+        text = "{\"seq\":" + seq + ",\"device\": \"" + label +
+               "\", \"t\": " + t + tail;
+        break;
+      default:
+        text = "{\"device\":\"" + label + "\",\"t\":" + t + ",\"seq\":" +
+               seq + tail;
+    }
+    std::string decoded;
+    TimelineKey key;
+    EXPECT_TRUE(scan_timeline_key(text, true, &decoded, &key)) << text;
+    keyed.push_back({key.t, std::string(key.device), key.seq, text});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const Line& a, const Line& b) {
+                     return std::tie(a.t, a.device, a.seq) <
+                            std::tie(b.t, b.device, b.seq);
+                   });
+  std::string out;
+  for (const Line& l : keyed) {
+    if (rng.bernoulli(0.05)) out += "\n";
+    if (rng.bernoulli(0.05)) out += "not json\n";
+    if (rng.bernoulli(0.05)) out += "{\"device\":\"run-1\",\"seq\":1}\n";
+    out += l.text + "\n";
+  }
+  if (!last_nl && !out.empty()) out.pop_back();
+  return out;
+}
+
+TEST(TimelineFileMergeTest, PartitionsEqualOneStreamPass) {
+  sim::Rng rng(31);
+  std::vector<std::string> texts;
+  for (int s = 0; s < 5; ++s) {
+    texts.push_back(mixed_shard(rng, s, 120 + 40 * s, s % 2 == 0));
+  }
+  texts.push_back("");  // an empty shard
+  texts.push_back("{\"device\":\"run-2\",\"t\":1.5,\"seq\":1,\"one\":1}\n");
+  texts.push_back("\n\nnot json\n");  // no keyed line at all
+  // Eight shards: more than 1, 2 and 3 threads, as many as 8.
+  expect_partitions_equal_one_pass("mixed", texts);
+}
+
+TEST(TimelineFileMergeTest, MoreThreadsThanShards) {
+  sim::Rng rng(32);
+  expect_partitions_equal_one_pass(
+      "two", {mixed_shard(rng, 0, 200, false), mixed_shard(rng, 1, 150, true)});
+  expect_partitions_equal_one_pass("one", {mixed_shard(rng, 0, 90, true)});
+  expect_partitions_equal_one_pass("none", {});
+}
+
+// Every line of every shard carries one of two full keys, so wherever a
+// partition starts it starts at a key many shards hold: the input index
+// must keep breaking those ties, across partitions as within one.
+TEST(TimelineFileMergeTest, CrossShardTiesOnPartitionStarts) {
+  std::vector<std::string> texts;
+  for (int s = 0; s < 6; ++s) {
+    std::string text;
+    for (int i = 0; i < 40; ++i) {
+      text += std::string("{\"device\":\"run-") + (i < 20 ? "1" : "2") +
+              "\",\"t\":2,\"seq\":0,\"shard\":" + std::to_string(s) +
+              ",\"line\":" + std::to_string(i) + "}\n";
+    }
+    texts.push_back(text);
+  }
+  expect_partitions_equal_one_pass("ties", texts);
+}
+
+TEST(TimelineFileMergeTest, RealShardsEqualOneStreamPass) {
+  sim::Rng rng(33);
+  std::vector<std::string> texts;
+  for (int s = 0; s < 4; ++s) texts.push_back(stamped_shard(rng, 3 * s, 3, 400));
+  expect_partitions_equal_one_pass("stamped", texts);
+}
+
+// A hand-edited shard out of order still gives each of its lines once,
+// and the same bytes at every thread count.
+TEST(TimelineFileMergeTest, OutOfOrderShardKeepsEveryLineOnce) {
+  sim::Rng rng(34);
+  std::vector<std::string> texts;
+  for (int s = 0; s < 3; ++s) texts.push_back(mixed_shard(rng, s, 150, true));
+  std::vector<std::string> shuffled = lines_of(mixed_shard(rng, 3, 150, true));
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.uniform_int(0, i - 1)]);
+  }
+  std::string edited;
+  for (const std::string& line : shuffled) edited += line + "\n";
+  texts.push_back(edited);
+  const std::vector<std::string> paths = write_files("out_of_order", texts);
+
+  std::vector<std::string> want = lines_of(stream_merge(texts));
+  std::sort(want.begin(), want.end());
+  for (const std::size_t bytes : kPartitionSizes) {
+    const std::string at_one = file_merge(paths, 1, bytes);
+    std::vector<std::string> got = lines_of(at_one);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << bytes << "-byte partitions";
+    for (const std::size_t threads : {2, 3, 8}) {
+      EXPECT_EQ(file_merge(paths, threads, bytes), at_one)
+          << threads << " threads, " << bytes << "-byte partitions";
+    }
+  }
+}
+
+TEST(TimelineFileMergeTest, UnreadableFileFailsTheMerge) {
+  sim::Rng rng(35);
+  std::vector<std::string> paths =
+      write_files("unreadable", {mixed_shard(rng, 0, 50, true)});
+  const std::string dir = paths[0] + ".dir";
+  std::filesystem::create_directories(dir);
+  for (const std::string& bad : {dir, paths[0] + ".missing"}) {
+    const std::vector<std::string> inputs = {paths[0], bad};
+    std::ostringstream out;
+    EXPECT_FALSE(merge_sorted_timeline_files(inputs, out, 2, 90)) << bad;
+  }
 }
 
 }  // namespace
